@@ -650,10 +650,11 @@ register_experiment(ExperimentSpec(
                help="reduced-scale smoke run (used by CI)"),
         Option("output", metavar="PATH", default=None,
                help=f"artifact path (default: {DEFAULT_OUTPUT})"),
+        # argparse %-formats help strings, so a literal percent sign is "%%".
         Option("check", metavar="PREV.json", default=None,
                help="fail (exit != 0) when branches/s drops more than "
-                    f"{CHECK_TOLERANCE:.0%} below this recorded artifact's "
-                    "matching grids"),
+                    f"{CHECK_TOLERANCE * 100:.0f}%% below this recorded "
+                    "artifact's matching grids"),
         Option("check-tolerance", type=float, default=None, metavar="FRACTION",
                help="override the --check drop tolerance (same-machine "
                     f"default: {CHECK_TOLERANCE}; CI compares against an "

@@ -80,26 +80,13 @@ class PredictorStats:
 
     def record(self, result: AccessResult, branch: BranchRecord) -> None:
         """Fold one access result into the running counters."""
-        self.record_outcome(
-            result, branch.branch_type is BranchType.CONDITIONAL, branch.taken
-        )
-
-    def record_outcome(
-        self, result: AccessResult, is_conditional: bool, taken: bool
-    ) -> None:
-        """:meth:`record` with the branch fields already decoded.
-
-        The columnar replay loops pre-decode conditional/taken flags once per
-        trace; this entry point lets them skip the per-branch attribute
-        chasing.
-        """
         self.branches += 1
-        if is_conditional:
+        if branch.branch_type is BranchType.CONDITIONAL:
             self.conditional_branches += 1
             self.direction_predictions += 1
             if result.direction_correct:
                 self.direction_correct += 1
-        if taken:
+        if branch.taken:
             self.target_predictions += 1
             if result.target_correct:
                 self.target_correct += 1
@@ -188,9 +175,9 @@ class BranchPredictorModel(abc.ABC):
         """An array-at-a-time replay kernel for :mod:`repro.sim.vector`.
 
         Returns ``None`` (the default) when the model has no exact vector
-        form; the simulators then fall back to the columnar fast path with a
-        logged notice.  Implementations gate on their exact class so
-        behavioural subclasses never inherit a mismatched kernel.
+        form; the simulators then run the reference loop and count the
+        decline.  Implementations gate on their exact class so behavioural
+        subclasses never inherit a mismatched kernel.
         """
         return None
 

@@ -12,7 +12,7 @@ with every experiment name also kept as a top-level alias
 (``python -m repro figure3`` ≡ ``python -m repro run figure3``).
 
 Shared options: ``--workers`` (process-pool size; results are bit-identical
-to serial runs), ``--backend`` (replay backend: ``reference``/``fast``/
+to serial runs), ``--backend`` (replay backend: ``reference`` or
 ``vector``; results are bit-identical across backends), ``--progress``
 (stream per-job completions to stderr), ``--scale`` (fidelity preset),
 ``--seed``, ``--workload-limit``, ``--branches``/``--warmup`` (preset

@@ -311,80 +311,19 @@ ProgressCallback = Callable[[int, int, JobRecord], None]
 
 
 def execute_job_batch(jobs: Sequence[Job],
-                      shipments: tuple[dict, ...] = (),
-                      quiet_fallbacks: tuple[str, ...] = ()) -> list[JobRecord]:
+                      shipments: tuple[dict, ...] = ()) -> list[JobRecord]:
     """Execute a contiguous batch of jobs in the current (worker) process.
 
     ``shipments`` are shared-memory trace descriptors; each is attached once
     per process, pre-seeding the worker-local trace cache before the first
-    job replays (see :mod:`repro.engine.sharing`).  ``quiet_fallbacks`` are
-    model names whose "no vector kernel" notice the parent already logged;
-    pre-seeding the worker's logged-set keeps a grid's notice process-global
-    (one line per model name) instead of one line per worker.
+    job replays (see :mod:`repro.engine.sharing`).
     """
     if shipments:
         from repro.engine import sharing
 
         for descriptor in shipments:
             sharing.attach_shipment(descriptor)
-    if quiet_fallbacks:
-        from repro.sim import vector
-
-        vector.suppress_fallback_notices(quiet_fallbacks)
     return [execute_job(job) for job in jobs]
-
-
-#: Probe results for model specs already probed for a vector kernel in this
-#: process: the model name the parent's fallback notice covers, or ``None``
-#: when the spec's model has a kernel.  Keyed by spec because probing is
-#: cheap but builds a model; keeping the *result* (not a bare "seen" set)
-#: lets a later run re-derive which of *its* models are kernel-less without
-#: re-probing.  Failed probes are not cached, so they are retried.
-_PROBED_KERNEL_SPECS: dict = {}
-
-
-def _vector_fallback_suppressions(jobs: Sequence[Job]) -> tuple[str, ...]:
-    """Probe each distinct model for a vector kernel in the parent process.
-
-    Probing calls :func:`repro.sim.vector.kernel_for`, which logs the "no
-    vector kernel, falling back" notice — once, here, in the parent — for
-    every kernel-less model the jobs will run.  The returned snapshot of
-    names is shipped to workers so they stay quiet: a 100-job grid of a
-    kernel-less model logs the notice exactly once, regardless of batching,
-    worker count, or start method.
-
-    The snapshot covers exactly the kernel-less models of *these* jobs —
-    never the whole process-global logged set.  Shipping every name ever
-    logged would silently pre-suppress first notices in workers for
-    unrelated models that still lack a kernel.
-    """
-    from repro.sim import fastpath
-
-    if not fastpath.vector_enabled():
-        return ()
-    from repro.sim import vector
-
-    quiet: set[str] = set()
-    for job in jobs:
-        if job.kind not in ("trace", "cpu", "smt") or job.model is None:
-            continue
-        if job.model in _PROBED_KERNEL_SPECS:
-            name = _PROBED_KERNEL_SPECS[job.model]
-            if name is not None:
-                quiet.add(name)
-            continue
-        try:
-            model = build_model(job.model, seed=0)
-            fallback_name = (getattr(model, "name", type(model).__name__)
-                             if vector.kernel_for(model) is None else None)
-        except Exception:  # a probe must never take down the run
-            logger.debug("vector-kernel probe failed for %r",
-                         job.model, exc_info=True)
-            continue
-        _PROBED_KERNEL_SPECS[job.model] = fallback_name
-        if fallback_name is not None:
-            quiet.add(fallback_name)
-    return tuple(sorted(quiet))
 
 
 def job_batches(jobs: Sequence[Job], workers: int,
@@ -589,10 +528,6 @@ class EngineRunner:
                     shipments = tuple(s.descriptor for s in self._shipments)
             else:
                 shipments = self._ensure_shipments(jobs)
-            # Probe for kernel-less models while the parent still owns the
-            # log: one fallback notice total, workers silenced via the
-            # snapshot.
-            quiet_fallbacks = _vector_fallback_suppressions(jobs)
             self._pool_used = True
             batches = job_batches(jobs, min(self.workers, total))
             position_batches: list[Sequence[int]] = []
@@ -601,8 +536,7 @@ class EngineRunner:
                 position_batches.append(positions[offset:offset + len(batch)])
                 offset += len(batch)
             futures = {
-                pool.submit(execute_job_batch, batch, shipments,
-                            quiet_fallbacks): index
+                pool.submit(execute_job_batch, batch, shipments): index
                 for index, batch in enumerate(batches)
             }
             dispatch_span.attrs.update(
@@ -771,19 +705,6 @@ class EngineRunner:
             self._shipments.append(sharing.TraceShipment(missing))
             self._shipped_keys.update(missing)
         return tuple(shipment.descriptor for shipment in self._shipments)
-
-    @staticmethod
-    def _fork_context():
-        """Prefer the fork start method when the platform offers it.
-
-        Kept for callers that need the raw context; :class:`EngineRunner`
-        itself now goes through :meth:`_context`, which honours the
-        ``start_method`` override.
-        """
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return None
 
     @staticmethod
     def _prewarm_traces(jobs: Sequence[Job]) -> int:

@@ -12,10 +12,10 @@ their local trace cache.
 
 A :class:`SharedTrace` satisfies every consumer of a real
 :class:`~repro.trace.branch.Trace`: the vector backend reads the mapped
-arrays directly, while the scalar replay paths (and SMT trace merging)
-materialise :class:`~repro.trace.branch.BranchRecord` objects lazily from the
-same arrays — bit-identical to the generator's output, paid only when a
-scalar path actually runs.
+arrays directly, while the reference replay loop (and SMT trace merging)
+materialises :class:`~repro.trace.branch.BranchRecord` objects lazily from
+the same arrays — bit-identical to the generator's output, paid only when
+the reference loop actually runs.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ _SEGMENT_COLUMNS = (
 
 
 class SharedColumns:
-    """Columnar trace view backed by shared memory (duck-types ``TraceColumns``).
+    """Columnar trace view backed by shared memory.
 
-    The ndarray view is zero-copy; the scalar-path list columns and the
-    :class:`BranchRecord` list materialise lazily on first access.
+    Provides what the vector backend and :class:`SharedTrace` read of a
+    ``TraceColumns``: the zero-copy :meth:`arrays`, the ``segments`` and the
+    :class:`BranchRecord` list, which materialises lazily on first access.
     """
 
     def __init__(self, item_count: int, arrays: TraceArrays,
@@ -72,7 +73,6 @@ class SharedColumns:
         self.segments = segments
         self._trace_arrays = arrays
         self._branches: list[BranchRecord] | None = None
-        self._lists: dict[str, list] = {}
 
     def arrays(self) -> TraceArrays:
         return self._trace_arrays
@@ -93,34 +93,6 @@ class SharedColumns:
                     arrays.context_ids.tolist(), modes)
             ]
         return self._branches
-
-    def _list(self, name: str, build) -> list:
-        values = self._lists.get(name)
-        if values is None:
-            values = build()
-            self._lists[name] = values
-        return values
-
-    @property
-    def ips(self) -> list[int]:
-        return self._list("ips", self._trace_arrays.ips.tolist)
-
-    @property
-    def targets(self) -> list[int]:
-        return self._list("targets", self._trace_arrays.targets.tolist)
-
-    @property
-    def takens(self) -> list[bool]:
-        return self._list("takens", self._trace_arrays.takens.tolist)
-
-    @property
-    def conditionals(self) -> list[bool]:
-        return self._list("conditionals",
-                          lambda: (self._trace_arrays.types == 0).tolist())
-
-    @property
-    def context_ids(self) -> list[int]:
-        return self._list("context_ids", self._trace_arrays.context_ids.tolist)
 
 
 class SharedTrace(Trace):

@@ -14,8 +14,7 @@ mechanically:
 
 Module-scoped rules walk one file's AST at a time.  Project-scoped rules
 (``repro lint --project``) additionally query the interprocedural analysis in
-:mod:`repro.lint.graph` — a call graph plus per-function summaries, cached
-content-addressed under ``.lint-cache/`` (:mod:`repro.lint.cache`) — to prove
+:mod:`repro.lint.graph` — a call graph plus per-function summaries — to prove
 cross-module invariants: lock-order soundness, taint-free fingerprints, and a
 stable serialized schema surface (``api-surface.json``).  Nothing is imported
 or executed — AST only.  Findings can be suppressed inline (``# repro-lint:
@@ -31,7 +30,6 @@ from repro.lint.baseline import (
     baseline_payload,
     load_baseline,
 )
-from repro.lint.cache import CACHE_SCHEMA, DEFAULT_CACHE_DIR, SummaryCache
 from repro.lint.findings import LINT_SCHEMA, Finding, Scope, Severity
 from repro.lint.framework import (
     LintReport,
@@ -54,9 +52,7 @@ from repro.lint.graph import (
 __all__ = [
     "ANALYSIS_VERSION",
     "BASELINE_SCHEMA",
-    "CACHE_SCHEMA",
     "DEFAULT_BASELINE_NAME",
-    "DEFAULT_CACHE_DIR",
     "Finding",
     "LINT_SCHEMA",
     "LintReport",
@@ -66,7 +62,6 @@ __all__ = [
     "Rule",
     "Scope",
     "Severity",
-    "SummaryCache",
     "analyze_project",
     "baseline_payload",
     "list_rules",

@@ -13,11 +13,9 @@ findings file from a fresh scan.
 
 ``--project`` turns on the interprocedural rules (lock-order,
 taint-determinism, schema-drift) on top of the module rules.  Project mode
-reads/writes the content-addressed summary cache under ``--cache-dir``
-(default ``.lint-cache/``; ``--no-cache`` disables it) and compares the
-tree's schema surface against ``--surface`` (default ``api-surface.json``
-when present).  ``--write-surface`` re-records the surface after an
-intentional schema change — the analysis-side analogue of
+compares the tree's schema surface against ``--surface`` (default
+``api-surface.json`` when present).  ``--write-surface`` re-records the
+surface after an intentional schema change — the analysis-side analogue of
 ``--write-baseline``.
 """
 
@@ -34,7 +32,6 @@ from repro.lint.baseline import (
     dump_baseline,
     load_baseline,
 )
-from repro.lint.cache import DEFAULT_CACHE_DIR
 from repro.lint.findings import LINT_SCHEMA
 from repro.lint.framework import (
     LintReport,
@@ -69,8 +66,7 @@ def format_report(report: LintReport) -> str:
              f"{report.suppressed} suppressed, {report.baselined} baselined")
     if report.project is not None:
         stats = report.project
-        tally += (f"; analysis: {stats.get('analyzed', 0)} analyzed, "
-                  f"{stats.get('cached', 0)} cached")
+        tally += f"; analysis: {stats.get('analyzed', 0)} analyzed"
     lines.append(f"lint: {tally}" if report.findings
                  else f"lint: clean ({tally})")
     return "\n".join(lines)
@@ -113,13 +109,6 @@ def add_lint_parser(subparsers) -> None:
     parser.add_argument(
         "--write-baseline", action="store_true",
         help="regenerate the baseline from this scan's findings and exit 0")
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=DEFAULT_CACHE_DIR,
-        help="summary cache directory for project analysis "
-             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument(
-        "--no-cache", dest="use_cache", action="store_false", default=True,
-        help="analyze every module fresh; do not read or write the cache")
     parser.add_argument(
         "--surface", metavar="PATH", default=None,
         help="schema-surface file for the schema-drift rule "
@@ -174,14 +163,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(format_rules())
         return 0
-    cache_dir = args.cache_dir if args.use_cache else None
     surface_doc, surface_path = _resolve_surface(args)
     if args.write_surface:
-        # Surface recording is its own fast path: build the analysis (via
-        # the same cache) and serialize what the tree declares today.
+        # Surface recording is its own fast path: build the analysis and
+        # serialize what the tree declares today.
         from repro.lint.rules.schema_drift import surface_payload
 
-        analysis = analyze_project(args.paths, cache_dir)
+        analysis = analyze_project(args.paths)
         target = surface_path or args.surface or DEFAULT_SURFACE_NAME
         payload = surface_payload(analysis)
         with open(target, "w", encoding="utf-8") as handle:
@@ -192,8 +180,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     baseline, baseline_path = _resolve_baseline(args)
     report = run_lint(args.paths, rule_ids=args.rule, baseline=baseline,
-                      project_mode=args.project, cache_dir=cache_dir,
-                      surface_doc=surface_doc, surface_path=surface_path)
+                      project_mode=args.project, surface_doc=surface_doc,
+                      surface_path=surface_path)
     if args.write_baseline:
         target = baseline_path or args.baseline or DEFAULT_BASELINE_NAME
         count = dump_baseline(report.findings, target)

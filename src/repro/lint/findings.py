@@ -23,7 +23,7 @@ from typing import Any
 
 
 #: Schema tag of the ``repro lint --json`` findings envelope.  v2 added the
-#: per-finding ``scope`` plus the ``project`` (analysis-cache counters) and
+#: per-finding ``scope`` plus the ``project`` (analysis counters) and
 #: ``timing`` (per-rule seconds) result blocks.
 LINT_SCHEMA = "repro.lint/v2"
 

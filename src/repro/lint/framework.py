@@ -170,7 +170,7 @@ class Project:
 
     In project mode the runner attaches the interprocedural view before any
     rule runs: ``analysis`` is the :class:`repro.lint.graph.ProjectAnalysis`
-    built from (possibly cached) module summaries, and ``surface_doc`` /
+    built from the module summaries, and ``surface_doc`` /
     ``surface_path`` carry the loaded ``api-surface.json`` for the
     schema-drift rule.  Module-scope rules ignore all three (``analysis`` is
     ``None`` on a plain scan).
@@ -221,8 +221,7 @@ class LintReport:
 
         ``timing`` maps rule id → seconds spent in its check; ``project``
         (present only when the interprocedural analysis ran) carries the
-        module/analyzed/cached counts and the summary cache's
-        hit/miss/write counters.
+        module/analyzed counts.
         """
         payload: dict[str, Any] = {
             "rules": list(self.rules),
@@ -360,26 +359,23 @@ def _suppression_hygiene(project: Project,
     return findings
 
 
-def _build_analysis(project: Project, cache_dir: str | Path | None):
+def _build_analysis(project: Project):
     """Attach the interprocedural analysis to ``project`` (idempotent)."""
     if project.analysis is not None:
         return project.analysis
-    # Local import: graph (and cache) are only paid for in project mode.
-    from repro.lint.cache import SummaryCache
+    # Local import: the graph is only paid for in project mode.
     from repro.lint.graph import build_analysis
 
-    cache = SummaryCache(cache_dir) if cache_dir is not None else None
     project.analysis = build_analysis(
-        [unit for unit in project.modules if unit.tree is not None], cache)
+        [unit for unit in project.modules if unit.tree is not None])
     return project.analysis
 
 
-def analyze_project(paths: Iterable[str | Path],
-                    cache_dir: str | Path | None = None):
+def analyze_project(paths: Iterable[str | Path]):
     """Parse ``paths`` and build just the :class:`ProjectAnalysis` — what
     ``repro lint --write-surface`` uses to record the schema surface."""
     project, _ = parse_project(paths)
-    return _build_analysis(project, cache_dir)
+    return _build_analysis(project)
 
 
 def run_lint(paths: Iterable[str | Path],
@@ -387,7 +383,6 @@ def run_lint(paths: Iterable[str | Path],
              baseline: set[tuple[str, str, str]] | None = None,
              *,
              project_mode: bool = False,
-             cache_dir: str | Path | None = None,
              surface_doc: dict[str, Any] | None = None,
              surface_path: str | None = None) -> LintReport:
     """Run the (selected) rules over ``paths`` and return a report.
@@ -395,9 +390,8 @@ def run_lint(paths: Iterable[str | Path],
     ``baseline`` is a set of grandfathered finding identities
     (:attr:`Finding.baseline_key`); matching findings are counted but not
     reported as active.  ``project_mode`` enables the project-scoped rules
-    and builds the interprocedural analysis (through the summary cache at
-    ``cache_dir`` when given); selecting a project rule explicitly via
-    ``rule_ids`` forces the analysis too.  ``surface_doc``/``surface_path``
+    and builds the interprocedural analysis; selecting a project rule
+    explicitly via ``rule_ids`` forces the analysis too.  ``surface_doc``/``surface_path``
     hand the loaded ``api-surface.json`` to the schema-drift rule.
     """
     rules = _resolve_rules(rule_ids, project_mode)
@@ -406,7 +400,7 @@ def run_lint(paths: Iterable[str | Path],
     project.surface_path = surface_path
     if any(rule.scope is Scope.PROJECT and rule.check is not None
            for rule in rules):
-        _build_analysis(project, cache_dir)
+        _build_analysis(project)
     timing: dict[str, float] = {}
     for rule in rules:
         if rule.check is None:

@@ -9,8 +9,7 @@ a whole-program analysis.  It works in two phases:
    taint atoms describing which nondeterminism sources / parameters / callee
    results flow into each call argument and return value, class attribute
    types, schema-tagged constants, and envelope dict literals.  Summaries
-   depend only on the module's own source, which is what makes them
-   cacheable by content hash (:mod:`repro.lint.cache`).
+   depend only on the module's own source.
 
 2. **Analysis** (:class:`ProjectAnalysis`) — the summaries of every scanned
    module are stitched into a project view: call targets are resolved against
@@ -54,8 +53,9 @@ import hashlib
 import re
 from typing import Any, Iterable, Iterator
 
-#: Bump to invalidate every cached module summary (the analysis version is
-#: folded into the cache key, so stale-format summaries miss instead of lie).
+#: Version of the module-summary format; bump whenever
+#: :func:`summarize_module` output changes (it is part of
+#: :func:`source_sha256`, a summary's content identity).
 ANALYSIS_VERSION = 1
 
 #: Canonical call name → why its value is nondeterministic.  The taint rule
@@ -114,7 +114,7 @@ _SCHEMA_NAME_RE = re.compile(r"SCHEMA")
 
 
 def source_sha256(module: str, source: str) -> str:
-    """Content hash a summary is keyed by: module name + source + version."""
+    """Content identity of a module summary: module name + version + source."""
     digest = hashlib.sha256()
     digest.update(f"{module}\0{ANALYSIS_VERSION}\0".encode("utf-8"))
     digest.update(source.encode("utf-8"))
@@ -1333,33 +1333,14 @@ class ProjectAnalysis:
         return None
 
 
-def build_analysis(units: Iterable[Any], cache: Any = None) -> ProjectAnalysis:
+def build_analysis(units: Iterable[Any]) -> ProjectAnalysis:
     """Summarize ``units`` (parsed :class:`~repro.lint.framework.ModuleUnit`
-    objects) into a :class:`ProjectAnalysis`, using ``cache`` (a
-    :class:`repro.lint.cache.SummaryCache`) when given.
+    objects) into a :class:`ProjectAnalysis`.
 
-    Modules whose summary is served from the cache are *not* re-analyzed —
-    the hit/miss bookkeeping lands in ``analysis.stats`` and, via the
-    framework, in the ``repro.lint/v2`` envelope.
+    The module counts land in ``analysis.stats`` and, via the framework, in
+    the ``repro.lint/v2`` envelope's ``project`` block.
     """
-    summaries: dict[str, dict[str, Any]] = {}
-    analyzed = 0
-    cached = 0
-    for unit in units:
-        if unit.tree is None:
-            continue
-        key = source_sha256(unit.module, unit.source)
-        summary = cache.get(key) if cache is not None else None
-        if summary is None:
-            summary = summarize_module(unit.module, unit.rel, unit.tree)
-            analyzed += 1
-            if cache is not None:
-                cache.put(key, summary)
-        else:
-            cached += 1
-        summaries[unit.module] = summary
-    stats = {"modules": analyzed + cached, "analyzed": analyzed,
-             "cached": cached}
-    if cache is not None:
-        stats.update(cache.stats())
+    summaries = {unit.module: summarize_module(unit.module, unit.rel, unit.tree)
+                 for unit in units if unit.tree is not None}
+    stats = {"modules": len(summaries), "analyzed": len(summaries)}
     return ProjectAnalysis(summaries, stats)

@@ -62,6 +62,9 @@ HELP_TEXT: dict[str, str] = {
     "repro_trace_cache_misses_total": "Workload trace-cache misses.",
     "repro_trace_cache_evictions_total": "Workload trace-cache evictions.",
     "repro_trace_cache_entries": "Workload traces currently cached.",
+    "repro_replay_declines_total":
+        "Replays the vector backend declined to the reference loop, "
+        "by model and job kind.",
     "repro_faults_injected_total": "Injected store faults, by kind.",
     "repro_http_requests_total": "Serve HTTP requests, by method/route/status.",
     "repro_http_request_seconds": "Serve HTTP request latency, by route.",

@@ -11,12 +11,10 @@ Replaying is the repository's hot path (a paper-scale grid pushes hundreds of
 millions of branch records through models), so :meth:`TraceSimulator.run`
 dispatches on the process-wide backend switch (:mod:`repro.sim.fastpath`):
 the default ``vector`` backend replays the trace's ndarray view with the
-array kernels in :mod:`repro.sim.vector` (falling back per model when no
-kernel exists), the ``fast`` backend iterates the columnar view — branch runs
-pre-split from OS events, direction/conditional flags pre-decoded — with
-locally accumulated counters, and the per-item ``reference`` loop is retained
-for differential testing.  The parity tests pin all backends to
-byte-identical result frames.
+array kernels in :mod:`repro.sim.vector`, and the per-item ``reference``
+loop — the specification the kernels are checked against — runs everything
+else, including every replay a kernel declines.  The parity tests pin both
+backends to byte-identical result frames.
 """
 
 from __future__ import annotations
@@ -56,12 +54,9 @@ class TraceSimulator:
     def __init__(self, warmup_branches: int = 0):
         self.warmup_branches = warmup_branches
 
-    def _dispatch_event(self, model: BranchPredictorModel, event: TraceEvent) -> None:
-        dispatch_event(model, event)
-
     def _replay_items(self, model: BranchPredictorModel, trace: Trace,
                       stats: PredictorStats) -> None:
-        """Reference per-item replay loop (kept for differential testing)."""
+        """Reference per-item replay loop: the specification of a replay."""
         seen_branches = 0
         warmup = self.warmup_branches
         for item in trace:
@@ -72,67 +67,6 @@ class TraceSimulator:
             seen_branches += 1
             if seen_branches > warmup:
                 stats.record(result, item)
-
-    def _replay_columnar(self, model: BranchPredictorModel, trace: Trace,
-                         stats: PredictorStats) -> None:
-        """Columnar replay: equivalent to :meth:`_replay_items`, but iterating
-        pre-split branch runs with locally accumulated counters."""
-        columns = trace.columns()
-        branches = columns.branches
-        takens = columns.takens
-        conditionals = columns.conditionals
-        access = model.access_with_events
-        warmup = self.warmup_branches
-        seen = 0
-
-        total = conditional = direction_correct = 0
-        target_predictions = target_correct = 0
-        effective = mispredictions = evictions = hits = underflows = 0
-
-        for start, stop, event in columns.segments:
-            # Branches still inside the warm-up window train without recording.
-            if seen < warmup:
-                train_stop = min(stop, start + (warmup - seen))
-                for index in range(start, train_stop):
-                    access(branches[index])
-                seen += train_stop - start
-                start = train_stop
-            for index in range(start, stop):
-                result = access(branches[index])
-                total += 1
-                if conditionals[index]:
-                    conditional += 1
-                    if result.direction_correct:
-                        direction_correct += 1
-                if takens[index]:
-                    target_predictions += 1
-                    if result.target_correct:
-                        target_correct += 1
-                if result.effective_correct:
-                    effective += 1
-                if result.mispredicted:
-                    mispredictions += 1
-                if result.btb_eviction:
-                    evictions += 1
-                if result.btb_hit:
-                    hits += 1
-                if result.rsb_underflow:
-                    underflows += 1
-            seen += stop - start
-            if event is not None:
-                dispatch_event(model, event)
-
-        stats.branches += total
-        stats.conditional_branches += conditional
-        stats.direction_predictions += conditional
-        stats.direction_correct += direction_correct
-        stats.target_predictions += target_predictions
-        stats.target_correct += target_correct
-        stats.effective_correct += effective
-        stats.mispredictions += mispredictions
-        stats.btb_evictions += evictions
-        stats.btb_hits += hits
-        stats.rsb_underflows += underflows
 
     def run(self, model: BranchPredictorModel, trace: Trace) -> SimulationResult:
         """Replay ``trace`` through ``model`` and return its accuracy report.
@@ -154,10 +88,7 @@ class TraceSimulator:
             replayed = vector.try_replay_trace(
                 model, trace, self.warmup_branches, stats)
         if not replayed:
-            if fastpath.fast_path_enabled():
-                self._replay_columnar(model, trace, stats)
-            else:
-                self._replay_items(model, trace, stats)
+            self._replay_items(model, trace, stats)
 
         protection = model.protection_stats()
         rerandomizations = int(protection.get("rerandomizations", 0))

@@ -1,19 +1,17 @@
-"""Process-wide replay-backend switch: ``reference`` / ``fast`` / ``vector``.
+"""Process-wide replay-backend switch: ``reference`` / ``vector``.
 
-The simulators keep three equivalent replay implementations:
+The simulators keep two equivalent replay implementations:
 
-* ``reference`` — the straightforward per-item loop kept for differential
-  testing;
-* ``fast`` — the columnar loop over pre-decoded
-  :class:`~repro.trace.branch.TraceColumns` (PR 2); and
+* ``reference`` — the straightforward per-item loop, the specification every
+  faster path is checked against; and
 * ``vector`` — the NumPy array-at-a-time backend in :mod:`repro.sim.vector`
   (the default), which replays epoch-chunked array kernels for models that
-  provide one and silently (but with a logged notice) falls back to the
-  ``fast`` loop for models that do not (TAGE/Perceptron directions, ablation
-  variants with facade mappings).
+  provide one.  When a model has no kernel, or its kernel declines a trace
+  (e.g. STBPU SMT co-runs), the replay runs the ``reference`` loop and the
+  decline is counted in ``repro_replay_declines_total``.
 
-All three produce byte-identical result frames — the parity tests pin that —
-so the switch only ever changes wall-clock time.  The process-wide default can
+Both produce byte-identical result frames — the parity tests pin that — so
+the switch only ever changes wall-clock time.  The process-wide default can
 be set with the ``REPRO_SIM_BACKEND`` environment variable, programmatically
 with :func:`set_backend`, or per run with the CLI's ``--backend`` option.
 """
@@ -25,7 +23,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 #: Recognised backend names, slowest first.
-BACKENDS = ("reference", "fast", "vector")
+BACKENDS = ("reference", "vector")
 
 DEFAULT_BACKEND = "vector"
 
@@ -75,30 +73,3 @@ def forced_backend(name: str) -> Iterator[None]:
 def vector_enabled() -> bool:
     """Whether simulators should try the NumPy vector backend first."""
     return _BACKEND == "vector"
-
-
-# ------------------------------------------------------- legacy two-level API
-
-def fast_path_enabled() -> bool:
-    """Whether simulators may take the columnar fast path (vector implies it)."""
-    return _BACKEND != "reference"
-
-
-def set_fast_path(enabled: bool) -> None:
-    """Legacy two-level switch: ``True`` selects ``fast``, ``False`` ``reference``.
-
-    Kept so pre-vector callers and tests continue to work; new code should use
-    :func:`set_backend`.
-    """
-    set_backend("fast" if enabled else "reference")
-
-
-@contextmanager
-def forced_fast_path(enabled: bool) -> Iterator[None]:
-    """Temporarily force the columnar fast path on or off (legacy API)."""
-    previous = _BACKEND
-    set_fast_path(enabled)
-    try:
-        yield
-    finally:
-        set_backend(previous)

@@ -11,10 +11,10 @@ paper adopts for equally weighted workloads.
 
 Like :class:`~repro.sim.bpu_sim.TraceSimulator`, the co-run replay follows
 the process-wide backend switch: the ``vector`` backend replays the merged
-trace with array kernels where the model provides one (STBPU co-runs decline
-— the scheduling quantum swaps tokens too often for array chunks to pay off —
-and take the columnar loop), ``fast`` iterates the columnar view, and the
-per-item ``reference`` loop is kept for parity testing.
+trace with array kernels where the model provides one, and the per-item
+``reference`` loop runs everything else.  STBPU co-runs decline the kernel —
+the scheduling quantum swaps tokens too often for array chunks to pay off —
+so they take the reference loop.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class SMTSimulator:
         self.lengths = lengths if lengths is not None else SimulationLengths()
         self.quantum = quantum
 
-    def _dispatch_event(self, model: BranchPredictorModel, event: TraceEvent) -> None:
-        dispatch_event(model, event)
-
     def _coreplay_items(
         self,
         model: BranchPredictorModel,
@@ -82,7 +79,7 @@ class SMTSimulator:
         thread_offset: int,
         per_thread_stats: tuple[PredictorStats, PredictorStats],
     ) -> None:
-        """Reference per-item co-run loop (kept for differential testing)."""
+        """Reference per-item co-run loop: the specification of a co-run."""
         warmup = self.lengths.warmup_branches
         seen = [0, 0]
         for item in merged:
@@ -94,35 +91,6 @@ class SMTSimulator:
             seen[thread] += 1
             if seen[thread] > warmup:
                 per_thread_stats[thread].record(result, item)
-
-    def _coreplay_columnar(
-        self,
-        model: BranchPredictorModel,
-        merged: Trace,
-        thread_offset: int,
-        per_thread_stats: tuple[PredictorStats, PredictorStats],
-    ) -> None:
-        """Columnar co-run loop, equivalent to :meth:`_coreplay_items`."""
-        columns = merged.columns()
-        branches = columns.branches
-        takens = columns.takens
-        conditionals = columns.conditionals
-        context_ids = columns.context_ids
-        access = model.access_with_events
-        warmup = self.lengths.warmup_branches
-        seen = [0, 0]
-        for start, stop, event in columns.segments:
-            for index in range(start, stop):
-                result = access(branches[index])
-                thread = 0 if context_ids[index] < thread_offset else 1
-                count = seen[thread] + 1
-                seen[thread] = count
-                if count > warmup:
-                    per_thread_stats[thread].record_outcome(
-                        result, conditionals[index], takens[index]
-                    )
-            if event is not None:
-                dispatch_event(model, event)
 
     def run(
         self,
@@ -157,10 +125,7 @@ class SMTSimulator:
                 model, merged, thread_offset, self.lengths.warmup_branches,
                 per_thread_stats)
         if not replayed:
-            if fastpath.fast_path_enabled():
-                self._coreplay_columnar(model, merged, thread_offset, per_thread_stats)
-            else:
-                self._coreplay_items(model, merged, thread_offset, per_thread_stats)
+            self._coreplay_items(model, merged, thread_offset, per_thread_stats)
 
         reports = tuple(
             self._performance(model.name, trace.name, stats)

@@ -27,7 +27,7 @@ chunks, and an STBPU re-randomization fired by the monitoring counters ends
 the chunk *at the firing access* — scans commit only the executed prefix (the
 scan composition is pure until committed) and replay resumes under the fresh
 token.  The parity tests pin all of this to byte-identical results against
-both scalar paths.
+the per-item reference loop.
 
 TAGE and Perceptron direction components have no closed-form counter scan —
 TAGE allocation rewrites tags mid-span and perceptron training feeds its own
@@ -45,17 +45,18 @@ already applied) commits the executed prefix and re-specializes the rest of
 the block from live weights — the same commit/resume shape the epoch
 chunking uses for mid-chunk re-randomizations.
 
-Models opt in via ``vector_kernel()``; models with neither a kernel nor a
-stepper fall back to the PR-2 columnar fast path with a logged notice.
+Models opt in via ``vector_kernel()``.  A replay the backend cannot take —
+the model has neither a kernel nor a stepper, or its kernel declines the
+trace (e.g. STBPU SMT co-runs) — runs the simulators' per-item reference
+loop instead, and ``repro_replay_declines_total{model,kind}`` counts it.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from repro.bpu.common import PredictorStats
+from repro.obs import metrics as obs_metrics
 from repro.trace.branch import (
     VIRTUAL_ADDRESS_MASK,
     EventKind,
@@ -63,10 +64,6 @@ from repro.trace.branch import (
     Trace,
     TraceEvent,
 )
-
-logger = logging.getLogger("repro.sim.vector")
-
-_FALLBACK_LOGGED: set[str] = set()
 
 # Branch-type codes, mirroring repro.trace.branch.BRANCH_TYPE_CODES.
 _COND, _DJ, _DC, _IJ, _IC, _RET = 0, 1, 2, 3, 4, 5
@@ -1639,7 +1636,7 @@ class _CompositeEngine:
 def _accumulate_stats(engine: _CompositeEngine, stats: PredictorStats,
                       warmup: int) -> None:
     """Fold the whole-trace flag arrays into ``stats``, exactly like the
-    columnar loop records branches past the global warm-up count."""
+    reference loop records branches past the global warm-up count."""
     n = engine.n
     start = min(max(warmup, 0), n)
     span = slice(start, n)
@@ -1968,16 +1965,8 @@ def stbpu_kernel(model):
 # -------------------------------------------------------------- entry points
 
 def kernel_for(model):
-    """The model's vector kernel, logging one fallback notice per model name."""
-    kernel = model.vector_kernel()
-    if kernel is None:
-        name = getattr(model, "name", type(model).__name__)
-        if name not in _FALLBACK_LOGGED:
-            _FALLBACK_LOGGED.add(name)
-            logger.info(
-                "model %r has no vector kernel; falling back to the columnar "
-                "fast path", name)
-    return kernel
+    """The model's vector kernel, or ``None`` when it has none."""
+    return model.vector_kernel()
 
 
 def kernel_status(model) -> str:
@@ -1990,7 +1979,11 @@ def kernel_status(model) -> str:
         (TAGE, Perceptron): span inputs are speculative and repaired or
         re-batched when a guard fails.
     ``"fallback"``
-        No vector kernel; replay drops to the columnar fast path.
+        No vector kernel; replay runs the reference loop.
+
+    The class says whether a kernel exists.  An STBPU kernel may still
+    decline a trace whose token runs are too short to chunk: every SMT
+    co-run, and single traces that switch context very often.
     """
     kernel = model.vector_kernel()
     if kernel is None:
@@ -2001,39 +1994,36 @@ def kernel_status(model) -> str:
     return "kernel"
 
 
-def fallback_logged_names() -> tuple[str, ...]:
-    """Model names whose fallback notice this process already emitted.
-
-    The engine runner ships this snapshot to its worker processes so a
-    100-job grid of a kernel-less model logs the notice once — in the
-    parent — instead of once per worker batch.
-    """
-    return tuple(sorted(_FALLBACK_LOGGED))
-
-
-def suppress_fallback_notices(names) -> None:
-    """Mark ``names`` as already logged in this process.
-
-    Called by :func:`repro.engine.runner.execute_job_batch` in workers with
-    the parent's :func:`fallback_logged_names` snapshot: the parent probed
-    each model and spoke for the whole process tree.
-    """
-    _FALLBACK_LOGGED.update(names)
+def _count_decline(model, kind: str) -> None:
+    obs_metrics.inc("repro_replay_declines_total",
+                    model=getattr(model, "name", type(model).__name__),
+                    kind=kind)
 
 
 def try_replay_trace(model, trace: Trace, warmup: int,
                      stats: PredictorStats) -> bool:
-    """Vector-replay ``trace`` through ``model`` into ``stats`` if possible."""
+    """Vector-replay ``trace`` through ``model`` into ``stats`` if possible.
+
+    ``False`` (no kernel, or the kernel declined) is counted as a
+    ``kind="trace"`` decline; the caller then runs the reference loop.
+    """
     kernel = kernel_for(model)
-    if kernel is None:
-        return False
-    return kernel.run_trace(trace, warmup, stats)
+    if kernel is not None and kernel.run_trace(trace, warmup, stats):
+        return True
+    _count_decline(model, "trace")
+    return False
 
 
 def try_replay_smt(model, merged: Trace, thread_offset: int, warmup: int,
                    per_thread_stats) -> bool:
-    """Vector-replay an SMT co-run if the model's kernel supports the merge."""
+    """Vector-replay an SMT co-run if the model's kernel supports the merge.
+
+    ``False`` is counted as a ``kind="smt"`` decline, like
+    :func:`try_replay_trace`.
+    """
     kernel = kernel_for(model)
-    if kernel is None:
-        return False
-    return kernel.run_smt(merged, thread_offset, warmup, per_thread_stats)
+    if kernel is not None and kernel.run_smt(
+            merged, thread_offset, warmup, per_thread_stats):
+        return True
+    _count_decline(model, "smt")
+    return False

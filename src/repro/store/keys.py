@@ -8,8 +8,9 @@ trace-length knobs, seeds, extra parameters — plus
 * the job's grid ``index`` (position in a grid is presentation, not
   identity — that is what lets a new grid reuse the overlapping half of an
   old one), and
-* the replay backend (``reference``/``fast``/``vector`` are parity-tested
-  byte-identical, so a record computed under any backend answers for all).
+* the replay backend (``reference`` and ``vector`` are parity-tested
+  byte-identical, so a record computed under either backend answers for
+  both).
 
 Fingerprints are hex strings, so they double as object filenames in the
 on-disk store and as URL path components for ``repro serve``.

@@ -227,9 +227,8 @@ class TraceColumns:
     * ``segments`` encodes the original interleaving as ``(start, stop,
       event)`` runs — replay ``branches[start:stop]``, then dispatch ``event``
       (``None`` for the final run); and
-    * the parallel ``ips``/``targets``/``takens``/``conditionals``/
-      ``context_ids`` arrays carry the per-branch fields the simulators read
-      per access, as plain ints/bools.
+    * the parallel ``ips``/``targets``/``takens``/``context_ids`` lists carry
+      the per-branch fields :meth:`arrays` decodes into NumPy columns.
 
     Columns are derived data: build them with :meth:`Trace.columns`, which
     caches per trace and rebuilds when the item count changes.
@@ -241,7 +240,6 @@ class TraceColumns:
     ips: list[int]
     targets: list[int]
     takens: list[bool]
-    conditionals: list[bool]
     context_ids: list[int]
     _arrays: "TraceArrays | None" = None
 
@@ -257,7 +255,6 @@ class TraceColumns:
         segments: list[tuple[int, int, TraceEvent | None]] = []
         start = 0
         append_branch = branches.append
-        conditional = BranchType.CONDITIONAL
         for item in items:
             if item.__class__ is TraceEvent:
                 segments.append((start, len(branches), item))
@@ -272,7 +269,6 @@ class TraceColumns:
             ips=[b.ip for b in branches],
             targets=[b.target for b in branches],
             takens=[b.taken for b in branches],
-            conditionals=[b.branch_type is conditional for b in branches],
             context_ids=[b.context_id for b in branches],
         )
 

@@ -140,9 +140,12 @@ class TestSharedMemoryShipping:
             columns = shared.columns()
             reference = trace.columns()
             assert columns.segments == reference.segments
-            assert columns.takens == reference.takens
-            assert columns.conditionals == reference.conditionals
-            assert columns.arrays().ips.tolist() == reference.arrays().ips.tolist()
+            assert columns.branches == reference.branches
+            shared_arrays, arrays = columns.arrays(), reference.arrays()
+            for name in ("ips", "targets", "takens", "types", "context_ids",
+                         "kernel_modes"):
+                assert (getattr(shared_arrays, name).tolist()
+                        == getattr(arrays, name).tolist()), name
         finally:
             self._release(shipment, key, trace)  # restore for other tests
 

@@ -1,30 +1,26 @@
-"""The interprocedural engine and its incremental cache.
+"""The interprocedural engine.
 
 Covers the pieces the rule tests exercise only indirectly: call-target
 resolution through attribute and return types, the taint fixpoint across
-module boundaries, the lock/blocking summaries, and — the part CI leans on —
-cache semantics: a warm project run re-analyzes zero modules, a single-module
-edit re-analyzes exactly that module, and corrupt cache entries degrade to
-misses instead of poisoning the analysis.
+module boundaries, the lock/blocking summaries, and the module summaries
+themselves.
 """
 
 import json
 
 import pytest
 
-from repro.lint import SummaryCache, run_lint
-from repro.lint.framework import analyze_project, parse_project
+from repro.lint.framework import parse_project
 from repro.lint.graph import build_analysis, source_sha256, summarize_module
 
 
 @pytest.fixture
 def analyze(make_tree):
-    def run(files, cache=None):
+    def run(files):
         root = make_tree(files)
         project, _ = parse_project([root / "repro"])
         return build_analysis(
-            [unit for unit in project.modules if unit.tree is not None],
-            cache)
+            [unit for unit in project.modules if unit.tree is not None])
     return run
 
 
@@ -125,83 +121,3 @@ class TestSummaries:
         assert source_sha256("a", "x = 1\n") != source_sha256("b", "x = 1\n")
         assert source_sha256("a", "x = 1\n") != source_sha256("a", "x = 2\n")
         assert source_sha256("a", "x = 1\n") == source_sha256("a", "x = 1\n")
-
-
-class TestCacheSemantics:
-    def test_warm_run_analyzes_zero_modules(self, make_tree, tmp_path):
-        root = make_tree(TREE)
-        cache_dir = tmp_path / "cache"
-        cold = run_lint([root / "repro"], rule_ids=["lock-order"],
-                        project_mode=True, cache_dir=cache_dir)
-        assert cold.project["analyzed"] == cold.project["modules"] == 3
-        assert cold.project["cache_misses"] == 3
-        warm = run_lint([root / "repro"], rule_ids=["lock-order"],
-                        project_mode=True, cache_dir=cache_dir)
-        assert warm.project["analyzed"] == 0
-        assert warm.project["cached"] == 3
-        assert warm.project["cache_hits"] == 3
-
-    def test_single_module_edit_reanalyzes_only_that_module(
-            self, make_tree, tmp_path):
-        root = make_tree(TREE)
-        cache_dir = tmp_path / "cache"
-        run_lint([root / "repro"], rule_ids=["lock-order"],
-                 project_mode=True, cache_dir=cache_dir)
-        serve = root / "repro/store/serve.py"
-        serve.write_text(serve.read_text() + "\n# touched\n")
-        report = run_lint([root / "repro"], rule_ids=["lock-order"],
-                          project_mode=True, cache_dir=cache_dir)
-        assert report.project["analyzed"] == 1
-        assert report.project["cached"] == 2
-
-    def test_corrupt_entry_degrades_to_a_miss(self, tmp_path):
-        cache = SummaryCache(tmp_path / "cache")
-        key = source_sha256("m", "x = 1\n")
-        cache.put(key, {"module": "m"})
-        path = tmp_path / "cache" / "summaries" / key[:2] / f"{key}.json"
-        path.write_text("{ truncated", encoding="utf-8")
-        assert cache.get(key) is None
-        cache.put(key, {"module": "m"})
-        assert cache.get(key) == {"module": "m"}
-        stats = cache.stats()
-        assert stats["cache_misses"] == 1
-        assert stats["cache_writes"] == 2
-
-    def test_wrong_key_or_schema_is_a_miss(self, tmp_path):
-        cache = SummaryCache(tmp_path / "cache")
-        key = source_sha256("m", "x = 1\n")
-        other = source_sha256("m", "x = 2\n")
-        cache.put(key, {"module": "m"})
-        path = tmp_path / "cache" / "summaries" / other[:2] / f"{other}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # A payload copied under the wrong key must not be trusted.
-        stored = json.loads(
-            (tmp_path / "cache" / "summaries" / key[:2] /
-             f"{key}.json").read_text())
-        path.write_text(json.dumps(stored), encoding="utf-8")
-        assert cache.get(other) is None
-
-    def test_analysis_version_is_part_of_the_key(self, make_tree, tmp_path,
-                                                 monkeypatch):
-        root = make_tree(TREE)
-        cache_dir = tmp_path / "cache"
-        run_lint([root / "repro"], rule_ids=["lock-order"],
-                 project_mode=True, cache_dir=cache_dir)
-        import repro.lint.graph as graph_mod
-        monkeypatch.setattr(graph_mod, "ANALYSIS_VERSION",
-                            graph_mod.ANALYSIS_VERSION + 1)
-        report = run_lint([root / "repro"], rule_ids=["lock-order"],
-                          project_mode=True, cache_dir=cache_dir)
-        assert report.project["analyzed"] == 3, (
-            "bumping ANALYSIS_VERSION must invalidate every cached summary")
-
-
-class TestAnalyzeProjectHelper:
-    def test_analyze_project_populates_the_cache(self, make_tree, tmp_path):
-        root = make_tree(TREE)
-        cache_dir = tmp_path / "cache"
-        analysis = analyze_project([root / "repro"], cache_dir)
-        assert analysis.stats["analyzed"] == 3
-        again = analyze_project([root / "repro"], cache_dir)
-        assert again.stats["cached"] == 3
-        assert again.summaries == analysis.summaries

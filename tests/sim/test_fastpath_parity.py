@@ -1,10 +1,10 @@
-"""Differential tests: the columnar fast path must be invisible in results.
+"""Differential tests: the vector fast path must be invisible in results.
 
-The simulators keep two replay implementations — the default columnar loop
-over :class:`~repro.trace.branch.TraceColumns` and the per-item reference
-loop.  These tests force each in turn over the same grids/traces and require
-byte-identical serialized output, which is the contract that lets the fast
-path evolve freely.
+The simulators keep two replay implementations — the default ``vector``
+backend and the per-item ``reference`` loop, its specification.  These tests
+force each in turn over the same grids/traces and require byte-identical
+serialized output, which is the contract that lets the fast path evolve
+freely.
 """
 
 import dataclasses
@@ -15,8 +15,8 @@ import pytest
 from repro.bpu.protections import make_unprotected_baseline
 from repro.core.stbpu import make_stbpu_skl
 from repro.engine import EngineRunner, ExperimentScale, SimulationGrid
+from repro.sim import fastpath
 from repro.sim.bpu_sim import TraceSimulator
-from repro.sim.fastpath import fast_path_enabled, forced_fast_path
 from repro.sim.smt import SMTSimulator
 from repro.trace.branch import (
     BranchRecord,
@@ -59,8 +59,8 @@ class TestColumnarView:
         assert columns.ips == [0x1000, 0x1000]
         assert columns.targets == [0x2000, 0x2000]
         assert columns.takens == [True, False]
-        assert columns.conditionals == [True, False]
         assert columns.context_ids == [4, 4]
+        assert columns.arrays().types.tolist() == [0, 5]
         assert [event.kind for _, _, event in columns.segments if event is not None] == [
             EventKind.CONTEXT_SWITCH
         ]
@@ -78,29 +78,26 @@ class TestColumnarView:
         assert rebuilt is not first
         assert rebuilt.item_count == 2
 
-    def test_fast_path_enabled_by_default(self):
-        assert fast_path_enabled()
-
 
 class TestReplayParity:
     def test_trace_simulator_paths_match(self, small_apache_trace):
         results = {}
-        for enabled in (True, False):
-            with forced_fast_path(enabled):
+        for backend in fastpath.BACKENDS:
+            with fastpath.forced_backend(backend):
                 model = make_stbpu_skl(seed=5)
                 simulator = TraceSimulator(warmup_branches=300)
-                results[enabled] = simulator.run(model, small_apache_trace)
-        assert results[True].stats == results[False].stats
-        assert results[True].report == results[False].report
+                results[backend] = simulator.run(model, small_apache_trace)
+        assert results["vector"].stats == results["reference"].stats
+        assert results["vector"].report == results["reference"].report
 
     def test_smt_simulator_paths_match(self, small_mcf_trace, small_apache_trace):
         stats = {}
-        for enabled in (True, False):
-            with forced_fast_path(enabled):
+        for backend in fastpath.BACKENDS:
+            with fastpath.forced_backend(backend):
                 model = make_unprotected_baseline()
                 result = SMTSimulator().run(model, small_mcf_trace, small_apache_trace)
-                stats[enabled] = (result.thread_stats, result.protection)
-        assert stats[True] == stats[False]
+                stats[backend] = (result.thread_stats, result.protection)
+        assert stats["vector"] == stats["reference"]
 
     def test_warmup_boundary_straddles_event_segments(self):
         # Warm-up ends mid-segment and an event splits the branch stream:
@@ -113,24 +110,24 @@ class TestReplayParity:
                 trace.append(TraceEvent(EventKind.CONTEXT_SWITCH, context_id=1))
         for warmup in (0, 3, 5, 7, 10, 12):
             stats = {}
-            for enabled in (True, False):
-                with forced_fast_path(enabled):
+            for backend in fastpath.BACKENDS:
+                with fastpath.forced_backend(backend):
                     model = make_unprotected_baseline()
-                    stats[enabled] = TraceSimulator(warmup_branches=warmup).run(
+                    stats[backend] = TraceSimulator(warmup_branches=warmup).run(
                         model, trace).stats
-            assert stats[True] == stats[False], f"warmup={warmup}"
+            assert stats["vector"] == stats["reference"], f"warmup={warmup}"
 
 
 class TestEngineParity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_grid_json_identical_across_paths(self, workers):
         if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            # The fast-path switch is a module global; only forked workers
+            # The backend switch is a module global; only forked workers
             # inherit it, so on spawn-only platforms the reference-path run
-            # would silently execute the fast path and verify nothing.
+            # would silently execute the vector backend and verify nothing.
             pytest.skip("parallel path toggling requires the fork start method")
         frames = {}
-        for enabled in (True, False):
-            with forced_fast_path(enabled):
-                frames[enabled] = EngineRunner(workers=workers).run_jobs(_mixed_jobs())
-        assert frames[True].to_json() == frames[False].to_json()
+        for backend in fastpath.BACKENDS:
+            with fastpath.forced_backend(backend):
+                frames[backend] = EngineRunner(workers=workers).run_jobs(_mixed_jobs())
+        assert frames["vector"].to_json() == frames["reference"].to_json()

@@ -1,13 +1,12 @@
-"""Three-way differential tests: ``reference`` / ``fast`` / ``vector``.
+"""Differential tests: ``vector`` against the ``reference`` oracle.
 
 The vector backend replays with array kernels (segmented counter scans,
 history window kernels, a slim structural loop); these tests pin it — per
 model family, including a re-randomization-heavy STBPU scenario and an SMT
-pair — to byte-identical serialized result frames against both scalar paths,
-plus unit-level parity of the underlying kernels.
+pair — to byte-identical serialized result frames and post-replay model
+state against the per-item reference loop, plus unit-level parity of the
+underlying kernels.
 """
-
-import logging
 
 import numpy as np
 import pytest
@@ -19,11 +18,13 @@ from repro.core.monitoring import MonitorConfig
 from repro.core.remapping import keyed_remap, keyed_remap_array
 from repro.core.stbpu import make_stbpu_skl
 from repro.engine import EngineRunner, ExperimentScale, ModelSpec, SimulationGrid
+from repro.obs import metrics as obs_metrics
 from repro.sim import fastpath, vector
 from repro.sim.bpu_sim import TraceSimulator
+from repro.sim.smt import SMTSimulator
 from repro.trace.branch import BranchRecord, BranchType, Trace
 
-BACKENDS = ("reference", "fast", "vector")
+BACKENDS = ("reference", "vector")
 
 
 def _family_jobs():
@@ -34,7 +35,7 @@ def _family_jobs():
     fired-chunk prefix commit.  The TAGE and Perceptron cells (both sizes,
     protected and unprotected) replay through the guarded span steppers, and
     every ablation facade rides along, so each registry family's kernel is
-    pinned against both scalar paths.
+    pinned against the reference loop.
     """
     scale = ExperimentScale(branch_count=2_000, warmup_branches=200, seed=13)
     rerand_heavy = ModelSpec.of("ST_SKLCond", r=0.0005)
@@ -64,12 +65,14 @@ def _family_jobs():
 
 
 class TestThreeWayParity:
+    """Reference-vs-vector frame and state parity.  The class name predates
+    the removal of a third backend and is kept so test ids stay stable."""
+
     def test_family_grid_json_identical_across_backends(self):
         frames = {}
         for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 frames[backend] = EngineRunner().run_jobs(_family_jobs())
-        assert frames["vector"].to_json() == frames["fast"].to_json()
         assert frames["vector"].to_json() == frames["reference"].to_json()
 
     def test_rerandomization_heavy_replay_matches_scalar_state(self):
@@ -79,7 +82,7 @@ class TestThreeWayParity:
 
         trace = trace_for("505.mcf", 5_000, 7)
         snapshots = {}
-        for backend in ("fast", "vector"):
+        for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 config = MonitorConfig(misprediction_threshold=60,
                                        eviction_threshold=45,
@@ -107,8 +110,8 @@ class TestThreeWayParity:
                     inner.history.bhb.value,
                     list(inner.history.outcomes),
                 )
-        assert snapshots["fast"][0]["rerandomizations"] > 5
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"][0]["rerandomizations"] > 5
+        assert snapshots["reference"] == snapshots["vector"]
 
     def test_non_power_of_two_pht_entries(self):
         # The scalar PatternHistoryTable wraps every access with `% entries`;
@@ -121,12 +124,12 @@ class TestThreeWayParity:
         trace = trace_for("505.mcf", 2_000, 7)
         sizes = StructureSizes(pht_entries=12_000)
         stats = {}
-        for backend in ("fast", "vector"):
+        for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 model = make_unprotected_baseline(sizes)
                 stats[backend] = TraceSimulator(warmup_branches=100).run(
                     model, trace).stats
-        assert stats["fast"] == stats["vector"]
+        assert stats["reference"] == stats["vector"]
 
     @pytest.mark.parametrize("warmup", [0, 3, 7, 50])
     def test_warmup_boundaries(self, warmup):
@@ -136,12 +139,22 @@ class TestThreeWayParity:
                 ip=0x4000 + index * 64, target=0x9000 + (index % 5) * 256,
                 taken=index % 3 != 0, branch_type=BranchType.CONDITIONAL))
         stats = {}
-        for backend in ("fast", "vector"):
+        for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 model = make_unprotected_baseline()
                 stats[backend] = TraceSimulator(warmup_branches=warmup).run(
                     model, trace).stats
-        assert stats["fast"] == stats["vector"], f"warmup={warmup}"
+        assert stats["reference"] == stats["vector"], f"warmup={warmup}"
+
+
+def _declines(model: str, kind: str) -> float:
+    """The ``repro_replay_declines_total`` sample for ``(model, kind)``."""
+    family = obs_metrics.registry().snapshot().get(
+        "repro_replay_declines_total", {"samples": []})
+    for sample in family["samples"]:
+        if sample["labels"] == {"model": model, "kind": kind}:
+            return sample["value"]
+    return 0.0
 
 
 def _tage_state(direction):
@@ -180,7 +193,8 @@ def _composite_state(composite):
 
 
 class TestPredictorStateParity:
-    """Fast-vs-vector *state* parity for the guarded TAGE/Perceptron kernels.
+    """Reference-vs-vector *state* parity for the guarded TAGE/Perceptron
+    kernels.
 
     The frame-level grid above already pins the serialized stats; these
     tests additionally require the post-replay predictor state — every
@@ -194,7 +208,7 @@ class TestPredictorStateParity:
 
         trace = trace_for(workload, branches, 7)
         snapshots = {}
-        for backend in ("fast", "vector"):
+        for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 model = factory()
                 result = TraceSimulator(warmup_branches=250).run(model, trace)
@@ -217,7 +231,7 @@ class TestPredictorStateParity:
         config = getattr(tage_module, config_name)
         snapshots = self._replay(lambda: make_unprotected_tage(config),
                                  workload, _tage_state)
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"] == snapshots["vector"]
 
     @pytest.mark.parametrize("workload", ["505.mcf", "apache2_prefork_c128"])
     def test_unprotected_perceptron_state(self, workload):
@@ -225,7 +239,7 @@ class TestPredictorStateParity:
 
         snapshots = self._replay(make_unprotected_perceptron, workload,
                                  _perceptron_state)
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"] == snapshots["vector"]
 
     @pytest.mark.parametrize("config_name", ["TAGE_SC_L_8KB", "TAGE_SC_L_64KB"])
     def test_rerand_heavy_st_tage_state(self, config_name):
@@ -244,8 +258,8 @@ class TestPredictorStateParity:
         snapshots = self._replay(
             lambda: make_stbpu_tage(config, monitor_config=monitor, seed=5),
             "505.mcf", _tage_state)
-        assert snapshots["fast"][1]["rerandomizations"] > 5
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"][1]["rerandomizations"] > 5
+        assert snapshots["reference"] == snapshots["vector"]
 
     def test_rerand_heavy_st_perceptron_state(self):
         from repro.core.stbpu import make_stbpu_perceptron
@@ -256,8 +270,8 @@ class TestPredictorStateParity:
         snapshots = self._replay(
             lambda: make_stbpu_perceptron(monitor_config=monitor, seed=5),
             "505.mcf", _perceptron_state)
-        assert snapshots["fast"][1]["rerandomizations"] > 5
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"][1]["rerandomizations"] > 5
+        assert snapshots["reference"] == snapshots["vector"]
 
     def test_perceptron_guard_abort_resumes_exactly(self):
         """A single hot conditional drives every access into one weight row:
@@ -273,7 +287,7 @@ class TestPredictorStateParity:
                 taken=(index * 7) % 11 < 6,
                 branch_type=BranchType.CONDITIONAL))
         snapshots = {}
-        for backend in ("fast", "vector"):
+        for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 model = make_unprotected_perceptron()
                 result = TraceSimulator(warmup_branches=100).run(model, trace)
@@ -283,7 +297,7 @@ class TestPredictorStateParity:
         assert any(any(weight for weight in row)
                    for row in snapshots["vector"][1])
         # … and the aborted accesses resumed bit-identically.
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"] == snapshots["vector"]
 
     def test_tage_span_boundaries_resume_exactly(self, monkeypatch):
         # A tiny span cap forces many prepare/commit cycles mid-trace; the
@@ -293,7 +307,7 @@ class TestPredictorStateParity:
         monkeypatch.setattr(vector, "_STEPPER_SPAN_LIMIT", 64)
         snapshots = self._replay(make_unprotected_tage, "505.mcf",
                                  _tage_state, branches=2_000)
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"] == snapshots["vector"]
 
 
 class TestBackendSwitch:
@@ -305,46 +319,70 @@ class TestBackendSwitch:
         before = fastpath.backend()
         with fastpath.forced_backend("reference"):
             assert fastpath.backend() == "reference"
-            assert not fastpath.fast_path_enabled()
+            assert not fastpath.vector_enabled()
         assert fastpath.backend() == before
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            fastpath.set_backend("simd")
-
-    def test_legacy_two_level_api_maps_onto_backends(self):
-        with fastpath.forced_fast_path(False):
-            assert fastpath.backend() == "reference"
-        with fastpath.forced_fast_path(True):
-            assert fastpath.backend() == "fast"
-            assert not fastpath.vector_enabled()
+        assert fastpath.BACKENDS == ("reference", "vector")
+        for name in ("simd", "fast"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                fastpath.set_backend(name)
 
     def test_cli_backend_option(self, capsys, tmp_path):
         from repro.cli import main
 
         json_path = tmp_path / "f3.json"
-        assert main(["figure3", "--workload-limit", "1", "--branches", "800",
-                     "--warmup", "80", "--backend", "fast",
-                     "--json", str(json_path)]) == 0
+        # --backend sets the process-wide switch; restore it afterwards.
+        with fastpath.forced_backend(fastpath.backend()):
+            assert main(["figure3", "--workload-limit", "1", "--branches",
+                         "800", "--warmup", "80", "--backend", "reference",
+                         "--json", str(json_path)]) == 0
         assert json_path.exists()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure3", "--backend", "fast"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
 
-    def test_fallback_is_logged_once(self, caplog):
+    def test_decline_is_counted_once(self):
         from repro.bpu.common import StructureSizes
         from repro.bpu.composite import make_skl_composite
+        from repro.engine import trace_for
 
-        # Every registry model has a vector kernel now, so the fallback path
+        # Every registry model has a vector kernel, so the kernel-less path
         # is pinned with a 3-bit-counter SKL composite (the SKL engine
         # builder only handles the 2-bit transition tables).
-        vector._FALLBACK_LOGGED.discard("ThreeBitCond")
-        model = make_skl_composite(
-            sizes=StructureSizes(pht_counter_bits=3), name="ThreeBitCond")
-        with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
-            assert vector.kernel_status(model) == "fallback"
-            assert vector.kernel_for(model) is None
-            assert vector.kernel_for(model) is None
-        notices = [record for record in caplog.records
-                   if "no vector kernel" in record.message]
-        assert len(notices) == 1
+        def make_model():
+            return make_skl_composite(
+                sizes=StructureSizes(pht_counter_bits=3), name="ThreeBitCond")
+
+        trace = trace_for("505.mcf", 600, 7)
+        assert vector.kernel_status(make_model()) == "fallback"
+        before = _declines("ThreeBitCond", "trace")
+        stats = {}
+        for backend in BACKENDS:
+            with fastpath.forced_backend(backend):
+                stats[backend] = TraceSimulator(warmup_branches=60).run(
+                    make_model(), trace).stats
+        # One decline for the vector run; the reference run never tries.
+        assert _declines("ThreeBitCond", "trace") == before + 1
+        assert stats["reference"] == stats["vector"]
+
+    def test_stbpu_smt_decline_is_counted_once(self):
+        from repro.engine import trace_for
+
+        # SMT merges swap tokens every scheduling quantum, so the STBPU
+        # kernel declines the co-run and the reference loop replays it.
+        trace_a = trace_for("505.mcf", 600, 7)
+        trace_b = trace_for("541.leela", 600, 7)
+        before = _declines("ST_SKLCond", "smt")
+        stats = {}
+        for backend in BACKENDS:
+            with fastpath.forced_backend(backend):
+                result = SMTSimulator().run(make_stbpu_skl(seed=5),
+                                            trace_a, trace_b)
+                stats[backend] = (result.thread_stats, result.protection)
+        assert _declines("ST_SKLCond", "smt") == before + 1
+        assert stats["reference"] == stats["vector"]
 
     def test_every_registry_model_has_a_kernel(self):
         from repro.engine.registry import build_model, list_models
@@ -539,7 +577,9 @@ class TestTraceArrays:
         columns = trace.columns()
         arrays = columns.arrays()
         assert arrays is columns.arrays()  # cached
+        branches = columns.branches
         assert arrays.ips.dtype == np.uint64
-        assert arrays.ips.shape[0] == len(columns.branches)
-        assert arrays.takens.tolist() == columns.takens
-        assert (arrays.types == 0).tolist() == columns.conditionals
+        assert arrays.ips.shape[0] == len(branches)
+        assert arrays.takens.tolist() == [b.taken for b in branches]
+        assert (arrays.types == 0).tolist() == [
+            b.branch_type is BranchType.CONDITIONAL for b in branches]

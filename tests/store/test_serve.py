@@ -379,6 +379,19 @@ class TestObservability:
         assert "# TYPE repro_store_op_seconds histogram" in text
         assert 'le="+Inf"' in text
 
+    def test_metrics_endpoint_counts_replay_declines(self, base_url):
+        # STBPU kernels decline SMT co-runs (tokens swap every scheduling
+        # quantum); the reference loop replays them and the decline counts.
+        status, _, _ = _request(
+            base_url, "POST", "/v1/experiments?wait=1",
+            _scenario("obs-declines", 162, kind="smt", models=["ST_SKLCond"],
+                      workloads=["505.mcf+541.leela"]))
+        assert status == 200
+        text = _request(base_url, "GET", "/v1/metrics")[2].decode("utf-8")
+        assert "# HELP repro_replay_declines_total" in text
+        assert ('repro_replay_declines_total{kind="smt",model="ST_SKLCond"}'
+                in text)
+
     def test_trace_endpoint_returns_span_tree(self, base_url):
         status, _, body = _request(base_url, "POST", "/v1/experiments?wait=1",
                                    _scenario("obs-trace", 161))
