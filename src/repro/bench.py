@@ -452,7 +452,7 @@ def run_bench(quick: bool = False, workers: int = 1) -> BenchReport:
 
     The timed measurement is always serial so numbers stay comparable across
     machines and worker counts.  With ``workers > 1`` each grid is run a
-    second time on the (batched, executor-reusing) process pool and the
+    second time on a batched process pool (one fork per grid) and the
     serialized results are compared — the parallel timing and the match
     verdict land in the artifact.
     """
@@ -492,8 +492,6 @@ def run_bench(quick: bool = False, workers: int = 1) -> BenchReport:
             )
             timing.parallel_workers = workers
         report.timings.append(timing)
-    if parallel_runner is not None:
-        parallel_runner.close()
     report.trace_cache = trace_cache_stats()
     report.store = measure_store(quick)
     report.predictors = measure_predictors(quick)

@@ -9,8 +9,8 @@ The engine turns the repository's evaluation into a declarative pipeline:
 * :mod:`repro.engine.grid` — :class:`SimulationGrid` declarations expanding
   (models × workloads × scale) into deterministic :class:`Job` lists,
 * :mod:`repro.engine.runner` — :class:`EngineRunner`, executing job lists
-  serially or on a :class:`~concurrent.futures.ProcessPoolExecutor` with
-  bit-identical results either way,
+  serially or on a :class:`~concurrent.futures.ProcessPoolExecutor` forked
+  fresh for each parallel run, with bit-identical results either way,
 * :mod:`repro.engine.results` — normalized :class:`ResultFrame` records
   (baseline-relative OAE / IPC) with JSON export,
 * :mod:`repro.engine.spec` — :class:`ExperimentSpec` declarations and the
@@ -72,7 +72,6 @@ from repro.engine.spec import (
 from repro.engine.workloads import (
     TraceCache,
     clear_trace_cache,
-    install_trace,
     resolve_smt_pairs,
     resolve_workloads,
     trace_cache_stats,
@@ -117,7 +116,6 @@ __all__ = [
     "run_experiment",
     "TraceCache",
     "clear_trace_cache",
-    "install_trace",
     "resolve_smt_pairs",
     "resolve_workloads",
     "trace_cache_stats",

@@ -9,7 +9,10 @@ and returns a fresh :class:`~repro.bpu.common.BranchPredictorModel`.
 
 Model *specs* (:class:`ModelSpec`) bundle a registry name with frozen keyword
 parameters and a display label; they are hashable and picklable, which is what
-lets the engine ship jobs to worker processes.
+lets the engine ship jobs to worker processes.  Jobs carry names, not
+factories: every parallel run forks fresh workers, which see the registry as
+it stands at that run, so models registered at run time resolve there too
+(on platforms without ``fork``, workers see only import-time registrations).
 """
 
 from __future__ import annotations
@@ -41,20 +44,6 @@ from repro.security.analysis import derive_rerandomization_thresholds
 ModelFactory = Callable[..., BranchPredictorModel]
 
 _MODELS: dict[str, ModelFactory] = {}
-
-#: Bumped on every (re-)registration; pooled runners compare it to decide
-#: whether their forked workers still mirror the registry.
-_REGISTRY_GENERATION = 0
-
-
-def registry_generation() -> int:
-    """Monotonic counter of model (re-)registrations.
-
-    A forked worker mirrors the registry as of its fork; the runner rebuilds
-    its persistent pool when this counter moved so models registered between
-    runs stay resolvable in workers.
-    """
-    return _REGISTRY_GENERATION
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,11 +83,9 @@ class ModelSpec:
 
 def register_model(name: str, factory: ModelFactory, replace: bool = False) -> None:
     """Register ``factory`` under ``name``; refuses silent overwrites."""
-    global _REGISTRY_GENERATION
     if name in _MODELS and not replace:
         raise ValueError(f"model {name!r} is already registered")
     _MODELS[name] = factory
-    _REGISTRY_GENERATION += 1
 
 
 def model_factory(name: str) -> ModelFactory:

@@ -9,11 +9,12 @@ only changes wall-clock time, never results.
 
 Parallel execution is *batched*: jobs are grouped into contiguous chunks
 (:func:`job_batches`) so each pool round-trip amortises dispatch and result
-pickling over several jobs, one executor persists across ``run`` /
-``iter_records`` calls within a runner's lifetime, and on non-``fork`` start
-methods the distinct traces behind the jobs ship to workers once as
-shared-memory arrays (:mod:`repro.engine.sharing`) instead of being
-re-generated per job.
+pickling over several jobs.  Every parallel run forks a fresh pool after
+generating its distinct traces in the parent, so workers inherit the trace
+cache and the model registry as they stand; the pool is shut down before the
+run's iterator finishes, raises or is closed.  On platforms without ``fork``
+workers regenerate traces on a cache miss — generation is deterministic, so
+the records are the same.
 
 :meth:`EngineRunner.iter_records` is the streaming form: records are yielded
 in job order as soon as they (and every earlier job) complete, and an optional
@@ -35,8 +36,8 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.grid import Job, SimulationGrid
@@ -310,47 +311,33 @@ def execute_job(job: Job) -> JobRecord:
 ProgressCallback = Callable[[int, int, JobRecord], None]
 
 
-def execute_job_batch(jobs: Sequence[Job],
-                      shipments: tuple[dict, ...] = ()) -> list[JobRecord]:
-    """Execute a contiguous batch of jobs in the current (worker) process.
-
-    ``shipments`` are shared-memory trace descriptors; each is attached once
-    per process, pre-seeding the worker-local trace cache before the first
-    job replays (see :mod:`repro.engine.sharing`).
-    """
-    if shipments:
-        from repro.engine import sharing
-
-        for descriptor in shipments:
-            sharing.attach_shipment(descriptor)
+def execute_job_batch(jobs: Sequence[Job]) -> list[JobRecord]:
+    """Execute a contiguous batch of jobs in the current (worker) process."""
     return [execute_job(job) for job in jobs]
 
 
-def job_batches(jobs: Sequence[Job], workers: int,
-                parts_per_worker: int = 4) -> list[list[Job]]:
-    """Split ``jobs`` into contiguous batches sized for pool submission.
+#: Batches per worker: bigger batches mean fewer pool round-trips, smaller
+#: ones let stragglers matter less.
+_BATCHES_PER_WORKER = 4
 
-    The chunk size balances dispatch overhead (bigger batches → fewer pool
-    round-trips) against load balance (smaller batches → stragglers matter
-    less): ``parts_per_worker`` batches per worker, at least one job each.
-    """
+
+def job_batches(jobs: Sequence[Job], workers: int) -> list[list[Job]]:
+    """Split ``jobs`` into contiguous batches sized for pool submission:
+    :data:`_BATCHES_PER_WORKER` batches per worker, at least one job each."""
     total = len(jobs)
     if total == 0:
         return []
-    chunk = max(1, -(-total // max(1, workers * parts_per_worker)))
+    chunk = max(1, -(-total // max(1, workers * _BATCHES_PER_WORKER)))
     return [list(jobs[start:start + chunk]) for start in range(0, total, chunk)]
 
 
-def _distinct_trace_keys(jobs: Sequence[Job]) -> dict:
-    """The distinct ``(workload, branch_count, seed)`` traces the jobs replay."""
-    keys: dict = {}
-    for job in jobs:
-        if job.kind not in ("trace", "cpu", "smt") or job.workload is None:
-            continue
-        names = job.workload if isinstance(job.workload, tuple) else (job.workload,)
-        for name in names:
-            keys[(name, job.branch_count, job.trace_seed)] = None
-    return keys
+def _pool_context():
+    """``fork`` where the platform has it (workers inherit the parent's trace
+    cache and model registry), else the platform default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()
 
 
 class EngineRunner:
@@ -359,19 +346,15 @@ class EngineRunner:
     Args:
         workers: Number of worker processes; ``1`` (the default) runs
             everything inline.  Results are identical either way.
-        start_method: Optional multiprocessing start method override
-            (``"fork"``/``"spawn"``).  By default the platform's ``fork`` is
-            preferred; passing ``"spawn"`` exercises the shared-memory trace
-            shipping path that non-fork platforms use.
         store: Optional :class:`~repro.store.base.ResultStore`.  When given,
             cacheable jobs whose fingerprints resolve are merged from the
             store instead of executing, and fresh records are written back —
             incremental execution with byte-identical frames.
 
-    One executor is created lazily and reused across ``run`` /
-    ``iter_records`` calls; call :meth:`close` (or use the runner as a
-    context manager) to shut it down eagerly — otherwise a finalizer does it
-    when the runner is garbage collected.
+    The runner holds no pool between runs: a run with more than one worker
+    and more than one job to execute forks a fresh pool and shuts it down
+    before its iterator is exhausted, raises or is closed, so there is
+    nothing to close.
 
     Instrumentation: after every ``run``/``run_jobs``/``iter_records``
     consumption, ``last_total``/``last_cached``/``last_executed`` describe
@@ -379,25 +362,16 @@ class EngineRunner:
     ``total_executed`` accumulate across the runner's lifetime.
     """
 
-    def __init__(self, workers: int = 1, start_method: str | None = None,
-                 store: ResultStore | None = None):
+    def __init__(self, workers: int = 1, store: ResultStore | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.start_method = start_method
         self.store = store
         self.last_total = 0
         self.last_cached = 0
         self.last_executed = 0
         self.total_cached = 0
         self.total_executed = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_used = False
-        self._pool_generation: int | None = None
-        self._shipments: list = []
-        self._shipped_keys: set = set()
-        self._finalizer = weakref.finalize(
-            self, EngineRunner._cleanup, [], [])  # replaced on first pool use
 
     def run(self, grid: SimulationGrid,
             progress: ProgressCallback | None = None) -> ResultFrame:
@@ -433,9 +407,9 @@ class EngineRunner:
 
         ``abort_check`` is the supervisor hook (``repro.store.jobs``): called
         before dispatch and between completions, it raises to abandon the
-        run (deadline exceeded, job cancelled).  In-flight pool batches
-        cannot be interrupted — after an abort the caller should ``close()``
-        the runner rather than reuse a pool with stale work queued.
+        run (deadline exceeded, job cancelled).  The run's pool is then shut
+        down with its queued batches cancelled; batches already in flight
+        cannot be interrupted and finish before the exception propagates.
 
         ``tracer`` (a :class:`repro.obs.spans.SpanTracer`) records the
         phase spans partition → dispatch → execute → merge plus one leaf
@@ -472,8 +446,8 @@ class EngineRunner:
         while next_position in ready:
             yield ready.pop(next_position)
             next_position += 1
-        completions = self._completions(missing, positions, tracer=tracer)
-        with tracer.span("execute") as execute_span:
+        with self._completions(missing, positions, tracer=tracer) as completions, \
+                tracer.span("execute") as execute_span:
             for position, record in completions:
                 if abort_check is not None:
                     abort_check()
@@ -497,58 +471,54 @@ class EngineRunner:
                            workload=record.workload, source=source)
             merge_span.attrs.update(records=total)
 
+    @contextmanager
     def _completions(self, jobs: Sequence[Job], positions: Sequence[int],
-                     tracer=NULL_TRACER) -> Iterator[tuple[int, JobRecord]]:
-        """Execute ``jobs``, returning an iterator of ``(original position,
+                     tracer=NULL_TRACER) -> Iterator[
+                         Iterator[tuple[int, JobRecord]]]:
+        """Execute ``jobs``, yielding an iterator of ``(original position,
         record)`` pairs in completion order (serial: list order; parallel:
-        batch completion).  Dispatch — pool creation, trace shipping, batch
-        submission — happens eagerly in this call, under the ``dispatch``
-        span; the returned iterator only consumes completions."""
+        batch completion).  Dispatch — trace prewarm, pool fork, batch
+        submission — happens on entry, under the ``dispatch`` span; the pool
+        is shut down, queued batches cancelled, on exit."""
         total = len(jobs)
         if total == 0:
-            return iter(())
+            yield iter(())
+            return
         if self.workers <= 1 or total <= 1:
             tracer.add("dispatch", mode="serial", workers=1, batches=0)
-            return ((position, execute_job(job))
-                    for position, job in zip(positions, jobs))
-        with tracer.span("dispatch") as dispatch_span:
-            context = self._context()
-            pool = self._ensure_pool(context)
-            if context.get_start_method() == "fork":
-                # Workers fork at first submit and inherit the parent's trace
-                # cache as of that moment; generate this run's traces first so
-                # a fresh pool inherits them all.  Runs on an *existing* pool
-                # instead ship any new traces through shared memory — the
-                # workers' inherited caches predate them.
-                self._prewarm_traces(jobs)
-                if self._pool_used:
-                    shipments = self._ensure_shipments(jobs)
-                else:
-                    self._shipped_keys.update(_distinct_trace_keys(jobs))
-                    shipments = tuple(s.descriptor for s in self._shipments)
-            else:
-                shipments = self._ensure_shipments(jobs)
-            self._pool_used = True
-            batches = job_batches(jobs, min(self.workers, total))
-            position_batches: list[Sequence[int]] = []
-            offset = 0
-            for batch in batches:
-                position_batches.append(positions[offset:offset + len(batch)])
-                offset += len(batch)
-            futures = {
-                pool.submit(execute_job_batch, batch, shipments): index
-                for index, batch in enumerate(batches)
-            }
-            dispatch_span.attrs.update(
-                mode="pool", workers=min(self.workers, total),
-                batches=len(batches))
+            yield ((position, execute_job(job))
+                   for position, job in zip(positions, jobs))
+            return
+        workers = min(self.workers, total)
+        context = _pool_context()
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        try:
+            with tracer.span("dispatch") as dispatch_span:
+                if context.get_start_method() == "fork":
+                    # Workers fork at first submit and inherit the parent's
+                    # trace cache as of that moment: generate the traces first.
+                    self._prewarm_traces(jobs)
+                batches = job_batches(jobs, workers)
+                position_batches: list[Sequence[int]] = []
+                offset = 0
+                for batch in batches:
+                    position_batches.append(positions[offset:offset + len(batch)])
+                    offset += len(batch)
+                futures = {
+                    pool.submit(execute_job_batch, batch): index
+                    for index, batch in enumerate(batches)
+                }
+                dispatch_span.attrs.update(
+                    mode="pool", workers=workers, batches=len(batches))
 
-        def stream() -> Iterator[tuple[int, JobRecord]]:
-            for future in as_completed(futures):
-                index = futures[future]
-                yield from zip(position_batches[index], future.result())
+            def stream() -> Iterator[tuple[int, JobRecord]]:
+                for future in as_completed(futures):
+                    index = futures[future]
+                    yield from zip(position_batches[index], future.result())
 
-        return stream()
+            yield stream()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     # ----------------------------------------------------------- store layer
 
@@ -638,73 +608,7 @@ class EngineRunner:
             logger.warning("store write failed for %s; result not cached",
                            fingerprint[:16], exc_info=True)
 
-    # ------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Shut the pooled executor down and release shipped trace memory."""
-        self._finalizer()
-        self._pool = None
-        self._pool_used = False
-        self._pool_generation = None
-        self._shipments = []
-        self._shipped_keys = set()
-
-    def __enter__(self) -> "EngineRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    @staticmethod
-    def _cleanup(pools: list, shipments: list) -> None:
-        for pool in pools:
-            pool.shutdown(wait=True)
-        for shipment in shipments:
-            shipment.close()
-
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            return multiprocessing.get_context()
-
-    def _ensure_pool(self, context) -> ProcessPoolExecutor:
-        from repro.engine.registry import registry_generation
-
-        generation = registry_generation()
-        if self._pool is not None and self._pool_generation != generation:
-            # Models were (re-)registered since the workers forked; rebuild
-            # the pool so fresh forks mirror the current registry (the old
-            # per-run-pool guarantee).  Spawn workers never saw post-import
-            # registrations either way.
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_used = False
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context)
-            self._pool_generation = generation
-            # Re-register the finalizer with the live pool/shipment lists so
-            # garbage collection tears both down.
-            self._finalizer.detach()
-            self._finalizer = weakref.finalize(
-                self, EngineRunner._cleanup, [self._pool], self._shipments)
-        return self._pool
-
-    def _ensure_shipments(self, jobs: Sequence[Job]) -> tuple[dict, ...]:
-        """Pack any not-yet-shipped distinct traces into a new shipment."""
-        from repro.engine import sharing
-
-        missing = {}
-        for key in _distinct_trace_keys(jobs):
-            if key not in self._shipped_keys:
-                missing[key] = trace_for(*key)
-        if missing:
-            self._shipments.append(sharing.TraceShipment(missing))
-            self._shipped_keys.update(missing)
-        return tuple(shipment.descriptor for shipment in self._shipments)
+    # ---------------------------------------------------------------- traces
 
     @staticmethod
     def _prewarm_traces(jobs: Sequence[Job]) -> int:

@@ -4,7 +4,8 @@ Workloads are addressable by name (``"505.mcf"``), by category
 (``"spec"``, ``"application"``, ``"all"``) or by the paper's curated sets
 (``"gem5-single"``, ``"gem5-smt"`` for SMT pairs).  The trace cache memoises
 synthetic traces per ``(workload, branch_count, seed)`` so that every job in a
-grid — and every driver in a session — replays the identical trace object.
+grid — and every driver in a session — replays the identical trace object;
+forked pool workers inherit it as it stood when their run began.
 The cache is a capped LRU: grids expand workload-major, so consecutive jobs
 reuse the hot entry while million-job scenario sweeps can no longer grow
 memory without bound.  Hit/miss counters are exposed for the bench report
@@ -104,41 +105,19 @@ def _bridge_trace_cache() -> None:
 
 obs_metrics.register_callback(_bridge_trace_cache)
 
-#: Cache-miss resolvers consulted before falling back to synthetic
-#: generation.  Shared-memory shipments register one so traces evicted from
-#: the bounded cache re-materialise from the mapped arrays (cheap) instead of
-#: being re-generated (expensive).
-_TRACE_SOURCES: list = []
-
-
-def register_trace_source(source) -> None:
-    """Add a ``key -> Trace | None`` resolver tried on every cache miss."""
-    if source not in _TRACE_SOURCES:
-        _TRACE_SOURCES.append(source)
-
 
 def trace_for(name: str, branch_count: int, seed: int) -> Trace:
     """Return (memoised) the synthetic trace for one workload.
 
-    Cache misses first consult the registered trace sources (shared-memory
-    shipments in worker processes), then the deterministic generator.
+    A cache miss runs the deterministic generator, so a worker process that
+    did not inherit the parent's cache regenerates the identical trace.
     """
     key = (name, branch_count, seed)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
-        for source in _TRACE_SOURCES:
-            trace = source(key)
-            if trace is not None:
-                break
-        if trace is None:
-            trace = generate_trace(name, seed=seed, branch_count=branch_count)
+        trace = generate_trace(name, seed=seed, branch_count=branch_count)
         _TRACE_CACHE.put(key, trace)
     return trace
-
-
-def install_trace(key: TraceKey, trace: Trace) -> None:
-    """Pre-seed the cache (worker processes attach shipped traces this way)."""
-    _TRACE_CACHE.put(key, trace)
 
 
 def trace_cache_stats() -> dict[str, int]:

@@ -44,13 +44,11 @@ from repro.lint.framework import (
     run_lint,
 )
 from repro.lint.graph import (
-    ANALYSIS_VERSION,
     ProjectAnalysis,
     summarize_module,
 )
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "BASELINE_SCHEMA",
     "DEFAULT_BASELINE_NAME",
     "Finding",

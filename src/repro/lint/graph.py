@@ -49,14 +49,8 @@ they serialize; resolution happens at analysis time:
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from typing import Any, Iterable, Iterator
-
-#: Version of the module-summary format; bump whenever
-#: :func:`summarize_module` output changes (it is part of
-#: :func:`source_sha256`, a summary's content identity).
-ANALYSIS_VERSION = 1
 
 #: Canonical call name → why its value is nondeterministic.  The taint rule
 #: treats these as sources wherever they appear in the project (the
@@ -111,14 +105,6 @@ MODULE_BODY = "<module>"
 #: Constant-name / value patterns that mark a schema-tagged constant.
 _SCHEMA_TAG_RE = re.compile(r"^[a-z][a-z0-9_.\-]*/v\d+$")
 _SCHEMA_NAME_RE = re.compile(r"SCHEMA")
-
-
-def source_sha256(module: str, source: str) -> str:
-    """Content identity of a module summary: module name + version + source."""
-    digest = hashlib.sha256()
-    digest.update(f"{module}\0{ANALYSIS_VERSION}\0".encode("utf-8"))
-    digest.update(source.encode("utf-8"))
-    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,9 @@ replaces the lock with a supervised job pipeline:
 * a **job state machine** ``queued → running → done | failed | timeout |
   cancelled``, persisted as content-addressed records (namespace
   ``jobstate``) so any replica sharing the store can answer any GET,
-* **worker threads** each owning a private incremental
-  :class:`~repro.engine.runner.EngineRunner`,
+* **worker threads** running each attempt on a fresh incremental
+  :class:`~repro.engine.runner.EngineRunner` (with ``engine_workers > 1``
+  it forks one process pool per attempt),
 * a **watchdog** enforcing per-job deadlines (a wedged job is recorded
   ``timeout``, its worker abandoned and replaced so throughput survives),
 * **bounded exponential-backoff retry** for transient failures (broken
@@ -408,7 +409,6 @@ class JobManager:
             self._handles.append(handle)
 
     def _worker_loop(self, handle: _WorkerHandle) -> None:
-        runner: EngineRunner | None = None
         try:
             while True:
                 with self._lock:
@@ -430,11 +430,9 @@ class JobManager:
                     self._lock.notify_all()
                     snapshot = self._payload(job)
                 self._persist(snapshot)
-                runner, outcome = self._run_job(job, runner)
+                outcome = self._run_job(job)
                 self._finish(handle, job, outcome)
         finally:
-            if runner is not None:
-                runner.close()
             snapshot = None
             respawn = False
             with self._lock:
@@ -465,10 +463,9 @@ class JobManager:
             if respawn:
                 self._spawn_worker()
 
-    def _run_job(self, job: _Job, runner: EngineRunner | None,
-                 ) -> tuple[EngineRunner | None, tuple[str, Any]]:
-        """Execute one attempt outside any lock; returns the (possibly
-        replaced) worker-local runner and an outcome tag."""
+    def _run_job(self, job: _Job) -> tuple[str, Any]:
+        """Execute one attempt outside any lock on a runner of its own;
+        returns an outcome tag."""
         try:
             if self.injector is not None:
                 self.injector.maybe_hang(
@@ -476,9 +473,7 @@ class JobManager:
                     should_abort=lambda: job.abort.is_set()
                     or time.monotonic() >= job.deadline)
             self._check_deadline(job)
-            if runner is None:
-                runner = EngineRunner(workers=self.engine_workers,
-                                      store=self.store)
+            runner = EngineRunner(workers=self.engine_workers, store=self.store)
             # Span identity comes from the scenario fingerprint plus
             # structural attributes only — attempts, timestamps and worker
             # identity stay out, so a retried or replayed job produces the
@@ -501,26 +496,15 @@ class JobManager:
             trace = json.loads(canonical_json(tracer.payload()))
             self._publish_envelope(job.fingerprint, envelope)
             self._publish_trace(job.fingerprint, trace)
-            return runner, (DONE, (envelope, trace))
+            return DONE, (envelope, trace)
         except _Expired as error:
-            # The runner may still have stale batches in flight; a fresh
-            # pool for the next job is cheaper than reasoning about them.
-            return self._discard_runner(runner), (TIMEOUT, str(error))
+            return TIMEOUT, str(error)
         except TRANSIENT_ERRORS as error:
-            message = f"{type(error).__name__}: {error}"
-            return self._discard_runner(runner), ("transient", message)
+            return "transient", f"{type(error).__name__}: {error}"
         except Exception as error:  # noqa: BLE001 — job boundary
             message = f"{type(error).__name__}: {error}"
             logger.warning("job %s failed: %s", job.fingerprint[:16], message)
-            return self._discard_runner(runner), (FAILED, message)
-
-    def _discard_runner(self, runner: EngineRunner | None) -> None:
-        if runner is not None:
-            try:
-                runner.close()
-            except Exception:  # noqa: BLE001 — already degrading
-                logger.warning("runner close failed", exc_info=True)
-        return None
+            return FAILED, message
 
     def _check_deadline(self, job: _Job) -> None:
         if job.abort.is_set() or time.monotonic() >= job.deadline:

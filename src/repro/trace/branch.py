@@ -156,7 +156,7 @@ class TraceEvent:
 TraceItem = BranchRecord | TraceEvent
 
 #: Stable small-integer codes for :class:`BranchType`, used by the columnar
-#: ndarray view (and the shared-memory trace shipping that serialises it).
+#: ndarray view (:class:`TraceArrays`).
 BRANCH_TYPE_CODES: dict[BranchType, int] = {
     BranchType.CONDITIONAL: 0,
     BranchType.DIRECT_JUMP: 1,
@@ -205,11 +205,11 @@ class TraceArrays:
         codes = BRANCH_TYPE_CODES
         kernel = PrivilegeMode.KERNEL
         return cls(
-            ips=np.array(columns.ips, dtype=np.uint64),
-            targets=np.array(columns.targets, dtype=np.uint64),
-            takens=np.array(columns.takens, dtype=bool),
+            ips=np.array([b.ip for b in branches], dtype=np.uint64),
+            targets=np.array([b.target for b in branches], dtype=np.uint64),
+            takens=np.array([b.taken for b in branches], dtype=bool),
             types=np.array([codes[b.branch_type] for b in branches], dtype=np.uint8),
-            context_ids=np.array(columns.context_ids, dtype=np.int64),
+            context_ids=np.array([b.context_id for b in branches], dtype=np.int64),
             kernel_modes=np.array([b.mode is kernel for b in branches], dtype=bool),
         )
 
@@ -223,12 +223,13 @@ class TraceColumns:
     :class:`Trace` directly.  ``TraceColumns`` does that decoding exactly once
     per trace:
 
-    * ``branches`` holds only the branch records, in program order;
+    * ``branches`` holds only the branch records, in program order; and
     * ``segments`` encodes the original interleaving as ``(start, stop,
       event)`` runs — replay ``branches[start:stop]``, then dispatch ``event``
-      (``None`` for the final run); and
-    * the parallel ``ips``/``targets``/``takens``/``context_ids`` lists carry
-      the per-branch fields :meth:`arrays` decodes into NumPy columns.
+      (``None`` for the final run).
+
+    :meth:`arrays` decodes the per-branch fields into NumPy columns on first
+    use, so traces only the reference loop replays never pay for them.
 
     Columns are derived data: build them with :meth:`Trace.columns`, which
     caches per trace and rebuilds when the item count changes.
@@ -237,10 +238,6 @@ class TraceColumns:
     item_count: int
     branches: list[BranchRecord]
     segments: list[tuple[int, int, TraceEvent | None]]
-    ips: list[int]
-    targets: list[int]
-    takens: list[bool]
-    context_ids: list[int]
     _arrays: "TraceArrays | None" = None
 
     def arrays(self) -> "TraceArrays":
@@ -262,15 +259,7 @@ class TraceColumns:
             else:
                 append_branch(item)
         segments.append((start, len(branches), None))
-        return cls(
-            item_count=len(items),
-            branches=branches,
-            segments=segments,
-            ips=[b.ip for b in branches],
-            targets=[b.target for b in branches],
-            takens=[b.taken for b in branches],
-            context_ids=[b.context_id for b in branches],
-        )
+        return cls(item_count=len(items), branches=branches, segments=segments)
 
 
 @dataclass(slots=True)
@@ -372,8 +361,6 @@ def merge_round_robin(traces: Sequence[Trace], quantum: int = 64, name: str = "s
     """
     if quantum <= 0:
         raise ValueError("quantum must be positive")
-    # Iterate the traces, not their raw item lists: shared-memory trace views
-    # (repro.engine.sharing) materialise items lazily through __iter__.
     iterators = [iter(t) for t in traces]
     exhausted = [False] * len(traces)
     merged = Trace(name=name)

@@ -1,10 +1,16 @@
-"""Tests for batched pool execution, executor reuse, shared-memory trace
-shipping, and the bounded LRU trace cache."""
+"""Tests for batched pool execution, the per-run pool lifecycle, and the
+bounded LRU trace cache."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine import (
     EngineRunner,
     ExperimentScale,
@@ -14,8 +20,6 @@ from repro.engine import (
     trace_cache_stats,
     trace_for,
 )
-from repro.engine.sharing import SharedTrace, TraceShipment, attach_shipment
-from repro.engine.workloads import install_trace
 
 _SCALE = ExperimentScale(branch_count=1_200, warmup_branches=100, seed=13)
 
@@ -35,7 +39,7 @@ class TestJobBatches:
 
     def test_chunk_sizing(self):
         jobs = list(range(100))
-        batches = job_batches(jobs, workers=4, parts_per_worker=4)
+        batches = job_batches(jobs, workers=4)
         # 100 jobs over 16 slots -> chunks of 7.
         assert max(len(batch) for batch in batches) == 7
         assert job_batches(jobs, workers=200) and all(
@@ -44,148 +48,109 @@ class TestJobBatches:
 
 
 class TestExecutorReuse:
-    def test_pool_persists_across_runs(self):
-        grid = _grid()
-        with EngineRunner(workers=2) as runner:
-            first = runner.run(grid)
-            pool = runner._pool
-            assert pool is not None
-            second = runner.run(grid)
-            assert runner._pool is pool  # same executor, not rebuilt
-        assert runner._pool is None  # close() tears it down
-        assert first.to_json() == second.to_json()
+    """One runner reused across runs: every parallel run forks its own pool,
+    so later runs see the traces and models of their own moment."""
 
     def test_progress_counts_every_job(self):
         seen = []
         grid = _grid()
-        with EngineRunner(workers=2) as runner:
-            runner.run(grid, progress=lambda done, total, record:
-                       seen.append((done, total)))
+        runner = EngineRunner(workers=2)
+        runner.run(grid, progress=lambda done, total, record:
+                   seen.append((done, total)))
         total = len(grid.jobs())
         assert [done for done, _ in seen] == list(range(1, total + 1))
         assert all(t == total for _, t in seen)
 
-
-class TestSharedMemoryShipping:
-    def test_spawn_run_matches_serial(self):
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn start method unavailable")
-        grid = _grid()
-        serial = EngineRunner(workers=1).run(grid)
-        with EngineRunner(workers=2, start_method="spawn") as runner:
-            spawned = runner.run(grid)
-            assert runner._shipments  # traces went through shared memory
-        assert serial.to_json() == spawned.to_json()
-
-    def test_spawn_smt_jobs_materialise_shared_items(self):
-        # SMT merging iterates the traces themselves; a SharedTrace must
-        # materialise its lazy item stream for it (regression: reading the
-        # raw ``items`` list of a shipped trace saw zero branches).
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn start method unavailable")
-        grid = SimulationGrid(
-            kind="smt", models=("baseline", "conservative"),
-            workloads=(("505.mcf", "541.leela"),), scale=_SCALE)
-        serial = EngineRunner(workers=1).run(grid)
-        with EngineRunner(workers=2, start_method="spawn") as runner:
-            spawned = runner.run(grid)
-        assert serial.to_json() == spawned.to_json()
-
-    def test_reused_fork_pool_sees_traces_of_later_runs(self):
-        # The second run's traces postdate the workers' fork; they must ship
-        # through shared memory instead of silently regenerating per worker.
-        first = _grid(workloads=("505.mcf",))
-        second = SimulationGrid(kind="trace", models=("baseline", "conservative"),
-                                workloads=("519.lbm",), scale=_SCALE)
-        serial = EngineRunner(workers=1).run(second)
-        with EngineRunner(workers=2) as runner:
-            runner.run(first)
-            assert not runner._shipments
-            reused = runner.run(second)
-            assert runner._shipments  # new traces were shipped, not re-generated
-        assert serial.to_json() == reused.to_json()
-
-    def test_models_registered_between_runs_reach_forked_workers(self):
+    def test_later_run_sees_new_traces_and_late_models(self):
         from repro.bpu.protections import make_unprotected_baseline
         from repro.engine.registry import _MODELS, register_model
 
         name = "late-registered-baseline"
-        grid = _grid(models=("baseline",), workloads=("505.mcf",))
-        late = SimulationGrid(kind="trace", models=(name,),
-                              workloads=("505.mcf",), scale=_SCALE)
-        with EngineRunner(workers=2) as runner:
-            runner.run(grid)  # workers fork here, before the registration
-            register_model(name, lambda seed=0: make_unprotected_baseline())
-            try:
-                frame = runner.run(late)  # pool must rebuild on the new generation
-            finally:
-                _MODELS.pop(name, None)
-        assert frame.record(name, "505.mcf").metrics["oae_accuracy"] > 0
-
-    def test_shipment_round_trip_reconstructs_trace(self):
-        trace = trace_for("505.mcf", 1_000, 3)
-        key = ("505.mcf", 1_000, 3)
-        shipment = TraceShipment({key: trace})
+        runner = EngineRunner(workers=2)
+        runner.run(_grid(workloads=("505.mcf",)))  # forks before registration
+        register_model(name, lambda seed=0: make_unprotected_baseline())
         try:
-            # Attach in-process (workers do the same via the batch payload).
-            installed = attach_shipment(shipment.descriptor)
-            assert installed == 1
-            shared = trace_for(*key)
-            assert isinstance(shared, SharedTrace)
-            assert len(shared) == len(trace)
-            assert shared.name == trace.name
-            # Lazy materialisation rebuilds the identical item stream.
-            assert list(shared) == list(trace)
-            assert list(shared.branches()) == list(trace.branches())
-            columns = shared.columns()
-            reference = trace.columns()
-            assert columns.segments == reference.segments
-            assert columns.branches == reference.branches
-            shared_arrays, arrays = columns.arrays(), reference.arrays()
-            for name in ("ips", "targets", "takens", "types", "context_ids",
-                         "kernel_modes"):
-                assert (getattr(shared_arrays, name).tolist()
-                        == getattr(arrays, name).tolist()), name
+            # A seed no other test uses: the trace is generated after the
+            # first run's workers forked.
+            late = SimulationGrid(
+                kind="trace", models=(name, "ST_SKLCond"),
+                workloads=("519.lbm",),
+                scale=ExperimentScale(branch_count=1_100, warmup_branches=100,
+                                      seed=7_177))
+            parallel = runner.run(late)
+            serial = EngineRunner(workers=1).run(late)
         finally:
-            self._release(shipment, key, trace)  # restore for other tests
+            _MODELS.pop(name, None)
+        assert parallel.to_json() == serial.to_json()
+        assert parallel.record(name, "519.lbm").metrics["oae_accuracy"] > 0
 
-    def test_attach_is_idempotent_per_block(self):
-        trace = trace_for("541.leela", 800, 3)
-        key = ("541.leela", 800, 3)
-        shipment = TraceShipment({key: trace})
-        try:
-            assert attach_shipment(shipment.descriptor) == 1
-            assert attach_shipment(shipment.descriptor) == 0
-        finally:
-            self._release(shipment, key, trace)
+    def test_smt_grid_matches_serial(self):
+        grid = SimulationGrid(
+            kind="smt", models=("baseline", "ST_SKLCond"),
+            workloads=(("505.mcf", "541.leela"),), scale=_SCALE)
+        parallel = EngineRunner(workers=2).run(grid)
+        serial = EngineRunner(workers=1).run(grid)
+        assert parallel.to_json() == serial.to_json()
 
-    def test_evicted_shared_trace_rematerialises_from_block(self):
-        # Shipped keys survive LRU eviction: the cache-miss resolver rebuilds
-        # the SharedTrace from the mapped block instead of re-generating.
-        from repro.engine.workloads import _TRACE_CACHE
+    def test_two_parallel_runs_leak_nothing_at_exit(self):
+        # Each run on a reused runner forks its own pool; the interpreter
+        # must exit cleanly with no resource_tracker complaints.
+        script = textwrap.dedent("""
+            from repro.engine import EngineRunner, ExperimentScale, SimulationGrid
 
-        trace = trace_for("519.lbm", 700, 3)
-        key = ("519.lbm", 700, 3)
-        shipment = TraceShipment({key: trace})
-        try:
-            attach_shipment(shipment.descriptor)
-            _TRACE_CACHE.clear()  # simulate eviction of every entry
-            resolved = trace_for(*key)
-            assert isinstance(resolved, SharedTrace)
-            assert list(resolved) == list(trace)
-        finally:
-            self._release(shipment, key, trace)
+            scale = ExperimentScale(branch_count=600, warmup_branches=50, seed=5)
+            runner = EngineRunner(workers=2)
+            for workload in ("505.mcf", "519.lbm"):
+                runner.run(SimulationGrid(
+                    kind="trace", models=("baseline", "conservative"),
+                    workloads=(workload,), scale=scale))
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        assert "resource_tracker" not in completed.stderr
 
-    @staticmethod
-    def _release(shipment, key, trace):
-        from repro.engine.sharing import _ATTACHED, _SHARED_SPECS
 
-        _SHARED_SPECS.pop(key, None)
-        attached = _ATTACHED.pop(shipment.descriptor["block"], None)
-        if attached is not None:
-            attached.close()
-        shipment.close()
-        install_trace(key, trace)
+class TestPoolLifecycle:
+    """The pool lives exactly as long as one run's iterator."""
+
+    WORKLOADS = ("505.mcf", "541.leela", "519.lbm")
+
+    def test_completed_run_leaves_no_children(self):
+        alive = []
+        grid = _grid(workloads=self.WORKLOADS)
+        EngineRunner(workers=2).run(grid, progress=lambda *_: alive.append(
+            len(multiprocessing.active_children())))
+        assert max(alive) > 0  # the run did fork workers
+        assert multiprocessing.active_children() == []
+
+    def test_abort_mid_run_leaves_no_children(self):
+        calls = []
+
+        def abort_check():
+            calls.append(None)
+            if len(calls) > 1:  # the first check precedes dispatch
+                raise RuntimeError("deadline exceeded")
+
+        jobs = _grid(workloads=self.WORKLOADS).jobs()
+        with pytest.raises(RuntimeError, match="deadline"):
+            EngineRunner(workers=2).run_jobs(jobs, abort_check=abort_check)
+        assert len(calls) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_closing_the_iterator_early_leaves_no_children(self):
+        jobs = _grid(workloads=self.WORKLOADS).jobs()
+        records = EngineRunner(workers=2).iter_records(jobs)
+        first = next(records)
+        assert first.index == 0
+        assert multiprocessing.active_children()
+        records.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestTraceCacheLRU:

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.lint.framework import parse_project
-from repro.lint.graph import build_analysis, source_sha256, summarize_module
+from repro.lint.graph import build_analysis, summarize_module
 
 
 @pytest.fixture
@@ -116,8 +116,3 @@ class TestSummaries:
         for unit in project.modules:
             summary = summarize_module(unit.module, unit.rel, unit.tree)
             assert json.loads(json.dumps(summary)) == summary
-
-    def test_source_hash_keys_on_module_name_and_content(self):
-        assert source_sha256("a", "x = 1\n") != source_sha256("b", "x = 1\n")
-        assert source_sha256("a", "x = 1\n") != source_sha256("a", "x = 2\n")
-        assert source_sha256("a", "x = 1\n") == source_sha256("a", "x = 1\n")

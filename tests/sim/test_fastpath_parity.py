@@ -56,11 +56,12 @@ class TestColumnarView:
         columns = trace.columns()
         assert columns.item_count == 3
         assert columns.branches == list(trace.branches())
-        assert columns.ips == [0x1000, 0x1000]
-        assert columns.targets == [0x2000, 0x2000]
-        assert columns.takens == [True, False]
-        assert columns.context_ids == [4, 4]
-        assert columns.arrays().types.tolist() == [0, 5]
+        arrays = columns.arrays()
+        assert arrays.ips.tolist() == [0x1000, 0x1000]
+        assert arrays.targets.tolist() == [0x2000, 0x2000]
+        assert arrays.takens.tolist() == [True, False]
+        assert arrays.context_ids.tolist() == [4, 4]
+        assert arrays.types.tolist() == [0, 5]
         assert [event.kind for _, _, event in columns.segments if event is not None] == [
             EventKind.CONTEXT_SWITCH
         ]

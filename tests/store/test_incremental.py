@@ -77,11 +77,11 @@ class TestIncrementalExecution:
     def test_parallel_warm_and_partial_runs_match_serial(self):
         store = MemoryStore()
         EngineRunner(store=store).run(_grid(workloads=("505.mcf",)))
-        with EngineRunner(workers=2, store=store) as runner:
-            frame = runner.run(_grid())
-            assert (runner.last_cached, runner.last_executed) == (2, 2)
-            warm = runner.run(_grid())
-            assert (runner.last_cached, runner.last_executed) == (4, 0)
+        runner = EngineRunner(workers=2, store=store)
+        frame = runner.run(_grid())
+        assert (runner.last_cached, runner.last_executed) == (2, 2)
+        warm = runner.run(_grid())
+        assert (runner.last_cached, runner.last_executed) == (4, 0)
         reference = EngineRunner().run(_grid())
         assert frame.to_json() == warm.to_json() == reference.to_json()
 

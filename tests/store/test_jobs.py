@@ -10,6 +10,7 @@ import repro.store.jobs as jobs_module
 from repro.engine.scenario import parse_scenario
 from repro.faults import FaultInjector, parse_fault_spec
 from repro.store import JOB_STATE_NAMESPACE, MemoryStore
+from repro.store.keys import canonical_json
 from repro.store.jobs import (
     CANCELLED,
     DONE,
@@ -34,6 +35,17 @@ def _scenario(name, seed=1):
         "models": ["baseline"],
         "workloads": ["505.mcf"],
         "scale": {"branch_count": 400, "warmup_branches": 40, "seed": seed},
+    })
+
+
+def _grid_scenario(name, workloads):
+    return parse_scenario({
+        "schema": "repro.scenario/v1",
+        "name": name,
+        "kind": "trace",
+        "models": ["baseline", "ST_SKLCond"],
+        "workloads": list(workloads),
+        "scale": {"branch_count": 600, "warmup_branches": 60, "seed": 3},
     })
 
 
@@ -181,14 +193,14 @@ class TestRetry:
         real = manager._run_job
         calls = []
 
-        def fake(job, runner):
+        def fake(job):
             calls.append(job.fingerprint)
             step = outcomes[min(len(calls), len(outcomes)) - 1]
             if step == "real":
-                return real(job, runner)
+                return real(job)
             if isinstance(step, BaseException):
                 raise step
-            return runner, step
+            return step
 
         manager._run_job = fake
         return calls
@@ -289,6 +301,30 @@ class TestRetry:
         finally:
             manager.close()
             other.close()
+
+
+class TestEngineWorkers:
+    def test_parallel_engine_envelopes_match_serial(self):
+        # One job worker runs two multi-cell scenarios back to back, each
+        # forking its own engine pool; the envelopes must match a serial
+        # engine byte for byte.
+        scenarios = [_grid_scenario("pool-a", ["505.mcf", "541.leela"]),
+                     _grid_scenario("pool-b", ["519.lbm", "531.deepsjeng"])]
+        envelopes = {}
+        for engine_workers in (1, 2):
+            manager = _manager(workers=1, engine_workers=engine_workers)
+            try:
+                fingerprints = [manager.submit(scenario)[0]["fingerprint"]
+                                for scenario in scenarios]
+                for fingerprint in fingerprints:
+                    final = manager.wait(fingerprint, timeout=60)
+                    assert final["state"] == DONE, final["error"]
+                envelopes[engine_workers] = [
+                    canonical_json(manager.envelope_for(fingerprint))
+                    for fingerprint in fingerprints]
+            finally:
+                manager.close()
+        assert envelopes[2] == envelopes[1]
 
 
 class TestWatchdog:
