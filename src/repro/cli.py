@@ -177,9 +177,9 @@ def _cmd_store(args: argparse.Namespace) -> None:
     if args.store_command == "stats":
         # Hit/miss counters live on the in-process instance; this fresh one
         # would report zeros, so print occupancy only.
+        counters = store.counters.to_dict()
         occupancy = {key: value for key, value in store.stats().items()
-                     if key not in ("hits", "misses", "writes",
-                                    "evictions", "corrupt")}
+                     if key not in counters}
         print(json.dumps(occupancy, indent=2, sort_keys=True))
     elif args.store_command == "gc":
         summary = store.gc(max_bytes=args.max_bytes)
@@ -188,9 +188,7 @@ def _cmd_store(args: argparse.Namespace) -> None:
         issues = store.verify()
         for issue in issues:
             print(issue)
-        # verify() just rebuilt the index from its own authoritative walk;
-        # stats() would pay a second full walk for the same numbers.
-        occupancy = store.live_stats()
+        occupancy = store.stats()
         print(f"verified {occupancy['entries']} records "
               f"({occupancy['bytes']} bytes): "
               f"{len(issues)} issue(s) found" + (", healed" if issues else ""))
@@ -287,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="inspect and maintain a content-addressed result store")
     store_sub = store_parser.add_subparsers(dest="store_command", required=True)
     for name, help_text in (
-        ("stats", "print occupancy and counters as JSON"),
+        ("stats", "print occupancy as JSON"),
         ("gc", "evict LRU records down to a byte cap and sweep temp files"),
-        ("verify", "check every record and the manifest; heal what can be healed"),
+        ("verify", "check every record; delete the ones that cannot be served"),
     ):
         sub = store_sub.add_parser(name, help=help_text)
         sub.add_argument("--store", metavar="DIR", default=None,

@@ -256,10 +256,10 @@ def _list_models_execute(params: dict[str, Any], workers: int = 1,
     from repro.sim import vector
 
     # Sorted here, not just in the registry: listing output is a stable
-    # interface (serve/store manifests embed it, scripts diff it).  Each
-    # model carries its vector-backend coverage class (kernel / guarded /
-    # fallback, see :func:`repro.sim.vector.kernel_status`) so backend
-    # coverage is visible at a glance.
+    # interface (scripts diff it).  Each model carries its vector-backend
+    # coverage class (kernel / guarded / fallback, see
+    # :func:`repro.sim.vector.kernel_status`) so backend coverage is visible
+    # at a glance.
     listing: dict[str, str] = {}
     for name in sorted(list_models()):
         try:

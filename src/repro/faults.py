@@ -28,10 +28,10 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.obs import metrics as obs_metrics
-from repro.store.base import ResultStore, StoreWrapper
+from repro.store.base import ResultStore
 
 #: Environment variable carrying a fault spec (same syntax as ``--faults``).
 FAULTS_ENV = "REPRO_FAULTS"
@@ -180,18 +180,22 @@ class FaultInjector:
         return True
 
 
-class FaultyStore(StoreWrapper):
-    """A store wrapper that injects latency, errors and corruption.
+class FaultyStore(ResultStore):
+    """A store wrapper that injects latency, errors and corruption into
+    ``get``/``put`` and forwards the rest of the protocol to ``inner``.
 
-    Counter bookkeeping note: an injected corruption happens *after* the
-    inner store counted the read as a hit — callers that validate payloads
-    (runner, serve) reclassify it, exactly as they do for real corruption
-    that slips past the backend's own checks.
+    It shares the inner store's :class:`~repro.store.base.StoreCounters`, so
+    callers that reclassify counters (the runner demoting a corrupt hit to a
+    miss) keep working unchanged.  An injected corruption happens *after*
+    the inner store counted the read as a hit — callers that validate
+    payloads (runner, serve) reclassify it, exactly as they do for real
+    corruption that slips past the backend's own checks.
     """
 
     def __init__(self, inner: ResultStore,
                  plan: FaultPlan | FaultInjector) -> None:
-        super().__init__(inner)
+        self.inner = inner
+        self.counters = inner.counters
         self.injector = plan if isinstance(plan, FaultInjector) else FaultInjector(plan)
 
     def get(self, namespace: str, fingerprint: str) -> Any | None:
@@ -202,13 +206,14 @@ class FaultyStore(StoreWrapper):
         self.injector.perturb()
         self.inner.put(namespace, fingerprint, payload)
 
+    def contains(self, namespace: str, fingerprint: str) -> bool:
+        return self.inner.contains(namespace, fingerprint)
+
+    def keys(self, namespace: str) -> Iterator[str]:
+        return self.inner.keys(namespace)
+
     def stats(self) -> dict[str, Any]:
         stats = dict(self.inner.stats())
-        stats["faults"] = self.injector.counters()
-        return stats
-
-    def live_stats(self) -> dict[str, Any]:
-        stats = dict(self.inner.live_stats())
         stats["faults"] = self.injector.counters()
         return stats
 

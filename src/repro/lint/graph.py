@@ -75,8 +75,8 @@ NONDETERMINISM_SOURCES = {
 
 #: External callables that block the calling thread (network, sleep,
 #: subprocesses, worker-pool waits).  Entries ending in ``.`` match the whole
-#: dotted prefix.  Local file I/O is deliberately absent: the disk store's
-#: reads/writes under its index lock are its design, not a bug.
+#: dotted prefix.  Local file I/O is deliberately absent: it completes in
+#: bounded time, so a lock held across it is a design choice, not a bug.
 BLOCKING_CALLS = (
     "time.sleep",
     "concurrent.futures.as_completed",

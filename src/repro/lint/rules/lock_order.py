@@ -15,7 +15,7 @@ acquisition is lexically nested or buried three calls deep — and reports:
   ``time.sleep``, a socket/HTTP request, a subprocess, or a worker-pool wait
   (:data:`repro.lint.graph.BLOCKING_CALLS`) serializes every other thread
   behind an unbounded wait.  Local file I/O is deliberately not "blocking":
-  the disk store writes under its index lock by design.
+  it completes in bounded time.
 
 Lock identities come from the analysis summaries: ``module:Class.attr`` for
 ``self._lock``-style locks, ``module:NAME`` for module-level ones.  Findings

@@ -43,7 +43,8 @@ HELP_TEXT: dict[str, str] = {
     "repro_store_hits_total": "Store reads resolved from cache.",
     "repro_store_misses_total": "Store reads that missed (absent or corrupt).",
     "repro_store_writes_total": "Store writes.",
-    "repro_store_evictions_total": "Entries evicted by size/count caps.",
+    "repro_store_evictions_total":
+        "Records evicted by `repro store gc --max-bytes`.",
     "repro_store_corrupt_total": "Corrupt entries dropped on read.",
     "repro_store_retried_total": "Store writes that needed a retry.",
     "repro_store_entries": "Entries currently in the serve store.",

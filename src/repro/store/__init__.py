@@ -7,8 +7,9 @@ cache key.  This package turns that guarantee into a persistence layer:
 * :mod:`repro.store.keys` — canonical fingerprints of jobs and scenarios,
 * :mod:`repro.store.base` — the namespaced get/put store protocol,
 * :mod:`repro.store.memory` — the in-memory layer (tests, default server),
-* :mod:`repro.store.disk` — the on-disk sharded gzip-JSON store with an
-  index manifest, atomic writes, an LRU byte cap and counters,
+* :mod:`repro.store.disk` — the on-disk sharded gzip-JSON store with atomic
+  writes, an in-memory index built by one scan at open, LRU eviction on
+  demand (``repro store gc --max-bytes``) and counters,
 * :mod:`repro.store.serve` — the ``repro serve`` HTTP front-end (imported
   on demand; not re-exported here to keep ``repro.store`` import-light for
   the engine runner).
@@ -30,9 +31,8 @@ from repro.store.base import (
     JOB_STATE_NAMESPACE,
     ResultStore,
     StoreCounters,
-    StoreWrapper,
 )
-from repro.store.disk import RECORD_SCHEMA, STORE_SCHEMA, DiskStore
+from repro.store.disk import RECORD_SCHEMA, DiskStore
 from repro.store.keys import (
     CACHEABLE_KINDS,
     RESULT_SCHEMA_VERSION,
@@ -53,8 +53,8 @@ def default_store_path() -> str | None:
     return os.environ.get(STORE_ENV) or None
 
 
-def open_store(path: str | None = None, enabled: bool = True,
-               max_bytes: int | None = None) -> DiskStore | None:
+def open_store(path: str | None = None,
+               enabled: bool = True) -> DiskStore | None:
     """Resolve the store an invocation should use.
 
     ``enabled=False`` (the CLI's ``--no-store``) always yields ``None``;
@@ -65,7 +65,7 @@ def open_store(path: str | None = None, enabled: bool = True,
     resolved = path or default_store_path()
     if not resolved:
         return None
-    return DiskStore(resolved, max_bytes=max_bytes)
+    return DiskStore(resolved)
 
 
 __all__ = [
@@ -76,12 +76,10 @@ __all__ = [
     "RECORD_SCHEMA",
     "RESULT_SCHEMA_VERSION",
     "STORE_ENV",
-    "STORE_SCHEMA",
     "DiskStore",
     "MemoryStore",
     "ResultStore",
     "StoreCounters",
-    "StoreWrapper",
     "canonical_json",
     "default_store_path",
     "fingerprint_of",

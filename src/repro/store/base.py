@@ -141,13 +141,12 @@ class ResultStore:
         raise NotImplementedError
 
     def stats(self) -> dict[str, Any]:
-        """Counters plus backend-specific occupancy (entries, bytes, ...)."""
-        raise NotImplementedError
+        """Counters plus backend-specific occupancy (entries, bytes, ...).
 
-    def live_stats(self) -> dict[str, Any]:
-        """Cheap per-request stats: backends whose :meth:`stats` scans
-        storage override this with an in-memory view (see DiskStore)."""
-        return self.stats()
+        Answered from memory, without a storage scan: ``repro serve`` calls
+        it on every scrape and health probe.
+        """
+        raise NotImplementedError
 
     # -- backend hooks ------------------------------------------------------
 
@@ -157,36 +156,3 @@ class ResultStore:
     def _write(self, namespace: str, fingerprint: str, payload: Any) -> None:
         raise NotImplementedError
 
-
-class StoreWrapper(ResultStore):
-    """Transparent decorator base: forwards the full store protocol to an
-    inner backend.
-
-    Wrappers share the inner store's :class:`StoreCounters` instance so
-    callers that reclassify counters (e.g. the runner demoting a corrupt hit
-    to a miss) keep working unchanged through any stack of wrappers.
-    Subclasses override the public methods they perturb —
-    :class:`repro.faults.FaultyStore` is the canonical user.
-    """
-
-    def __init__(self, inner: ResultStore) -> None:
-        self.inner = inner
-        self.counters = inner.counters
-
-    def get(self, namespace: str, fingerprint: str) -> Any | None:
-        return self.inner.get(namespace, fingerprint)
-
-    def put(self, namespace: str, fingerprint: str, payload: Any) -> None:
-        self.inner.put(namespace, fingerprint, payload)
-
-    def contains(self, namespace: str, fingerprint: str) -> bool:
-        return self.inner.contains(namespace, fingerprint)
-
-    def keys(self, namespace: str) -> Iterator[str]:
-        return self.inner.keys(namespace)
-
-    def stats(self) -> dict[str, Any]:
-        return self.inner.stats()
-
-    def live_stats(self) -> dict[str, Any]:
-        return self.inner.live_stats()

@@ -1,13 +1,12 @@
-"""On-disk content-addressed store: sharded gzip-JSON records plus a manifest.
+"""On-disk content-addressed store: sharded gzip-JSON records.
 
 Layout (``repro.store/v1``)::
 
-    <root>/manifest.json                      # index: schema, version, entries
     <root>/objects/<ns>/<ff>/<fingerprint>.json.gz
 
 where ``<ns>`` is the namespace (``job``, ``envelope``) and ``<ff>`` the
 first two hex digits of the fingerprint — a shard fan-out that keeps
-directory listings short for million-record stores.
+directory listings short.
 
 Every object is a gzip-compressed canonical-JSON *record envelope*::
 
@@ -16,11 +15,14 @@ Every object is a gzip-compressed canonical-JSON *record envelope*::
 
 Robustness properties, in order of importance:
 
-* **The filesystem is the source of truth.**  Reads resolve straight to the
-  object path; the manifest only accelerates ``stats`` and records the
-  writer's schema/version.  A manifest that lags behind the objects (crashed
-  writer, concurrent writers) degrades gracefully and is rebuilt by
-  :meth:`DiskStore.verify`.
+* **The objects are the whole truth.**  Reads resolve straight to the object
+  path.  Occupancy (:meth:`DiskStore.stats`, :meth:`DiskStore.keys`) comes
+  from one in-memory index that a scan of ``objects/`` builds when the store
+  opens; this instance's writes and corrupt-object drops keep it exact, and
+  :meth:`DiskStore.gc` / :meth:`DiskStore.verify` rebuild it from their own
+  walk.  Records another process writes show up at the next open, gc or
+  verify.  Nothing outside ``objects/`` is read, so files an older store
+  left beside it are ignored.
 * **Writes are atomic.**  Records are written to a same-directory temp file
   and published with :func:`os.replace`; a reader never observes a partial
   record, and two processes racing on one fingerprint both publish the same
@@ -28,9 +30,9 @@ Robustness properties, in order of importance:
 * **Corruption degrades to a recompute.**  Truncated gzip, malformed JSON,
   a record whose embedded fingerprint disagrees with its filename — every
   such read counts ``corrupt``, deletes the bad object, and reports a miss.
-* **Size is bounded.**  With ``max_bytes`` set, least-recently-*used*
-  records (by file mtime, refreshed on every hit) are evicted after each
-  write; :meth:`gc` applies the same policy on demand.
+* **Size is bounded on demand.**  :meth:`DiskStore.gc` (``repro store gc
+  --max-bytes N``) evicts least-recently-*used* records, by file mtime,
+  which every hit refreshes.
 """
 
 from __future__ import annotations
@@ -41,20 +43,15 @@ import os
 import tempfile
 import threading
 import time
-import weakref
-from typing import Any, Iterator
+from typing import Any
 
 from repro.store.base import ResultStore, validate_key
-from repro.store.keys import RESULT_SCHEMA_VERSION, canonical_json
+from repro.store.keys import canonical_json
 from repro.version import __version__
-
-#: Schema tag of the store directory layout (written into the manifest).
-STORE_SCHEMA = "repro.store/v1"
 
 #: Schema tag of each on-disk record envelope.
 RECORD_SCHEMA = "repro.store.record/v1"
 
-_MANIFEST_NAME = "manifest.json"
 _OBJECTS_DIR = "objects"
 _SUFFIX = ".json.gz"
 
@@ -74,88 +71,28 @@ def _record_matches(record: Any, namespace: str, fingerprint: str) -> bool:
     )
 
 
-def _write_manifest_file(root: str, entries: dict[str, int]) -> None:
-    """Atomically publish ``manifest.json`` for ``root``."""
-    manifest = {
-        "schema": STORE_SCHEMA,
-        "version": __version__,
-        "result_schema": RESULT_SCHEMA_VERSION,
-        "entries": {key: {"bytes": size}
-                    for key, size in sorted(entries.items())},
-    }
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix="manifest.", suffix=".tmp", dir=root)
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, os.path.join(root, _MANIFEST_NAME))
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
-def _flush_pending_manifest(root: str, index: dict[str, int],
-                            pending: list[int]) -> None:
-    """Finalizer: persist batched index updates when a store is collected."""
-    if pending[0] > 0:
-        try:
-            _write_manifest_file(root, index)
-        except OSError:  # pragma: no cover - shutdown best-effort
-            pass
-        pending[0] = 0
-
-#: Stores with at most this many entries flush the manifest on every write
-#: (exact index, friendly to tests and small caches); larger stores batch.
-_MANIFEST_EXACT_LIMIT = 128
-
-#: Pending writes a large store accumulates before flushing the manifest.
-#: The filesystem is the source of truth for reads, so a lagging manifest
-#: only staleness stats until the next flush/gc/verify.
-_MANIFEST_FLUSH_BATCH = 64
-
 #: A ``.tmp`` file older than this is a crash leftover gc may sweep; younger
 #: ones may belong to a writer racing gc (held for milliseconds normally).
 _TEMP_STALE_SECONDS = 60.0
 
 
 class DiskStore(ResultStore):
-    """Sharded on-disk store with atomic writes and an LRU byte cap.
+    """Sharded on-disk store with atomic writes and on-demand LRU eviction.
 
     Args:
         root: Store directory (created on first use).
-        max_bytes: Optional cap on total object bytes; exceeding it after a
-            write evicts least-recently-used records until back under.
     """
 
-    def __init__(self, root: str, max_bytes: int | None = None):
+    def __init__(self, root: str):
         super().__init__()
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
         self.root = os.path.abspath(os.fspath(root))
-        self.max_bytes = max_bytes
         os.makedirs(os.path.join(self.root, _OBJECTS_DIR), exist_ok=True)
-        # In-memory index: the write-path view of `manifest.json`.  Writes
-        # update it in O(1) and flush it amortized (see _flush_index), so a
-        # cold n-job run costs O(n) manifest I/O, not O(n^2).  Reads never
-        # consult it — the filesystem stays the source of truth — and
-        # verify/gc rebuild it from a disk scan.
-        if os.path.exists(self._manifest_path()):
-            self._index = self._manifest_entries()
-        else:
-            self._index = self._scan_entries()
-            self._write_manifest(self._index)
-        self._index_bytes = sum(self._index.values())
-        self._pending = [0]  # mutable holder so the finalizer sees updates
-        # Index mutations happen from many threads under `repro serve` (a GET
-        # dropping a corrupt object races a POST's write-back); reentrant
-        # because the mutators flush the manifest, which iterates the index.
-        self._index_lock = threading.RLock()
-        self._finalizer = weakref.finalize(
-            self, _flush_pending_manifest, self.root, self._index, self._pending)
+        # The one index: ``namespace/fingerprint`` -> object bytes, for
+        # stats() and keys().  Reads never consult it.  Index mutations
+        # happen from many threads under `repro serve` (a GET dropping a
+        # corrupt object races a POST's write-back).
+        self._index = self._scan_entries()
+        self._index_lock = threading.Lock()
 
     # ------------------------------------------------------------ raw access
 
@@ -180,8 +117,9 @@ class DiskStore(ResultStore):
             self._drop_corrupt(namespace, fingerprint, path)
             return None
         if not _record_matches(record, namespace, fingerprint):
-            # The record is readable but is not the record the index claims
-            # (copied into the wrong slot, foreign schema, renamed by hand).
+            # The record is readable but is not the record its address
+            # claims (copied into the wrong slot, foreign schema, renamed by
+            # hand).
             self._drop_corrupt(namespace, fingerprint, path)
             return None
         self._touch(path)
@@ -209,12 +147,8 @@ class DiskStore(ResultStore):
             # caller degrades to uncached serving.
             self.counters.add(retried=1)
             self._publish(raw, path, directory, fingerprint)
-        self._index_put(f"{namespace}/{fingerprint}", len(raw))
-        if self.max_bytes is not None and self._index_bytes > self.max_bytes:
-            # Evict with hysteresis (down to 90% of the cap): _evict_to walks
-            # the objects tree for authoritative sizes/recency, so a store
-            # sitting at its cap must not pay that walk on every single put.
-            self._evict_to(max(1, (self.max_bytes * 9) // 10), keep=path)
+        with self._index_lock:
+            self._index[f"{namespace}/{fingerprint}"] = len(raw)
 
     def _publish(self, raw: bytes, path: str, directory: str,
                  fingerprint: str) -> None:
@@ -234,66 +168,6 @@ class DiskStore(ResultStore):
 
     def contains(self, namespace: str, fingerprint: str) -> bool:
         return os.path.exists(self.object_path(namespace, fingerprint))
-
-    # ------------------------------------------------------------- manifest
-
-    def _manifest_path(self) -> str:
-        return os.path.join(self.root, _MANIFEST_NAME)
-
-    def _load_manifest(self) -> dict[str, Any]:
-        try:
-            with open(self._manifest_path(), encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            manifest = None
-        if not isinstance(manifest, dict) or manifest.get("schema") != STORE_SCHEMA:
-            manifest = {"schema": STORE_SCHEMA, "entries": {}}
-        manifest.setdefault("entries", {})
-        return manifest
-
-    def _write_manifest(self, entries: dict[str, int]) -> None:
-        _write_manifest_file(self.root, entries)
-
-    def _manifest_entries(self) -> dict[str, int]:
-        entries = {}
-        for key, meta in self._load_manifest()["entries"].items():
-            if isinstance(meta, dict) and isinstance(meta.get("bytes"), int):
-                entries[key] = meta["bytes"]
-        return entries
-
-    def _index_put(self, key: str, size: int) -> None:
-        with self._index_lock:
-            self._index_bytes += size - self._index.get(key, 0)
-            self._index[key] = size
-            self._pending[0] += 1
-            self._flush_index()
-
-    def _index_remove(self, keys: Iterator[str] | list[str]) -> None:
-        with self._index_lock:
-            for key in keys:
-                removed = self._index.pop(key, None)
-                if removed is not None:
-                    self._index_bytes -= removed
-                    self._pending[0] += 1
-            self._flush_index(force=True)
-
-    def _index_replace(self, entries: dict[str, int]) -> None:
-        with self._index_lock:
-            self._index.clear()
-            self._index.update(entries)
-            self._index_bytes = sum(entries.values())
-            self._pending[0] = 0
-            self._write_manifest(self._index)
-
-    def _flush_index(self, force: bool = False) -> None:
-        """Write the manifest when exactness is cheap or the batch is due."""
-        with self._index_lock:
-            if self._pending[0] == 0:
-                return
-            if (force or len(self._index) <= _MANIFEST_EXACT_LIMIT
-                    or self._pending[0] >= _MANIFEST_FLUSH_BATCH):
-                self._write_manifest(self._index)
-                self._pending[0] = 0
 
     # -------------------------------------------------------------- scanning
 
@@ -339,47 +213,12 @@ class DiskStore(ResultStore):
             os.unlink(path)
         except OSError:
             pass
-        self._index_remove([f"{namespace}/{fingerprint}"])
-
-    def _evict_to(self, max_bytes: int, keep: str | None = None) -> int:
-        """Evict least-recently-used objects until total size fits.
-
-        The walk's sizes are authoritative, so the in-memory index is
-        resynced from it afterwards — drift from foreign writers can never
-        leave ``_index_bytes`` stuck above the cap (which would re-trigger
-        this walk on every put).
-        """
-        aged = []
-        total = 0
-        for namespace, fingerprint, path in self._scan_objects():
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            total += stat.st_size
-            aged.append((stat.st_mtime, namespace, fingerprint, path, stat.st_size))
-        entries = {f"{namespace}/{fingerprint}": size
-                   for _, namespace, fingerprint, _, size in aged}
-        evicted = 0
-        for _, namespace, fingerprint, path, size in sorted(aged):
-            if total <= max_bytes:
-                break
-            if keep is not None and path == keep:
-                continue  # never evict the record that triggered the sweep
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-            del entries[f"{namespace}/{fingerprint}"]
-        self.counters.add(evictions=evicted)
-        self._index_replace(entries)
-        return evicted
+        with self._index_lock:
+            self._index.pop(f"{namespace}/{fingerprint}", None)
 
     def gc(self, max_bytes: int | None = None) -> dict[str, int]:
-        """Evict LRU records down to ``max_bytes`` (default: the store cap)
-        and sweep stray temp files; returns a summary.
+        """Sweep stray temp files, evict least-recently-used records down to
+        ``max_bytes`` when given, and rebuild the index; returns a summary.
 
         ``max_bytes=0`` empties the store deliberately; negative caps are
         rejected rather than silently behaving like 0.
@@ -403,26 +242,43 @@ class DiskStore(ResultStore):
                     removed_temp += 1
                 except OSError:
                     pass
-        limit = max_bytes if max_bytes is not None else self.max_bytes
-        if limit is not None:
-            # _evict_to's walk is authoritative and already resyncs the index.
-            evicted = self._evict_to(limit)
-        else:
-            evicted = 0
-            self._index_replace(self._scan_entries())
+        aged = []
+        for namespace, fingerprint, path in self._scan_objects():
+            try:
+                stat = os.stat(path)
+            except OSError:
+                continue
+            aged.append((stat.st_mtime, f"{namespace}/{fingerprint}", path,
+                         stat.st_size))
+        entries = {key: size for _, key, _, size in aged}
+        evicted = 0
+        if max_bytes is not None:
+            total = sum(entries.values())
+            for _, key, path, size in sorted(aged):
+                if total <= max_bytes:
+                    break
+                try:
+                    os.unlink(path)
+                except OSError:
+                    continue
+                total -= size
+                evicted += 1
+                del entries[key]
+            self.counters.add(evictions=evicted)
+        with self._index_lock:
+            self._index = entries
         return {
             "evicted": evicted,
             "temp_files_removed": removed_temp,
-            **self._index_occupancy(),
+            **self._occupancy(),
         }
 
     def verify(self) -> list[str]:
-        """Check every object and the manifest; heal what can be healed.
+        """Check every object; delete what cannot be served.
 
-        Unreadable or mislabelled objects are deleted (counted ``corrupt``),
-        manifest drift in either direction is reported, and the manifest is
-        rebuilt from the surviving objects.  Returns human-readable issue
-        strings (empty means the store was fully consistent).
+        Unreadable or mislabelled objects are deleted (counted ``corrupt``)
+        and the index is rebuilt from the surviving objects.  Returns
+        human-readable issue strings (empty means every record was sound).
         """
         issues: list[str] = []
         survivors: dict[str, int] = {}
@@ -454,53 +310,32 @@ class DiskStore(ResultStore):
                 survivors[key] = os.path.getsize(path)
             except OSError:
                 continue
-        manifest_keys = set(self._manifest_entries())
-        for key in sorted(manifest_keys - set(survivors)):
-            issues.append(f"manifest lists missing record {key}: dropped")
-        for key in sorted(set(survivors) - manifest_keys):
-            issues.append(f"record {key} was missing from the manifest: indexed")
-        self._index_replace(survivors)
+        with self._index_lock:
+            self._index = survivors
         return issues
 
     def keys(self, namespace: str):
-        """Sorted fingerprints under ``namespace`` from a disk scan — the
-        listing backend of ``repro obs top`` (offline use, not a hot path)."""
-        return iter(sorted(
-            fingerprint for found_namespace, fingerprint, _
-            in self._scan_objects() if found_namespace == namespace))
+        """Sorted fingerprints under ``namespace`` from the index — the
+        listing backend of ``repro obs top``."""
+        prefix = namespace + "/"
+        with self._index_lock:
+            found = [key[len(prefix):] for key in self._index
+                     if key.startswith(prefix)]
+        return iter(sorted(found))
 
     # ----------------------------------------------------------------- stats
 
-    def _index_occupancy(self) -> dict[str, Any]:
-        """Occupancy from the in-memory index (no disk walk) — for callers
-        that just resynced it from an authoritative scan (gc/verify)."""
+    def _occupancy(self) -> dict[str, Any]:
+        """Entries, bytes and per-namespace counts from the index."""
         with self._index_lock:
-            keys = list(self._index)
-            total = self._index_bytes
+            entries = list(self._index.items())
         namespaces: dict[str, int] = {}
-        for key in keys:
+        for key, _ in entries:
             namespace = key.split("/", 1)[0]
             namespaces[namespace] = namespaces.get(namespace, 0) + 1
         return {
-            "entries": len(keys),
-            "bytes": total,
-            "namespaces": dict(sorted(namespaces.items())),
-        }
-
-    def _occupancy(self) -> dict[str, Any]:
-        namespaces: dict[str, int] = {}
-        total = 0
-        count = 0
-        for namespace, _, path in self._scan_objects():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                continue
-            count += 1
-            namespaces[namespace] = namespaces.get(namespace, 0) + 1
-        return {
-            "entries": count,
-            "bytes": total,
+            "entries": len(entries),
+            "bytes": sum(size for _, size in entries),
             "namespaces": dict(sorted(namespaces.items())),
         }
 
@@ -508,19 +343,6 @@ class DiskStore(ResultStore):
         return {
             "backend": "disk",
             "root": self.root,
-            "max_bytes": self.max_bytes,
             **self._occupancy(),
-            **self.counters.to_dict(),
-        }
-
-    def live_stats(self) -> dict[str, Any]:
-        """Same shape as :meth:`stats` but from the in-memory index — no
-        disk walk, so ``repro serve`` can answer it per request.  Occupancy
-        may lag foreign writers until the next gc/verify resync."""
-        return {
-            "backend": "disk",
-            "root": self.root,
-            "max_bytes": self.max_bytes,
-            **self._index_occupancy(),
             **self.counters.to_dict(),
         }

@@ -3,16 +3,14 @@
 Payloads round-trip through canonical JSON on the way in, so a
 :class:`MemoryStore` faithfully models the serialization boundary of the
 on-disk store — tuples come back as lists, keys come back as strings, and a
-caller mutating a retrieved payload cannot poison later hits.  An optional
-``max_entries`` cap evicts least-recently-used entries, mirroring the disk
-store's size cap.
+caller mutating a retrieved payload cannot poison later hits.  Nothing is
+evicted: entries live as long as the store.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import OrderedDict
 from typing import Any
 
 from repro.store.base import ResultStore
@@ -20,39 +18,29 @@ from repro.store.keys import canonical_json
 
 
 class MemoryStore(ResultStore):
-    """Dict-backed store with LRU bounding and the shared counters.
+    """Dict-backed store with the shared counters.
 
     Reads, writes and stats lock the entry map: ``repro serve`` hits one
-    instance from many handler threads, and ``move_to_end`` during another
+    instance from many handler threads, and a write during another
     thread's ``stats()`` iteration would raise ``RuntimeError``.
     """
 
-    def __init__(self, max_entries: int | None = None):
+    def __init__(self):
         super().__init__()
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple[str, str], str] = OrderedDict()
+        self._entries: dict[tuple[str, str], str] = {}
         self._entries_lock = threading.Lock()
 
     def _read(self, namespace: str, fingerprint: str) -> Any | None:
         with self._entries_lock:
             encoded = self._entries.get((namespace, fingerprint))
-            if encoded is None:
-                return None
-            self._entries.move_to_end((namespace, fingerprint))
+        if encoded is None:
+            return None
         return json.loads(encoded)
 
     def _write(self, namespace: str, fingerprint: str, payload: Any) -> None:
         encoded = canonical_json(payload)
         with self._entries_lock:
-            entries = self._entries
-            entries[(namespace, fingerprint)] = encoded
-            entries.move_to_end((namespace, fingerprint))
-            if self.max_entries is not None:
-                while len(entries) > self.max_entries:
-                    entries.popitem(last=False)
-                    self.counters.add(evictions=1)
+            self._entries[(namespace, fingerprint)] = encoded
 
     def contains(self, namespace: str, fingerprint: str) -> bool:
         with self._entries_lock:

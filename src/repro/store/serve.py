@@ -189,7 +189,7 @@ class ExperimentService:
         never serves a stale depth.  Returns the store occupancy block.
         """
         stats = stats if stats is not None else self.manager.stats()
-        live = self.store.live_stats()
+        live = self.store.stats()
         occupancy = {
             "entries": int(live.get("entries", 0)),
             "bytes": int(live.get("bytes", 0)),
@@ -252,7 +252,7 @@ class ExperimentService:
                 "job_timeout": self.manager.job_timeout,
                 "max_attempts": self.manager.max_attempts,
             },
-            "store": self.store.live_stats(),
+            "store": self.store.stats(),
             "jobs": stats["jobs"],
             "runs": stats["completed"],
         }
@@ -409,7 +409,7 @@ class _Handler(BaseHTTPRequestHandler):
             healthy, payload = self.service.healthz()
             self._send_json(200 if healthy else 503, payload)
         elif path == "/v1/store/stats":
-            self._send_json(200, self.service.store.live_stats())
+            self._send_json(200, self.service.store.stats())
         elif path == "/v1/metrics":
             body = self.service.metrics_text().encode("utf-8")
             self.send_response(200)

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.store import DiskStore, STORE_ENV
+from repro.store import DiskStore, STORE_ENV, StoreCounters
 
 SCENARIO_PATH = "examples/scenario_quick.json"
 
@@ -64,6 +64,8 @@ class TestStoreSubcommands:
         assert main(["store", "stats", "--store", store_dir]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 1 and stats["backend"] == "disk"
+        # A fresh process's counters are always zero, so none is printed.
+        assert not set(stats) & set(StoreCounters().to_dict())
 
     def test_gc(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")

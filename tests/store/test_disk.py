@@ -1,5 +1,6 @@
-"""Tests for the on-disk content-addressed store: layout, atomicity, LRU,
-corruption handling, manifest healing, and concurrent writers."""
+"""Tests for the on-disk content-addressed store: layout, atomicity, LRU
+eviction by gc, corruption handling, the in-memory index, and concurrent
+writers."""
 
 import gzip
 import json
@@ -56,13 +57,6 @@ class TestRoundTrip:
             store.get("job", "../escape")
         with pytest.raises(ValueError):
             store.get("job", "short")
-
-    def test_manifest_indexes_written_records(self, store):
-        store.put("job", FP_A, {"x": 1})
-        manifest = json.loads(
-            (open(os.path.join(store.root, "manifest.json")).read()))
-        assert manifest["schema"] == "repro.store/v1"
-        assert f"job/{FP_A}" in manifest["entries"]
 
     def test_no_temp_files_survive_a_write(self, store):
         store.put("job", FP_A, {"x": 1})
@@ -179,72 +173,44 @@ class TestVerify:
         assert not os.path.exists(path)
         assert store.get("job", FP_A) == {"x": 1}
 
-    def test_verify_heals_manifest_drift_both_ways(self, store):
-        store.put("job", FP_A, {"x": 1})
-        manifest_path = os.path.join(store.root, "manifest.json")
-        manifest = json.load(open(manifest_path))
-        # Manifest lists a record that does not exist...
-        manifest["entries"][f"job/{FP_C}"] = {"bytes": 123}
-        # ...and omits one that does.
-        del manifest["entries"][f"job/{FP_A}"]
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        issues = store.verify()
-        assert any("missing record" in issue for issue in issues)
-        assert any("missing from the manifest" in issue for issue in issues)
-        healed = json.load(open(manifest_path))
-        assert set(healed["entries"]) == {f"job/{FP_A}"}
-
-    def test_large_store_batches_manifest_flushes(self, tmp_path):
-        import gc as gc_module
-        import hashlib
-
-        from repro.store.disk import (
-            _MANIFEST_EXACT_LIMIT,
-            _MANIFEST_FLUSH_BATCH,
-        )
-
-        root = str(tmp_path / "big")
-        store = DiskStore(root)
-        count = _MANIFEST_EXACT_LIMIT + _MANIFEST_FLUSH_BATCH + 8
-        for value in range(count):
-            fingerprint = hashlib.sha256(str(value).encode()).hexdigest()
-            store.put("job", fingerprint, {"n": value})
+    @pytest.mark.parametrize("leftover", [
+        json.dumps({"schema": "repro.store/v1",
+                    "entries": {f"job/{FP_C}": {"bytes": 123}}}).encode(),
+        b"{not json",
+    ], ids=["stale", "unparseable"])
+    def test_leftover_manifest_is_ignored(self, tmp_path, leftover):
+        # Older stores kept a manifest.json beside objects/; such a
+        # directory must keep working, and the file is never rewritten.
+        root = str(tmp_path / "old")
+        DiskStore(root).put("job", FP_A, {"x": 1})
         manifest_path = os.path.join(root, "manifest.json")
-        flushed = len(json.load(open(manifest_path))["entries"])
-        # Past the exact limit the manifest lags (amortized flushes)...
-        assert _MANIFEST_EXACT_LIMIT <= flushed < count
-        # ...reads are unaffected (filesystem is the source of truth)...
-        assert store.stats()["entries"] == count
-        # ...and dropping the store flushes the remainder via its finalizer.
-        del store
-        gc_module.collect()
-        assert len(json.load(open(manifest_path))["entries"]) == count
-
-    def test_corrupt_manifest_is_rebuilt(self, store):
-        store.put("job", FP_A, {"x": 1})
-        with open(os.path.join(store.root, "manifest.json"), "w") as handle:
-            handle.write("{not json")
-        assert store.get("job", FP_A) == {"x": 1}  # reads never need it
-        assert store.verify() == [
-            f"record job/{FP_A} was missing from the manifest: indexed"]
+        with open(manifest_path, "wb") as handle:
+            handle.write(leftover)
+        store = DiskStore(root)
+        assert store.get("job", FP_A) == {"x": 1}
+        assert store.stats()["entries"] == 1
+        assert list(store.keys("job")) == [FP_A]
+        assert store.gc()["entries"] == 1
+        assert store.verify() == []
+        with open(manifest_path, "rb") as handle:
+            assert handle.read() == leftover
 
 
 class TestEviction:
-    def test_lru_eviction_under_byte_cap(self, tmp_path):
-        probe = DiskStore(str(tmp_path / "probe"))
-        probe.put("job", FP_A, {"n": 0, "pad": "x" * 50})
-        record_bytes = os.path.getsize(probe.object_path("job", FP_A))
-        # Room for two records but not three.
-        cap = record_bytes * 2 + record_bytes // 2
-        store = DiskStore(str(tmp_path / "capped"), max_bytes=cap)
-        for index, fingerprint in enumerate((FP_A, FP_B, FP_C)):
-            store.put("job", fingerprint, {"n": index, "pad": "x" * 50})
-        assert store.counters.evictions >= 1
-        stats = store.stats()
-        assert stats["bytes"] <= cap
-        # The newest record always survives its own write.
-        assert store.contains("job", FP_C)
+    def test_gc_evicts_least_recently_used_first(self, store):
+        for age, fingerprint in ((300, FP_A), (200, FP_B), (100, FP_C)):
+            store.put("job", fingerprint, {"pad": "x" * 50})
+            aged = time.time() - age
+            os.utime(store.object_path("job", fingerprint), (aged, aged))
+        # A hit refreshes the oldest record, leaving FP_B the least recent.
+        assert store.get("job", FP_A) == {"pad": "x" * 50}
+        kept = sum(os.path.getsize(store.object_path("job", fingerprint))
+                   for fingerprint in (FP_A, FP_C))
+        summary = store.gc(max_bytes=kept)
+        assert summary["evicted"] == 1 and summary["bytes"] == kept
+        assert not store.contains("job", FP_B)
+        assert store.contains("job", FP_A) and store.contains("job", FP_C)
+        assert store.counters.evictions == 1
 
     def test_gc_with_explicit_cap(self, store):
         for fingerprint in (FP_A, FP_B, FP_C):
@@ -326,9 +292,10 @@ class TestConcurrentWriters:
         store = DiskStore(root)
         assert store.get("job", FP_A) == {"metrics": {"x": 1.0}}
         assert store.get("job", FP_B) == {"metrics": {"x": 2.0}}
-        # The manifest may lag behind a racing writer, but verify reconciles
-        # it from the objects on disk.
-        store.verify()
+        # Opened after both writers finished, the store's scan indexes both
+        # records, and verify's own walk agrees.
+        assert store.stats()["entries"] == 2
+        assert store.verify() == []
         assert store.stats()["entries"] == 2
 
 
@@ -347,16 +314,6 @@ class TestMemoryStore:
         hit = store.get("job", FP_A)
         hit["metrics"]["x"] = 999.0
         assert store.get("job", FP_A) == {"metrics": {"x": 1.0}}
-
-    def test_lru_bound(self):
-        store = MemoryStore(max_entries=2)
-        store.put("job", FP_A, {})
-        store.put("job", FP_B, {})
-        store.get("job", FP_A)  # refresh A; B becomes the eviction victim
-        store.put("job", FP_C, {})
-        assert store.contains("job", FP_A)
-        assert not store.contains("job", FP_B)
-        assert store.counters.evictions == 1
 
     def test_stats_shape_matches_disk(self, tmp_path):
         memory = MemoryStore()
