@@ -60,6 +60,7 @@ tracing.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -391,7 +392,11 @@ def measure_serve(quick: bool = False) -> dict:
     pre-format-7 global execution lock — and once with
     :data:`SERVE_CONCURRENT_WORKERS`.  Traces are prewarmed so the clock
     measures queueing + execution + serving, not synthetic trace
-    construction; both lanes must produce identical envelopes.
+    construction; both lanes must produce identical envelopes.  Each lane
+    starts its clock after a full garbage collection, so a gen-2 collection
+    owed to the earlier grids' allocations is not charged to whichever lane
+    happens to trigger it (about 35 ms on a 2-CPU host, a fifth of a quick
+    lane).
     """
     import threading
 
@@ -411,6 +416,7 @@ def measure_serve(quick: bool = False) -> dict:
         host, port = server.server_address[:2]
         client = ReproClient(f"http://{host}:{port}", poll_interval=0.02)
         try:
+            gc.collect()
             started = time.perf_counter()
             submitted = [client.submit(data) for data in scenarios]
             states = [client.wait(entry.fingerprint, timeout=600)["state"]

@@ -48,13 +48,20 @@ class XorTargetCodec(TargetCodec):
     def decode(self, stored: int) -> int:
         return (stored ^ self._token.phi) & STORED_TARGET_MASK
 
-    def vector_encode(self, targets):
+    def vector_encode(self, targets, phis=None):
+        """Array form of :meth:`encode`.
+
+        ``phis``, when given, is a uint64 ndarray holding each target's own ϕ
+        (the STBPU kernel's per-branch ϕ column); otherwise the live token's
+        ϕ keys every element.
+        """
         import numpy as np
 
         if type(self) is not XorTargetCodec:
             return None
+        phi = np.uint64(self._token.phi) if phis is None else phis
         # phi is 32 bits, so XOR-then-mask equals mask-then-XOR exactly.
-        return (targets ^ np.uint64(self._token.phi)) & np.uint64(STORED_TARGET_MASK)
+        return (targets ^ phi) & np.uint64(STORED_TARGET_MASK)
 
 
 def cross_token_decode(stored_by: SecretToken, decoded_with: SecretToken, target: int) -> int:

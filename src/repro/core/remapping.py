@@ -228,28 +228,37 @@ def mix64_array(values: "object") -> "object":
     return values ^ (values >> np.uint64(31))
 
 
-def keyed_remap_array(psi: int, *inputs: "object", output_bits: int,
+def keyed_remap_array(psi: "int | object", *inputs: "object", output_bits: int,
                       domain: int) -> "object":
-    """Array form of :func:`keyed_remap`; each input is a uint64 ndarray."""
+    """Array form of :func:`keyed_remap`; each input is a uint64 ndarray.
+
+    ``psi`` is one key for every element, or a uint64 ndarray holding each
+    element's own key (the STBPU kernel's per-branch ψ column).
+    """
     import numpy as np
 
-    state0 = ((psi << 17) ^ (domain * 0x9E3779B97F4A7C15)) & _MASK64
+    # uint64 shifts wrap exactly like keyed_remap's masked integer arithmetic.
+    state0 = (np.asarray(psi, dtype=np.uint64) << np.uint64(17)) ^ np.uint64(
+        (domain * 0x9E3779B97F4A7C15) & _MASK64)
     state = None
     for position, value in enumerate(inputs):
         absorbed = (value + np.uint64((position + 1) * 0xD1B54A32D192ED03 & _MASK64)
                     ) * np.uint64(0xFF51AFD7ED558CCD)
-        state = (np.uint64(state0) ^ absorbed) if state is None else (state ^ absorbed)
+        state = (state0 ^ absorbed) if state is None else (state ^ absorbed)
         state = (state << np.uint64(13)) | (state >> np.uint64(51))
     if state is None:  # pragma: no cover - remappings always absorb inputs
-        state = np.uint64(state0)
+        state = state0
     return mix64_array(state) & np.uint64((1 << output_bits) - 1)
 
 
 class _STVectorMaps:
     """NumPy mirror of :class:`STMappingProvider`.
 
-    Reads the live token at call time, so the kernels' epoch chunking — one
-    chunk per constant-ψ run — sees exactly the key the scalar path would.
+    ψ is per-element data.  With ``psi_table`` unset every method reads the
+    provider's live token, like the scalar methods.  The STBPU kernel sets it
+    to its slot → ψ table (a uint64 ndarray it refreshes in place whenever a
+    token changes) and passes slot numbers as ``contexts``; each element then
+    gathers its own ψ, so one call can cross context switches.
     """
 
     token_dependent = True
@@ -257,13 +266,19 @@ class _STVectorMaps:
     def __init__(self, provider: STMappingProvider):
         self.provider = provider
         self.sizes = provider.sizes
+        self.psi_table = None
+
+    def _psi(self, contexts):
+        if self.psi_table is None or contexts is None:
+            return self.provider._token.psi
+        return self.psi_table[contexts]
 
     def pht1(self, ips, contexts=None):
         import numpy as np
 
         sizes = self.sizes
         index = keyed_remap_array(
-            self.provider._token.psi, ips & np.uint64(VIRTUAL_ADDRESS_MASK),
+            self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK),
             output_bits=sizes.pht_index_bits, domain=_DOMAIN_R3,
         )
         return index & np.uint64(sizes.pht_entries - 1)
@@ -273,7 +288,7 @@ class _STVectorMaps:
 
         sizes = self.sizes
         index = keyed_remap_array(
-            self.provider._token.psi, ips & np.uint64(VIRTUAL_ADDRESS_MASK), ghrs,
+            self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK), ghrs,
             output_bits=sizes.pht_index_bits, domain=_DOMAIN_R4,
         )
         return index & np.uint64(sizes.pht_entries - 1)
@@ -284,7 +299,7 @@ class _STVectorMaps:
         sizes = self.sizes
         total_bits = sizes.btb_index_bits + sizes.btb_tag_bits + sizes.btb_offset_bits
         digest = keyed_remap_array(
-            self.provider._token.psi, ips & np.uint64(VIRTUAL_ADDRESS_MASK),
+            self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK),
             output_bits=total_bits, domain=_DOMAIN_R1,
         )
         offset_bits = np.uint64(sizes.btb_offset_bits)
@@ -300,9 +315,9 @@ class _STVectorMaps:
         import numpy as np
 
         sizes = self.sizes
-        psi = self.provider._token.psi
+        psi = self._psi(contexts)
         masked = ips & np.uint64(VIRTUAL_ADDRESS_MASK)
-        _, base_key = self.btb1(ips)
+        _, base_key = self.btb1(ips, contexts)
         offset_bits = np.uint64(sizes.btb_offset_bits)
         offset = base_key & np.uint64((1 << sizes.btb_offset_bits) - 1)
         tag = keyed_remap_array(psi, masked, bhbs,
@@ -319,7 +334,7 @@ class _STVectorMaps:
         if tables.shape != np.shape(ips):
             tables = np.full(np.shape(ips), tables, dtype=np.uint64)
         return keyed_remap_array(
-            self.provider._token.psi, ips & np.uint64(VIRTUAL_ADDRESS_MASK),
+            self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK),
             folded, tables,
             output_bits=index_bits, domain=_DOMAIN_RT_INDEX,
         )
@@ -331,7 +346,7 @@ class _STVectorMaps:
         if tables.shape != np.shape(ips):
             tables = np.full(np.shape(ips), tables, dtype=np.uint64)
         return keyed_remap_array(
-            self.provider._token.psi, ips & np.uint64(VIRTUAL_ADDRESS_MASK),
+            self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK),
             folded, tables,
             output_bits=tag_bits, domain=_DOMAIN_RT_TAG,
         )
@@ -341,7 +356,7 @@ class _STVectorMaps:
 
         bits = max(1, (table_size - 1).bit_length())
         rows = keyed_remap_array(
-            self.provider._token.psi, ips & np.uint64(VIRTUAL_ADDRESS_MASK),
+            self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK),
             output_bits=bits, domain=_DOMAIN_RP,
         )
         return rows % np.uint64(table_size)

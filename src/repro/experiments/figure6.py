@@ -38,8 +38,9 @@ DEFAULT_R_SWEEP: tuple[float, ...] = (0.05, 0.01, 0.005, 0.001, 0.0005, 0.0001, 
 _BASELINE_MODEL = "TAGE_SC_L_64KB"
 _PROTECTED_MODEL = "ST_TAGE_SC_L_64KB"
 
-#: SMT pairs evaluated when no explicit scale/limit is given (the full 31-pair
-#: sweep is minutes-long; drivers and the CLI share this default).
+#: SMT pairs evaluated when no explicit scale/limit is given (drivers and the
+#: CLI share this default).  On a 2-CPU x86 host the default 4-pair run takes
+#: about 34 s and the full 31-pair sweep (``--workload-limit 31``) about 230 s.
 FIGURE6_DEFAULT_PAIR_LIMIT = 4
 
 

@@ -13,8 +13,8 @@ dispatches on the process-wide backend switch (:mod:`repro.sim.fastpath`):
 the default ``vector`` backend replays the trace's ndarray view with the
 array kernels in :mod:`repro.sim.vector`, and the per-item ``reference``
 loop — the specification the kernels are checked against — runs everything
-else, including every replay a kernel declines.  The parity tests pin both
-backends to byte-identical result frames.
+else: the ``reference`` backend, and every model without a kernel.  The
+parity tests pin both backends to byte-identical result frames.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ The simulators keep two equivalent replay implementations:
   faster path is checked against; and
 * ``vector`` — the NumPy array-at-a-time backend in :mod:`repro.sim.vector`
   (the default), which replays epoch-chunked array kernels for models that
-  provide one.  When a model has no kernel, or its kernel declines a trace
-  (e.g. STBPU SMT co-runs), the replay runs the ``reference`` loop and the
+  provide one; a kernel accepts every trace, SMT co-runs included.  When a
+  model has no kernel, the replay runs the ``reference`` loop and the
   decline is counted in ``repro_replay_declines_total``.
 
 Both produce byte-identical result frames — the parity tests pin that — so

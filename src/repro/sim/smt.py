@@ -10,11 +10,15 @@ summarised with the harmonic mean of the per-thread IPCs, the metric the
 paper adopts for equally weighted workloads.
 
 Like :class:`~repro.sim.bpu_sim.TraceSimulator`, the co-run replay follows
-the process-wide backend switch: the ``vector`` backend replays the merged
-trace with array kernels where the model provides one, and the per-item
-``reference`` loop runs everything else.  STBPU co-runs decline the kernel —
-the scheduling quantum swaps tokens too often for array chunks to pay off —
-so they take the reference loop.
+the process-wide backend switch.  The ``vector`` backend merges the two
+traces' cached arrays directly into columns
+(:func:`~repro.trace.branch.merge_columns_round_robin`) and replays them with
+the model's array kernel — every registry model has one, STBPU included: its
+kernel reads each branch's token from a per-context table, so the quantum's
+context swaps do not split the replay.  The per-item ``reference`` loop —
+the specification — replays the record-by-record merge of
+:func:`~repro.trace.branch.merge_round_robin`, which is built only for that
+backend or for a model without a kernel.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.trace.branch import (
     BranchRecord,
     Trace,
     TraceEvent,
+    merge_columns_round_robin,
     merge_round_robin,
 )
 
@@ -104,28 +109,31 @@ class SMTSimulator:
         Thread B's context identifiers are offset so the two workloads remain
         distinct software entities even when the input traces reuse ids.
         """
-        remapped_b = Trace(name=trace_b.name)
-        for item in trace_b:
-            if isinstance(item, BranchRecord):
-                remapped_b.append(item.with_context(item.context_id + thread_offset))
-            else:
-                remapped_b.append(TraceEvent(item.kind, item.context_id + thread_offset))
-
-        merged = merge_round_robin(
-            [trace_a, remapped_b], quantum=self.quantum,
-            name=f"{trace_a.name}+{trace_b.name}",
-        )
-
+        name = f"{trace_a.name}+{trace_b.name}"
         per_thread_stats = (PredictorStats(), PredictorStats())
         replayed = False
         if fastpath.vector_enabled():
             from repro.sim import vector
 
+            merged = merge_columns_round_robin(
+                trace_a, trace_b, quantum=self.quantum,
+                context_offset=thread_offset, name=name)
             replayed = vector.try_replay_smt(
                 model, merged, thread_offset, self.lengths.warmup_branches,
                 per_thread_stats)
         if not replayed:
-            self._coreplay_items(model, merged, thread_offset, per_thread_stats)
+            remapped_b = Trace(name=trace_b.name)
+            for item in trace_b:
+                if isinstance(item, BranchRecord):
+                    remapped_b.append(
+                        item.with_context(item.context_id + thread_offset))
+                else:
+                    remapped_b.append(
+                        TraceEvent(item.kind, item.context_id + thread_offset))
+            merged_items = merge_round_robin(
+                [trace_a, remapped_b], quantum=self.quantum, name=name)
+            self._coreplay_items(model, merged_items, thread_offset,
+                                 per_thread_stats)
 
         reports = tuple(
             self._performance(model.name, trace.name, stats)

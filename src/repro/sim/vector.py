@@ -22,12 +22,15 @@ every piece of predictor state except the BTB/RSB precomputable:
   branches that actually access them.
 
 Epochs are chunked between protection events so event semantics stay exact:
-OS events delimit epochs, STBPU token swaps (context/mode changes) start new
-chunks, and an STBPU re-randomization fired by the monitoring counters ends
-the chunk *at the firing access* — scans commit only the executed prefix (the
-scan composition is pure until committed) and replay resumes under the fresh
-token.  The parity tests pin all of this to byte-identical results against
-the per-item reference loop.
+OS events delimit epochs, and an STBPU re-randomization fired by the
+monitoring counters ends the chunk *at the firing access* — scans commit only
+the executed prefix (the scan composition is pure until committed) and
+replay resumes under the fresh token.  STBPU token swaps (context and mode
+changes, including an SMT co-run's every scheduling quantum) do not split
+chunks: the kernel gathers each branch's ψ and ϕ from a per-context token
+table, so the token is per-branch data like the context column.  The parity
+tests pin all of this to byte-identical results against the per-item
+reference loop.
 
 TAGE and Perceptron direction components have no closed-form counter scan —
 TAGE allocation rewrites tags mid-span and perceptron training feeds its own
@@ -45,10 +48,10 @@ already applied) commits the executed prefix and re-specializes the rest of
 the block from live weights — the same commit/resume shape the epoch
 chunking uses for mid-chunk re-randomizations.
 
-Models opt in via ``vector_kernel()``.  A replay the backend cannot take —
-the model has neither a kernel nor a stepper, or its kernel declines the
-trace (e.g. STBPU SMT co-runs) — runs the simulators' per-item reference
-loop instead, and ``repro_replay_declines_total{model,kind}`` counts it.
+Models opt in via ``vector_kernel()``, and a kernel accepts every trace:
+single traces and SMT co-runs alike.  A model with no kernel replays through
+the simulators' per-item reference loop instead, and
+``repro_replay_declines_total{model,kind}`` counts it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from repro.bpu.common import PredictorStats
 from repro.obs import metrics as obs_metrics
 from repro.trace.branch import (
     VIRTUAL_ADDRESS_MASK,
+    ColumnarTrace,
     EventKind,
     PrivilegeMode,
     Trace,
@@ -988,7 +992,7 @@ class _CompositeEngine:
         "bhb_updates", "mixed", "fallthrough_ok", "high_ok", "base_opcode",
         "_mode1_cache", "_encoded_cache", "_push_cache", "dir_ok",
         "target_ok", "btb_hit", "btb_evict", "rsb_under", "one_table",
-        "two_table", "choice_table",
+        "two_table", "choice_table", "map_contexts", "phi_table",
     )
 
     def __init__(self, composite, pht_maps, btb_maps, codec, stepper=None):
@@ -1059,6 +1063,11 @@ class _CompositeEngine:
 
         # ---------------------------------------------- whole-trace invariants
         self.arrays = arrays
+        #: The per-branch ``contexts`` column the maps receive, and the
+        #: slot → ϕ table the codec gathers from (``None``: the live token's
+        #: ϕ).  The STBPU kernel swaps in its slot column and ϕ table.
+        self.map_contexts = arrays.context_ids
+        self.phi_table = None
         ips = arrays.ips
         targets = arrays.targets
         types = arrays.types
@@ -1096,12 +1105,19 @@ class _CompositeEngine:
         self.rsb_under = np.zeros(self.n, dtype=bool)
 
     def _mode1_keys(self, span: slice):
-        arrays = self.arrays
-        index, key = self.btb_maps.btb1(arrays.ips[span], arrays.context_ids[span])
+        index, key = self.btb_maps.btb1(self.arrays.ips[span],
+                                        self.map_contexts[span])
         index = index.astype(np.int64)
         if self.set_count != self.sizes.btb_sets:
             index %= self.set_count
         return index * self.ways, key.astype(np.int64)
+
+    def _encode(self, values, span: slice):
+        """Codec-encode ``values`` (branches ``span``), each under its own ϕ."""
+        if self.phi_table is None:
+            return np.asarray(self.codec.vector_encode(values))
+        return np.asarray(self.codec.vector_encode(
+            values, self.phi_table[self.map_contexts[span]]))
 
     def finish(self) -> None:
         composite = self.composite
@@ -1178,7 +1194,7 @@ class _CompositeEngine:
         ips = arrays.ips[span]
         targets = arrays.targets[span]
         takens = arrays.takens[span]
-        contexts = arrays.context_ids[span]
+        contexts = self.map_contexts[span]
         is_cond = self.is_cond[span]
 
         # ----------------------------------------------- direction prediction
@@ -1234,9 +1250,9 @@ class _CompositeEngine:
             push_values = self._push_cache[span]
         else:
             mode1_base, mode1_key = self._mode1_keys(span)
-            encoded = np.asarray(self.codec.vector_encode(targets))
-            push_values = np.asarray(self.codec.vector_encode(
-                (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK)))
+            encoded = self._encode(targets, span)
+            push_values = self._encode(
+                (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span)
         mode2_base = np.zeros(length, dtype=np.int64)
         mode2_key = np.zeros(length, dtype=np.int64)
         if ind_ret_rel.shape[0]:
@@ -1337,7 +1353,7 @@ class _CompositeEngine:
         length = hi - lo
         ips = arrays.ips[span]
         takens = arrays.takens[span]
-        contexts = arrays.context_ids[span]
+        contexts = self.map_contexts[span]
         is_cond = self.is_cond[span]
         cond_rel = np.flatnonzero(is_cond)
         cond_takens = takens[cond_rel]
@@ -1361,9 +1377,9 @@ class _CompositeEngine:
             push_values = self._push_cache[span]
         else:
             mode1_base, mode1_key = self._mode1_keys(span)
-            encoded = np.asarray(self.codec.vector_encode(arrays.targets[span]))
-            push_values = np.asarray(self.codec.vector_encode(
-                (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK)))
+            encoded = self._encode(arrays.targets[span], span)
+            push_values = self._encode(
+                (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span)
         mode2_base = np.zeros(length, dtype=np.int64)
         mode2_key = np.zeros(length, dtype=np.int64)
         if ind_ret_rel.shape[0]:
@@ -1704,25 +1720,20 @@ class _KernelBase:
         self.engine = engine
         self.model = model
 
-    def run_trace(self, trace: Trace, warmup: int, stats: PredictorStats) -> bool:
-        if not self._replay(trace):
-            return False
+    def run_trace(self, trace: Trace, warmup: int, stats: PredictorStats) -> None:
+        self._replay(trace)
         _accumulate_stats(self.engine, stats, warmup)
-        return True
 
-    def run_smt(self, merged: Trace, thread_offset: int, warmup: int,
-                per_thread_stats) -> bool:
-        if not self._replay(merged):
-            return False
+    def run_smt(self, merged: ColumnarTrace, thread_offset: int, warmup: int,
+                per_thread_stats) -> None:
+        self._replay(merged)
         _accumulate_smt(self.engine, per_thread_stats, thread_offset, warmup)
-        return True
 
-    def _replay(self, trace: Trace) -> bool:
+    def _replay(self, trace: Trace | ColumnarTrace) -> None:
         columns = trace.columns()
         engine = self.engine
         engine.begin(columns.arrays())
-        if not self._prepare(columns):
-            return False
+        self._prepare()
         if self.merge_events:
             self._run_block(0, engine.n)
         else:
@@ -1732,10 +1743,9 @@ class _KernelBase:
                     self._on_event(event)
         engine.finish()
         self._sync_extra(columns)
-        return True
 
-    def _prepare(self, columns) -> bool:
-        return True
+    def _prepare(self) -> None:
+        """Per-replay set-up once the engine has adopted the trace."""
 
     def _run_block(self, lo: int, hi: int) -> None:
         engine = self.engine
@@ -1804,59 +1814,107 @@ class _FlushingKernel(_KernelBase):
 
 
 class _STBPUKernel(_KernelBase):
-    """STBPU: epoch chunks follow the secret token — one chunk per run of a
-    constant effective context, re-chunked at monitor-fired re-randomizations.
+    """STBPU: the secret token is per-branch data, not a chunk boundary.
 
-    OS events go to the *real* model hooks (they only touch the token
-    machinery, never the adopted predictor structures)."""
+    Each branch's effective context (``KERNEL_CONTEXT_ID`` in kernel mode) is
+    numbered into a dense slot, and the maps and the codec gather ψ and ϕ per
+    branch from slot → token tables, so one span crosses context switches —
+    SMT co-runs included.  Spans end only at OS events (they go to the
+    *real* model hooks, which touch only the token machinery, never the
+    adopted predictor structures), at monitor-fired re-randomizations, at
+    the first branch of a context that has no token yet (its token is drawn
+    there: the generator serves first draws and re-randomizations alike, so
+    drawing ahead would reorder them) and at the stepper cap.  The token
+    bookkeeping the reference loop does per branch is applied per block in
+    closed form.
+    """
 
-    __slots__ = ("_effective", "_changes")
+    __slots__ = ("_effective", "_slot_contexts", "_pending", "_loaded",
+                 "_psi", "_phi")
 
-    def _prepare(self, columns) -> bool:
+    def _prepare(self) -> None:
         from repro.core.stbpu import KERNEL_CONTEXT_ID
 
-        arrays = self.engine.arrays
+        engine = self.engine
+        arrays = engine.arrays
         effective = np.where(arrays.kernel_modes, np.int64(KERNEL_CONTEXT_ID),
                              arrays.context_ids)
-        changes = np.flatnonzero(effective[1:] != effective[:-1]) + 1
-        count = arrays.ips.shape[0]
-        # Token-run chunks shorter than ~a few hundred branches (SMT merges
-        # swap contexts every scheduling quantum) lose the vector advantage;
-        # refuse before mutating anything and let the caller fall back.
-        if count and changes.shape[0] + 1 > max(16, count // 192):
-            return False
+        contexts, first, slots = np.unique(effective, return_index=True,
+                                           return_inverse=True)
         self._effective = effective
-        self._changes = changes
-        return True
+        self._slot_contexts = contexts.tolist()
+        # (first branch, context) per context, earliest on top: the points
+        # where a context that still has no token draws one.
+        self._pending = sorted(zip(first.tolist(), self._slot_contexts),
+                               reverse=True)
+        self._loaded = [None] * contexts.shape[0]
+        self._psi = np.zeros(contexts.shape[0], dtype=np.uint64)
+        self._phi = np.zeros(contexts.shape[0], dtype=np.uint64)
+        engine.map_contexts = slots
+        for maps in (engine.pht_maps, engine.btb_maps):
+            if getattr(maps, "token_dependent", False):
+                maps.psi_table = self._psi
+        if engine.codec.token_dependent:
+            engine.phi_table = self._phi
+
+    def _refresh(self) -> None:
+        """Re-read the slot tables from the model's per-context tokens."""
+        tokens = self.model._context_tokens
+        loaded = self._loaded
+        for slot, context in enumerate(self._slot_contexts):
+            token = tokens.get(context)
+            if token is not None and token is not loaded[slot]:
+                loaded[slot] = token
+                self._psi[slot] = token.psi
+                self._phi[slot] = token.phi
 
     def _run_block(self, lo: int, hi: int) -> None:
+        if hi <= lo:
+            return
         model = self.model
         engine = self.engine
-        changes = self._changes
         effective = self._effective
-        boundary = int(np.searchsorted(changes, lo, side="right"))
+        block = effective[lo:hi]
+        # The reference loop loads a token at every change of effective
+        # context, the block's first branch compared with the context current
+        # before it.
+        loads = int(np.count_nonzero(block[1:] != block[:-1]))
+        if int(block[0]) != model._current_context:
+            loads += 1
+        model.stats.token_loads += loads
+        model.stats.contexts_seen.update(np.unique(block).tolist())
+        self._refresh()
+        tokens = model._context_tokens
+        pending = self._pending
         position = lo
         while position < hi:
-            run_hi = hi
-            if boundary < changes.shape[0]:
-                next_change = int(changes[boundary])
-                if next_change < hi:
-                    run_hi = next_change
-                    boundary += 1
-            context = int(effective[position])
-            if context != model._current_context:
-                model._current_context = context
-                model._install_token(model._token_for_context(context))
-            model.stats.contexts_seen.add(context)
-            span_lo = position
-            while span_lo < run_hi:
+            while pending and (pending[-1][0] < position
+                               or pending[-1][1] in tokens):
+                pending.pop()
+            if pending and pending[-1][0] == position:
+                # First branch of a tokenless context: draw its token here,
+                # exactly where the reference loop draws it.
+                model._token_for_context(pending.pop()[1])
+                self._refresh()
+                continue
+            stop = min(pending[-1][0], hi) if pending else hi
+            while position < stop:
                 mirror = _MonitorMirror(model.monitor)
-                result = engine.run_span(span_lo, run_hi, mirror)
+                result = engine.run_span(position, stop, mirror)
                 mirror.write_back()
-                span_lo = result.executed_to
+                position = result.executed_to
                 if result.fired:
+                    model._current_context = int(effective[position - 1])
                     model.rerandomize_current()
-            position = run_hi
+                    self._refresh()
+        # Leave the token machinery as the reference loop leaves it: current
+        # context, register, mapping and codec on the last branch's token.
+        context = int(effective[hi - 1])
+        token = tokens[context]
+        model._current_context = context
+        model.register.load(token)
+        model.mapping.set_token(token)
+        model.codec.set_token(token)
 
     def _on_event(self, event: TraceEvent) -> None:
         model = self.model
@@ -1981,9 +2039,8 @@ def kernel_status(model) -> str:
     ``"fallback"``
         No vector kernel; replay runs the reference loop.
 
-    The class says whether a kernel exists.  An STBPU kernel may still
-    decline a trace whose token runs are too short to chunk: every SMT
-    co-run, and single traces that switch context very often.
+    A kernel accepts every trace — ``trace``, ``cpu`` and ``smt`` jobs — so
+    the class says which path replays all of the model's jobs.
     """
     kernel = model.vector_kernel()
     if kernel is None:
@@ -2004,26 +2061,29 @@ def try_replay_trace(model, trace: Trace, warmup: int,
                      stats: PredictorStats) -> bool:
     """Vector-replay ``trace`` through ``model`` into ``stats`` if possible.
 
-    ``False`` (no kernel, or the kernel declined) is counted as a
-    ``kind="trace"`` decline; the caller then runs the reference loop.
+    ``False`` means the model has no kernel; it is counted as a
+    ``kind="trace"`` decline and the caller then runs the reference loop.
     """
     kernel = kernel_for(model)
-    if kernel is not None and kernel.run_trace(trace, warmup, stats):
-        return True
-    _count_decline(model, "trace")
-    return False
+    if kernel is None:
+        _count_decline(model, "trace")
+        return False
+    kernel.run_trace(trace, warmup, stats)
+    return True
 
 
-def try_replay_smt(model, merged: Trace, thread_offset: int, warmup: int,
-                   per_thread_stats) -> bool:
-    """Vector-replay an SMT co-run if the model's kernel supports the merge.
+def try_replay_smt(model, merged: ColumnarTrace, thread_offset: int,
+                   warmup: int, per_thread_stats) -> bool:
+    """Vector-replay an SMT co-run, like :func:`try_replay_trace`.
 
-    ``False`` is counted as a ``kind="smt"`` decline, like
-    :func:`try_replay_trace`.
+    ``merged`` is the co-run as columns
+    (:func:`~repro.trace.branch.merge_columns_round_robin`), thread B's
+    contexts offset by ``thread_offset``; a model without a kernel is
+    counted as a ``kind="smt"`` decline.
     """
     kernel = kernel_for(model)
-    if kernel is not None and kernel.run_smt(
-            merged, thread_offset, warmup, per_thread_stats):
-        return True
-    _count_decline(model, "smt")
-    return False
+    if kernel is None:
+        _count_decline(model, "smt")
+        return False
+    kernel.run_smt(merged, thread_offset, warmup, per_thread_stats)
+    return True

@@ -263,6 +263,28 @@ class TraceColumns:
 
 
 @dataclass(slots=True)
+class ColumnarTrace:
+    """A trace held only as columns: NumPy arrays plus event segments.
+
+    :func:`merge_columns_round_robin` builds one for the vector backend.  The
+    kernels read a trace through :meth:`Trace.columns` and, on that,
+    :meth:`TraceColumns.arrays` and ``segments``; a columnar trace serves
+    the same three, and nothing else — it holds no record objects, so the
+    per-item reference loop cannot replay it.
+    """
+
+    name: str
+    segments: list[tuple[int, int, TraceEvent | None]]
+    _arrays: TraceArrays
+
+    def columns(self) -> "ColumnarTrace":
+        return self
+
+    def arrays(self) -> TraceArrays:
+        return self._arrays
+
+
+@dataclass(slots=True)
 class Trace:
     """An ordered stream of branch records and OS events.
 
@@ -375,3 +397,69 @@ def merge_round_robin(traces: Sequence[Trace], quantum: int = 64, name: str = "s
                     exhausted[idx] = True
                     break
     return merged
+
+
+def merge_columns_round_robin(first: Trace, second: Trace, quantum: int = 64,
+                              context_offset: int = 0,
+                              name: str = "smt") -> ColumnarTrace:
+    """Columnar :func:`merge_round_robin` of two traces, built from their arrays.
+
+    The result's arrays and segments equal those of
+    ``merge_round_robin([first, shifted], quantum, name).columns()``, where
+    ``shifted`` is ``second`` with ``context_offset`` added to the context id
+    of every record and event.  Item ``i`` of a trace (events included, as
+    they count toward the quantum) runs in round ``i // quantum``, and each
+    round runs the first trace's items before the second's, so one stable
+    argsort on ``(round, thread)`` is the whole interleave.
+    """
+    import numpy as np
+
+    if quantum <= 0:
+        raise ValueError("quantum must be positive")
+    inputs = (first.columns(), second.columns())
+    keys = []
+    event_flags = []
+    events: list[TraceEvent] = []
+    for thread, columns in enumerate(inputs):
+        stops = []
+        for _, stop, event in columns.segments:
+            if event is not None:
+                stops.append(stop)
+                events.append(TraceEvent(event.kind, event.context_id + context_offset)
+                              if thread else event)
+        # Event ``m`` follows ``stops[m]`` branches and ``m`` earlier events.
+        flags = np.zeros(columns.item_count, dtype=bool)
+        flags[np.asarray(stops, dtype=np.int64) + np.arange(len(stops))] = True
+        event_flags.append(flags)
+        keys.append(2 * (np.arange(columns.item_count) // quantum) + thread)
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    is_event = np.concatenate(event_flags)
+    merged_is_event = is_event[order]
+    branch_order = (np.cumsum(~is_event) - 1)[order[~merged_is_event]]
+    event_order = (np.cumsum(is_event) - 1)[order[merged_is_event]].tolist()
+
+    # A merged event's segment stops after the branches merged before it.
+    event_items = np.flatnonzero(merged_is_event)
+    stops = (event_items - np.arange(event_items.shape[0])).tolist()
+    segments: list[tuple[int, int, TraceEvent | None]] = []
+    start = 0
+    for stop, position in zip(stops, event_order):
+        segments.append((start, stop, events[position]))
+        start = stop
+    segments.append((start, int(branch_order.shape[0]), None))
+
+    a, b = (columns.arrays() for columns in inputs)
+
+    def interleave(left, right):
+        return np.concatenate((left, right))[branch_order]
+
+    arrays = TraceArrays(
+        ips=interleave(a.ips, b.ips),
+        targets=interleave(a.targets, b.targets),
+        takens=interleave(a.takens, b.takens),
+        types=interleave(a.types, b.types),
+        context_ids=interleave(a.context_ids,
+                               b.context_ids + np.int64(context_offset)),
+        kernel_modes=interleave(a.kernel_modes, b.kernel_modes),
+    )
+    return ColumnarTrace(name=name, segments=segments, _arrays=arrays)

@@ -1,0 +1,150 @@
+"""Randomized differential harness: ``vector`` against ``reference`` on SMT co-runs.
+
+Hypothesis builds pairs of small random traces — random branch types, ips
+from a small pool so entries collide, contexts 0–3 with kernel-mode
+branches, and random context-switch, mode-switch and interrupt events — and
+co-runs them through the STBPU factories under random scheduling quanta,
+warm-ups, monitor thresholds (with and without the direction register) and
+token-sharing groups.  Both backends must agree on the per-thread and
+protection stats and on the complete post-replay state: predictor tables,
+BTB, RSB, histories and the token machinery.  A second property pins the
+columnar SMT merge to the record-by-record one it replaces on the vector
+path.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bpu.tage import TAGE_SC_L_8KB
+from repro.core.monitoring import MonitorConfig
+from repro.core.stbpu import make_stbpu_perceptron, make_stbpu_skl, make_stbpu_tage
+from repro.sim import fastpath
+from repro.sim.config import SimulationLengths
+from repro.sim.smt import SMTSimulator
+from repro.trace.branch import (
+    BranchRecord,
+    BranchType,
+    EventKind,
+    PrivilegeMode,
+    Trace,
+    TraceEvent,
+    merge_columns_round_robin,
+    merge_round_robin,
+)
+from test_vector_parity import (
+    _composite_state,
+    _perceptron_state,
+    _tage_state,
+    _token_state,
+)
+
+THREAD_OFFSET = 1000
+
+_IPS = [0x40_0000 + 0x40 * slot for slot in range(12)]
+_TARGETS = [0x7F_0000 + 0x100 * slot for slot in range(6)] + [ip + 4 for ip in _IPS[:6]]
+
+FACTORIES = {
+    "ST_SKLCond": make_stbpu_skl,
+    "ST_TAGE_SC_L_8KB": lambda **kwargs: make_stbpu_tage(TAGE_SC_L_8KB, **kwargs),
+    "ST_PerceptronBP": make_stbpu_perceptron,
+}
+
+
+@st.composite
+def _items(draw):
+    """One trace item: mostly branches, sometimes an OS event."""
+    if draw(st.integers(0, 9)) == 0:
+        kind = draw(st.sampled_from(list(EventKind)))
+        return TraceEvent(kind, draw(st.integers(0, 3)))
+    branch_type = draw(st.sampled_from(list(BranchType)))
+    ip = draw(st.sampled_from(_IPS))
+    conditional = branch_type is BranchType.CONDITIONAL
+    taken = draw(st.booleans()) if conditional else True
+    target = draw(st.sampled_from(_TARGETS)) if taken else ip + 4
+    kernel = draw(st.integers(0, 4)) == 0
+    return BranchRecord(
+        ip=ip, target=target, taken=taken, branch_type=branch_type,
+        context_id=draw(st.integers(0, 3)),
+        mode=PrivilegeMode.KERNEL if kernel else PrivilegeMode.USER)
+
+
+def _traces(name):
+    return st.lists(_items(), max_size=90).map(
+        lambda items: Trace(items=items, name=name))
+
+
+@st.composite
+def _monitors(draw):
+    mispredictions = draw(st.integers(1, 40))
+    evictions = draw(st.integers(1, 40))
+    direction = draw(st.one_of(st.none(), st.integers(1, 40)))
+    return MonitorConfig(mispredictions, evictions, direction)
+
+
+_GROUPS = st.one_of(
+    st.none(),
+    st.sets(st.sampled_from([-1, 0, 1, 2, 3, THREAD_OFFSET, THREAD_OFFSET + 1]),
+            min_size=2).map(lambda members: {context: "shared"
+                                             for context in members}))
+
+
+def _direction_state(direction):
+    if hasattr(direction, "_tables"):
+        return _tage_state(direction)
+    if hasattr(direction, "_weights"):
+        return _perceptron_state(direction)
+    return (direction.one_level._values, direction.two_level._values,
+            direction.chooser._values)
+
+
+def _shifted(trace, offset):
+    """``trace`` with every record and event moved ``offset`` contexts up."""
+    shifted = Trace(name=trace.name)
+    for item in trace:
+        if isinstance(item, BranchRecord):
+            shifted.append(item.with_context(item.context_id + offset))
+        else:
+            shifted.append(TraceEvent(item.kind, item.context_id + offset))
+    return shifted
+
+
+@settings(max_examples=30, deadline=None)
+@given(trace_a=_traces("a"), trace_b=_traces("b"),
+       quantum=st.integers(1, 40), warmup=st.integers(0, 30),
+       monitor=_monitors(), groups=_GROUPS,
+       model_name=st.sampled_from(sorted(FACTORIES)), seed=st.integers(0, 7))
+def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
+                                           monitor, groups, model_name, seed):
+    snapshots = {}
+    for backend in ("reference", "vector"):
+        with fastpath.forced_backend(backend):
+            model = FACTORIES[model_name](monitor_config=monitor, seed=seed,
+                                          shared_token_groups=groups)
+            simulator = SMTSimulator(
+                lengths=SimulationLengths(warmup_branches=warmup),
+                quantum=quantum)
+            result = simulator.run(model, trace_a, trace_b,
+                                   thread_offset=THREAD_OFFSET)
+            snapshots[backend] = (
+                result.thread_stats, result.protection, _token_state(model),
+                _composite_state(model.inner),
+                _direction_state(model.inner.direction))
+    assert snapshots["reference"] == snapshots["vector"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(trace_a=_traces("a"), trace_b=_traces("b"), quantum=st.integers(1, 40),
+       offset=st.integers(0, 2_000))
+def test_columnar_merge_equals_record_merge(trace_a, trace_b, quantum, offset):
+    merged = merge_columns_round_robin(trace_a, trace_b, quantum=quantum,
+                                       context_offset=offset, name="a+b")
+    expected = merge_round_robin([trace_a, _shifted(trace_b, offset)],
+                                 quantum=quantum, name="a+b").columns()
+    assert merged.name == "a+b"
+    assert merged.segments == expected.segments
+    got, want = merged.arrays(), expected.arrays()
+    for field in ("ips", "targets", "takens", "types", "context_ids",
+                  "kernel_modes"):
+        column, reference = getattr(got, field), getattr(want, field)
+        assert column.dtype == reference.dtype, field
+        assert column.tolist() == reference.tolist(), field

@@ -32,10 +32,11 @@ def _family_jobs():
 
     ``ST_SKLCond[r=0.0005]`` has aggressively low monitor thresholds, so its
     cells re-randomize many times mid-trace — exercising the vector backend's
-    fired-chunk prefix commit.  The TAGE and Perceptron cells (both sizes,
-    protected and unprotected) replay through the guarded span steppers, and
-    every ablation facade rides along, so each registry family's kernel is
-    pinned against the reference loop.
+    fired-chunk prefix commit, in single traces and in SMT co-runs where one
+    span crosses the two threads' tokens.  The TAGE and Perceptron cells
+    (both sizes, protected and unprotected) replay through the guarded span
+    steppers, and every ablation facade rides along, so each registry
+    family's kernel is pinned against the reference loop.
     """
     scale = ExperimentScale(branch_count=2_000, warmup_branches=200, seed=13)
     rerand_heavy = ModelSpec.of("ST_SKLCond", r=0.0005)
@@ -55,7 +56,8 @@ def _family_jobs():
         SimulationGrid(
             kind="smt",
             models=("baseline", "ucode_protection_2", "conservative",
-                    "ST_SKLCond", "ST_TAGE_SC_L_8KB", "ST_PerceptronBP"),
+                    "ST_SKLCond", rerand_heavy, "ST_TAGE_SC_L_8KB",
+                    "ST_TAGE_SC_L_64KB", "ST_PerceptronBP"),
             workloads=(("505.mcf", "541.leela"),), scale=scale),
     ]
     jobs = []
@@ -176,6 +178,27 @@ def _tage_state(direction):
 
 def _perceptron_state(direction):
     return [list(row) for row in direction._weights]
+
+
+def _token_state(model):
+    """An STBPU's token machinery: tables, generator, register, monitor."""
+    monitor = model.monitor
+    counters = monitor.counters
+    return (
+        {context: token.value
+         for context, token in model._context_tokens.items()},
+        {group: token.value for group, token in model._group_tokens.items()},
+        model.generator.generated_count,
+        model.register.rerandomization_count,
+        (counters.mispredictions_remaining, counters.evictions_remaining,
+         counters.direction_remaining, monitor.fired_count,
+         monitor.observed_mispredictions, monitor.observed_evictions),
+        model._current_context,
+        sorted(model.stats.contexts_seen),
+        model.current_token().value,
+        model.mapping.token.value,
+        model.codec.token.value,
+    )
 
 
 def _composite_state(composite):
@@ -367,21 +390,24 @@ class TestBackendSwitch:
         assert _declines("ThreeBitCond", "trace") == before + 1
         assert stats["reference"] == stats["vector"]
 
-    def test_stbpu_smt_decline_is_counted_once(self):
+    def test_stbpu_smt_corun_is_not_declined(self):
         from repro.engine import trace_for
 
-        # SMT merges swap tokens every scheduling quantum, so the STBPU
-        # kernel declines the co-run and the reference loop replays it.
+        # SMT merges swap tokens every scheduling quantum; the STBPU kernel
+        # reads each branch's token from its slot table, so it replays the
+        # co-run itself and no decline is counted.
         trace_a = trace_for("505.mcf", 600, 7)
         trace_b = trace_for("541.leela", 600, 7)
-        before = _declines("ST_SKLCond", "smt")
         stats = {}
         for backend in BACKENDS:
             with fastpath.forced_backend(backend):
-                result = SMTSimulator().run(make_stbpu_skl(seed=5),
-                                            trace_a, trace_b)
-                stats[backend] = (result.thread_stats, result.protection)
-        assert _declines("ST_SKLCond", "smt") == before + 1
+                model = make_stbpu_skl(seed=5)
+                before = _declines("ST_SKLCond", "smt")
+                result = SMTSimulator().run(model, trace_a, trace_b)
+                assert _declines("ST_SKLCond", "smt") == before
+                stats[backend] = (result.thread_stats, result.protection,
+                                  _token_state(model),
+                                  _composite_state(model.inner))
         assert stats["reference"] == stats["vector"]
 
     def test_every_registry_model_has_a_kernel(self):
@@ -468,6 +494,12 @@ class TestVectorKernels:
         out = keyed_remap_array(psi, ips, bhbs, output_bits=14, domain=4)
         for ip, bhb, digest in zip(ips.tolist(), bhbs.tolist(), out.tolist()):
             assert digest == keyed_remap(psi, ip, bhb, output_bits=14, domain=4)
+        # A ψ column keys each element with its own token half.
+        psis = rng.integers(0, 1 << 32, size=32).astype(np.uint64)
+        out = keyed_remap_array(psis, ips, bhbs, output_bits=14, domain=4)
+        for key, ip, bhb, digest in zip(psis.tolist(), ips.tolist(),
+                                        bhbs.tolist(), out.tolist()):
+            assert digest == keyed_remap(key, ip, bhb, output_bits=14, domain=4)
 
     @pytest.mark.parametrize("width,history,count", [
         (11, 130, 40),     # short span: 2-D gather path

@@ -379,18 +379,32 @@ class TestObservability:
         assert "# TYPE repro_store_op_seconds histogram" in text
         assert 'le="+Inf"' in text
 
-    def test_metrics_endpoint_counts_replay_declines(self, base_url):
-        # STBPU kernels decline SMT co-runs (tokens swap every scheduling
-        # quantum); the reference loop replays them and the decline counts.
+    def test_metrics_endpoint_counts_replay_declines(self, base_url,
+                                                     monkeypatch):
+        # Every shipped model has a vector kernel that accepts SMT co-runs,
+        # so the declined path is pinned with a kernel-less model: a 3-bit
+        # counter SKL composite (the SKL engine builder only handles the
+        # 2-bit transition tables).  The reference loop replays it and the
+        # decline counts.
+        from repro.bpu.common import StructureSizes
+        from repro.bpu.composite import make_skl_composite
+        from repro.engine import registry
+
+        monkeypatch.setitem(
+            registry._MODELS, "ThreeBitCond",
+            lambda seed=0: make_skl_composite(
+                sizes=StructureSizes(pht_counter_bits=3), name="ThreeBitCond"))
         status, _, _ = _request(
             base_url, "POST", "/v1/experiments?wait=1",
-            _scenario("obs-declines", 162, kind="smt", models=["ST_SKLCond"],
+            _scenario("obs-declines", 162, kind="smt",
+                      models=["ThreeBitCond", "ST_SKLCond"],
                       workloads=["505.mcf+541.leela"]))
         assert status == 200
         text = _request(base_url, "GET", "/v1/metrics")[2].decode("utf-8")
         assert "# HELP repro_replay_declines_total" in text
-        assert ('repro_replay_declines_total{kind="smt",model="ST_SKLCond"}'
+        assert ('repro_replay_declines_total{kind="smt",model="ThreeBitCond"}'
                 in text)
+        assert 'repro_replay_declines_total{kind="smt",model="ST_' not in text
 
     def test_trace_endpoint_returns_span_tree(self, base_url):
         status, _, body = _request(base_url, "POST", "/v1/experiments?wait=1",

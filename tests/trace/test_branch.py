@@ -11,6 +11,7 @@ from repro.trace.branch import (
     PrivilegeMode,
     Trace,
     TraceEvent,
+    merge_columns_round_robin,
     merge_round_robin,
 )
 
@@ -106,3 +107,6 @@ class TestMergeRoundRobin:
     def test_rejects_non_positive_quantum(self):
         with pytest.raises(ValueError):
             merge_round_robin([Trace()], quantum=0)
+        for quantum in (0, -3):
+            with pytest.raises(ValueError, match="quantum must be positive"):
+                merge_columns_round_robin(Trace(), Trace(), quantum=quantum)
