@@ -225,11 +225,11 @@ class CompositeBPU(BranchPredictorModel):
     def vector_kernel(self):
         """Array-kernel replay engine for this composite, or ``None``.
 
-        Since the TAGE/Perceptron span steppers every shipped direction
-        component is covered: SKL composites replay fully in array kernels,
-        TAGE and Perceptron composites through guarded per-span
-        specialization.  ``None`` (scalar fallback, logged once per model
-        name) only remains for unrecognized structure variants — see
+        Every shipped direction component has a span stepper: SKL
+        composites replay fully in array kernels, TAGE and Perceptron
+        composites through guarded per-span specialization.  ``None`` only
+        remains for unrecognized structure variants; their replays run the
+        reference loop and count in ``repro_replay_declines_total`` — see
         :func:`repro.sim.vector.kernel_status`.
         """
         from repro.sim import vector

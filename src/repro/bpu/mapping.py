@@ -97,8 +97,9 @@ class TargetCodec(abc.ABC):
 
     __slots__ = ()
 
-    #: Whether encode/decode depend on a live secret token (the vector backend
-    #: then refreshes its encoded-target arrays on every token change).
+    #: Whether encode/decode depend on a live secret token.  The vector
+    #: backend precomputes whole-trace encoded targets only when no codec or
+    #: map is token-dependent.
     token_dependent = False
 
     @abc.abstractmethod

@@ -31,6 +31,22 @@ class ExperimentScale:
     seed: int = 7
     workload_limit: int | None = None
 
+    def __post_init__(self) -> None:
+        # Every way in (CLI overrides, scenario files, serve POSTs) builds a
+        # scale, so this is where out-of-range knobs are refused.
+        for name in ("branch_count", "warmup_branches", "seed", "workload_limit"):
+            value = getattr(self, name)
+            if value is None and name == "workload_limit":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"scale {name} must be an integer, got {value!r}")
+        if self.branch_count <= 0:
+            raise ValueError(
+                f"scale branch_count must be positive, got {self.branch_count}")
+        if self.warmup_branches < 0:
+            raise ValueError("scale warmup_branches must not be negative, "
+                             f"got {self.warmup_branches}")
+
 
 #: Fidelity presets selectable with ``--scale`` on the CLI and usable directly
 #: by library callers (``SCALE_PRESETS["fast"]``).

@@ -207,7 +207,10 @@ def parse_scenario(data: Any, name: str = "scenario") -> Scenario:
             f"unknown scale keys {sorted(unknown)}; "
             f"known keys: {', '.join(sorted(_SCALE_KEYS))}"
         )
-    scale = ExperimentScale(**scale_raw)
+    try:
+        scale = ExperimentScale(**scale_raw)
+    except ValueError as error:
+        raise _fail(str(error)) from None
 
     workloads: list[Any] = []
     attacks: list[str] = []

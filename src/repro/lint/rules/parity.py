@@ -13,7 +13,7 @@ for all of them with one fingerprint — so the vector surface must never be
   *decide* its vector story by defining ``vector_maps`` itself (even if that
   is ``return None`` — explicit fallback, not silent inheritance), and a
   codec overriding ``encode``/``decode`` must define ``vector_encode``;
-* every guarded span stepper in :mod:`repro.sim.vector` (class name ending
+* every span stepper in :mod:`repro.sim.vector` (class name ending
   ``Stepper``) must implement the full ``STEPPER_PROTOCOL`` declared there,
   so a new direction predictor cannot plug in a partial stepper.
 """
@@ -146,7 +146,7 @@ def _check_steppers(unit: ModuleUnit) -> Iterator[Finding]:
         yield finding_at(
             RULE, unit, unit.tree,
             f"{unit.module} defines span steppers but no "
-            f"{STEPPER_PROTOCOL_NAME} constant naming the guarded-stepper "
+            f"{STEPPER_PROTOCOL_NAME} constant naming the span-stepper "
             "protocol methods")
         return
     for cls in steppers:
@@ -156,7 +156,7 @@ def _check_steppers(unit: ModuleUnit) -> Iterator[Finding]:
         if missing:
             yield finding_at(
                 RULE, unit, cls,
-                f"span stepper {cls.name} is missing guarded-stepper "
+                f"span stepper {cls.name} is missing span-stepper "
                 f"protocol method(s): {', '.join(missing)}")
 
 

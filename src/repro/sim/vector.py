@@ -32,21 +32,24 @@ table, so the token is per-branch data like the context column.  The parity
 tests pin all of this to byte-identical results against the per-item
 reference loop.
 
-TAGE and Perceptron direction components have no closed-form counter scan —
-TAGE allocation rewrites tags mid-span and perceptron training feeds its own
-weights back — so both replay through *span steppers*: every prediction input
+Every direction component replays through a *span stepper*
+(``STEPPER_PROTOCOL``), so one span routine serves all three.  The SKL
+stepper is the closed-form counter scan above: it returns a span's
+predictions outright.  TAGE and Perceptron have no closed form — TAGE
+allocation rewrites tags mid-span and perceptron training feeds its own
+weights back — so their steppers are *guarded*: every prediction input
 (folded histories, table indices and tags, hit bits, dot-product totals) is
 precomputed for a whole span with array kernels, and a slim per-conditional
 step over plain lists applies the sequential updates.  Where the sequential
-dependence bites, the steppers speculate in the trace-specialization style:
-the TAGE stepper precomputes tagged-table hit bits against span-start tags
-and repairs exactly the later same-index accesses when an allocation rewrites
-an entry; the perceptron stepper batches dot-products for a block of
-accesses from a weight snapshot under a "no row retrained since the
-snapshot" guard, and on a guard failure (aliasing conflict / saturation
-already applied) commits the executed prefix and re-specializes the rest of
-the block from live weights — the same commit/resume shape the epoch
-chunking uses for mid-chunk re-randomizations.
+dependence bites, they speculate in the trace-specialization style: the TAGE
+stepper precomputes tagged-table hit bits against span-start tags and
+repairs exactly the later same-index accesses when an allocation rewrites an
+entry; the perceptron stepper batches dot-products for a block of accesses
+from a weight snapshot under a "no row retrained since the snapshot" guard,
+and on a guard failure (aliasing conflict / saturation already applied)
+commits the executed prefix and re-specializes the rest of the block from
+live weights — the same commit/resume shape the epoch chunking uses for
+mid-chunk re-randomizations.
 
 Models opt in via ``vector_kernel()``, and a kernel accepts every trace:
 single traces and SMT co-runs alike.  A model with no kernel replays through
@@ -60,11 +63,11 @@ import numpy as np
 
 from repro.bpu.common import PredictorStats
 from repro.obs import metrics as obs_metrics
+from repro.sim.bpu_sim import dispatch_event
 from repro.trace.branch import (
     VIRTUAL_ADDRESS_MASK,
     ColumnarTrace,
     EventKind,
-    PrivilegeMode,
     Trace,
     TraceEvent,
 )
@@ -180,14 +183,11 @@ def _scan_counters(indices: np.ndarray, maps: np.ndarray, table: np.ndarray,
     return pre, _CounterScan(order, idx_sorted, inclusive, init_states), order
 
 
-def _ghr_window(outcomes: np.ndarray, seed_value: int, bits: int,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-access GHR values (before each push) plus the extended bit stream.
+def _ghr_window(outcomes: np.ndarray, seed_value: int, bits: int) -> np.ndarray:
+    """Per-access GHR values, each taken before its own push.
 
     ``outcomes`` is the uint64 0/1 stream of conditional outcomes in one
-    chunk; ``seed_value`` is the register value carried into the chunk.  The
-    extended stream (seed bits then outcomes) is returned so callers can
-    reconstruct the register value after any prefix with :func:`_ghr_value_at`.
+    span; ``seed_value`` is the register value carried into the span.
     """
     count = outcomes.shape[0]
     extended = np.empty(count + bits, dtype=np.uint64)
@@ -197,15 +197,7 @@ def _ghr_window(outcomes: np.ndarray, seed_value: int, bits: int,
     values = np.zeros(count, dtype=np.uint64)
     for distance in range(1, bits + 1):
         values += extended[bits - distance: bits - distance + count] << _U64(distance - 1)
-    return values, extended
-
-
-def _ghr_value_at(extended: np.ndarray, executed: int, bits: int) -> int:
-    """Register value after ``executed`` pushes of the extended stream."""
-    value = 0
-    for distance in range(bits):
-        value |= int(extended[executed + bits - 1 - distance]) << distance
-    return value
+    return values
 
 
 def _bhb_states(mixed: np.ndarray, seed_value: int, bits: int) -> np.ndarray:
@@ -254,7 +246,10 @@ def _extend_outcomes(outcomes: list, appended, max_outcomes: int, *,
     outcomes[:] = combined[len(combined) - final_length:]
 
 
-#: Upper bound on one stepper span (see ``_CompositeEngine._run_span_stepper``).
+#: Upper bound on one guarded stepper's span (``_CompositeEngine.run_span``):
+#: the TAGE allocation guard repairs same-index accesses of the current span,
+#: so bounded spans bound the repair walks and the speculative fold / window
+#: arrays.  Callers already resume from the span's stop.
 _STEPPER_SPAN_LIMIT = 4096
 
 
@@ -339,58 +334,92 @@ def _ghr_commit(seed: int, executed_bits, bits: int) -> int:
     return ((seed << len(executed_bits)) | packed) & mask
 
 
-class _MonitorMirror:
-    """Loop-local mirror of a :class:`RerandomizationMonitor`'s counters."""
-
-    __slots__ = ("monitor", "mis_threshold", "ev_threshold", "dir_threshold",
-                 "has_direction", "mis_remaining", "ev_remaining",
-                 "dir_remaining", "observed_mis", "observed_ev", "fired")
-
-    def __init__(self, monitor):
-        config = monitor.config
-        counters = monitor.counters
-        self.monitor = monitor
-        self.mis_threshold = config.misprediction_threshold
-        self.ev_threshold = config.eviction_threshold
-        self.has_direction = config.direction_misprediction_threshold is not None
-        self.dir_threshold = (config.direction_misprediction_threshold
-                              if self.has_direction
-                              else config.misprediction_threshold)
-        self.mis_remaining = counters.mispredictions_remaining
-        self.ev_remaining = counters.evictions_remaining
-        self.dir_remaining = counters.direction_remaining
-        self.observed_mis = monitor.observed_mispredictions
-        self.observed_ev = monitor.observed_evictions
-        self.fired = monitor.fired_count
-
-    def write_back(self) -> None:
-        monitor = self.monitor
-        counters = monitor.counters
-        counters.mispredictions_remaining = self.mis_remaining
-        counters.evictions_remaining = self.ev_remaining
-        counters.direction_remaining = self.dir_remaining
-        monitor.observed_mispredictions = self.observed_mis
-        monitor.observed_evictions = self.observed_ev
-        monitor.fired_count = self.fired
-
-
-class _SpanResult:
-    """Outcome of one vectorised chunk: how far it ran and whether it fired."""
-
-    __slots__ = ("executed_to", "fired")
-
-    def __init__(self, executed_to: int, fired: bool):
-        self.executed_to = executed_to
-        self.fired = fired
-
-
-#: The guarded-stepper protocol: every span stepper class must implement all
-#: of these (enforced by the ``backend-parity`` lint rule).  ``begin``/
-#: ``finish`` bracket a replay, ``flush`` mirrors a predictor flush,
-#: ``prepare_span`` speculatively batches one span's prediction inputs, and
-#: ``commit_span`` trains on the span's resolved outcomes (repairing or
-#: re-batching when a guard failed mid-span).
+#: The span-stepper protocol: every direction stepper class must implement
+#: all of these (enforced by the ``backend-parity`` lint rule).  ``begin``/
+#: ``finish`` adopt and write back the direction state around a replay,
+#: ``flush`` mirrors a predictor flush, ``prepare_span(cond_ips, cond_ctx,
+#: cond_takens, engine)`` batches one span's prediction inputs, and
+#: ``commit_span(cond_takens, executed_cond)`` commits the executed prefix.
+#: A stepper with ``guarded = False`` returns the span's conditional
+#: predictions from ``prepare_span``; a guarded one returns a per-conditional
+#: ``step(ordinal) -> predicted`` closure whose speculation repairs or
+#: re-batches itself when a guard fails mid-span.
 STEPPER_PROTOCOL = ("begin", "prepare_span", "commit_span", "flush", "finish")
+
+
+class _SKLStepper:
+    """Closed-form replay of a :class:`~repro.bpu.pht.SKLConditionalPredictor`.
+
+    The one-level, two-level and chooser tables are adopted as ``uint8``
+    arrays, and a span's predictions come from three segmented counter
+    scans — no per-conditional step.  A scan is pure until committed, so
+    ``commit_span`` scatters only the executed prefix when a monitor fired
+    mid-span.
+    """
+
+    __slots__ = ("direction", "maps", "one_table", "two_table",
+                 "choice_table", "scans")
+
+    guarded = False
+
+    def __init__(self, direction, maps):
+        self.direction = direction
+        self.maps = maps
+
+    def begin(self) -> None:
+        direction = self.direction
+        self.one_table = np.array(direction.one_level._values, dtype=np.uint8)
+        self.two_table = np.array(direction.two_level._values, dtype=np.uint8)
+        self.choice_table = np.array(direction.chooser._values, dtype=np.uint8)
+
+    def finish(self) -> None:
+        direction = self.direction
+        direction.one_level._values = self.one_table.tolist()
+        direction.two_level._values = self.two_table.tolist()
+        direction.chooser._values = self.choice_table.tolist()
+
+    def flush(self) -> None:
+        self.one_table.fill(1)
+        self.two_table.fill(1)
+        self.choice_table.fill(1)
+
+    def prepare_span(self, cond_ips, cond_ctx, cond_takens, engine):
+        sizes = engine.sizes
+        ghr_pre = _ghr_window(cond_takens.astype(np.uint64), engine.ghr_value,
+                              sizes.ghr_bits)
+        one_idx = np.asarray(self.maps.pht1(cond_ips, cond_ctx)).astype(np.int64)
+        two_idx = np.asarray(
+            self.maps.pht2(cond_ips, ghr_pre, cond_ctx)).astype(np.int64)
+        entries = sizes.pht_entries
+        if entries & (entries - 1):
+            # Non-power-of-two tables: the scalar PatternHistoryTable wraps
+            # every access with ``index % entries``; fold/mask outputs can
+            # exceed the table, so apply the same wrap up front.
+            one_idx %= entries
+            two_idx %= entries
+        updates = np.where(cond_takens, np.uint8(MAP_INCREMENT),
+                           np.uint8(MAP_DECREMENT))
+        one_pre, one_scan, one_order = _scan_counters(one_idx, updates, self.one_table)
+        two_pre, two_scan, _ = _scan_counters(two_idx, updates, self.two_table)
+        one_pred = one_pre > 1
+        two_pred = two_pre > 1
+        one_correct = one_pred == cond_takens
+        two_correct = two_pred == cond_takens
+        choice_updates = np.where(
+            one_correct != two_correct,
+            np.where(two_correct, np.uint8(MAP_INCREMENT), np.uint8(MAP_DECREMENT)),
+            np.uint8(MAP_IDENTITY))
+        choice_pre, choice_scan, _ = _scan_counters(
+            one_idx, choice_updates, self.choice_table, order=one_order)
+        self.scans = ((one_scan, self.one_table), (two_scan, self.two_table),
+                      (choice_scan, self.choice_table))
+        return np.where(choice_pre > 1, two_pred, one_pred)
+
+    def commit_span(self, cond_takens, executed_cond: int) -> None:
+        upto = None if executed_cond == cond_takens.shape[0] else executed_cond
+        for scan, table in self.scans:
+            if scan is not None:
+                scan.commit(table, upto)
 
 
 class _TAGEStepper:
@@ -510,7 +539,7 @@ class _TAGEStepper:
 
     # ------------------------------------------------------------------- spans
 
-    def prepare_span(self, cond_ips, cond_ctx, cond_takens, outcomes):
+    def prepare_span(self, cond_ips, cond_ctx, cond_takens, engine):
         config = self.config
         direction = self.direction
         maps = self.maps
@@ -604,7 +633,7 @@ class _TAGEStepper:
         sc_idx: list[list[int]] = []
         if use_sc:
             max_sc = max(config.sc_history_lengths)
-            tail = outcomes[-max_sc:]
+            tail = engine.outcomes[-max_sc:]
             carried_sc = len(tail)
             ext_sc = np.zeros(carried_sc + ncond, dtype=np.int64)
             if carried_sc:
@@ -898,12 +927,12 @@ class _PerceptronStepper:
     def commit_span(self, cond_takens, executed_cond: int) -> None:
         pass  # the perceptron keeps no history of its own
 
-    def prepare_span(self, cond_ips, cond_ctx, cond_takens, outcomes):
+    def prepare_span(self, cond_ips, cond_ctx, cond_takens, engine):
         depth = self.history_length
         ncond = cond_ips.shape[0]
         rows = np.asarray(self.maps.perceptron_rows(
             cond_ips, self.table_size, cond_ctx)).astype(np.int64)
-        tail = outcomes[-depth:]
+        tail = engine.outcomes[-depth:]
         carried = len(tail)
         # ±1 stream: "not taken" pads for missing pre-trace history, then the
         # carried outcomes, then this span's outcomes.
@@ -991,18 +1020,16 @@ class _CompositeEngine:
         "is_direct", "is_indirect", "is_return", "is_call", "is_ind_or_ret",
         "bhb_updates", "mixed", "fallthrough_ok", "high_ok", "base_opcode",
         "_mode1_cache", "_encoded_cache", "_push_cache", "dir_ok",
-        "target_ok", "btb_hit", "btb_evict", "rsb_under", "one_table",
-        "two_table", "choice_table", "map_contexts", "phi_table",
+        "target_ok", "btb_hit", "btb_evict", "rsb_under", "map_contexts",
+        "phi_table",
     )
 
-    def __init__(self, composite, pht_maps, btb_maps, codec, stepper=None):
+    def __init__(self, composite, pht_maps, btb_maps, codec, stepper):
         self.composite = composite
         self.pht_maps = pht_maps
         self.btb_maps = btb_maps
         self.codec = codec
-        #: Direction stepper for non-SKL components (TAGE, Perceptron); when
-        #: set, the per-span direction work routes through it instead of the
-        #: closed-form counter scans.
+        #: The direction component's span stepper (``STEPPER_PROTOCOL``).
         self.stepper = stepper
         self.sizes = composite.sizes
         self.token_dependent = bool(
@@ -1040,14 +1067,7 @@ class _CompositeEngine:
         self.evictions = btb.eviction_count
         self.ways = btb.way_count
         self.set_count = btb.set_count
-
-        if self.stepper is None:
-            direction = composite.direction
-            self.one_table = np.array(direction.one_level._values, dtype=np.uint8)
-            self.two_table = np.array(direction.two_level._values, dtype=np.uint8)
-            self.choice_table = np.array(direction.chooser._values, dtype=np.uint8)
-        else:
-            self.stepper.begin()
+        self.stepper.begin()
 
         rsb = composite.rsb
         self.rsb = list(rsb._stack)
@@ -1138,14 +1158,7 @@ class _CompositeEngine:
                 position += 1
         btb._access_clock = self.clock
         btb.eviction_count = self.evictions
-
-        if self.stepper is None:
-            direction = composite.direction
-            direction.one_level._values = self.one_table.tolist()
-            direction.two_level._values = self.two_table.tolist()
-            direction.chooser._values = self.choice_table.tolist()
-        else:
-            self.stepper.finish()
+        self.stepper.finish()
 
         rsb = composite.rsb
         rsb._stack = self.rsb
@@ -1163,191 +1176,30 @@ class _CompositeEngine:
             if key != -1:
                 keys[position] = -1
         self.rsb.clear()
-        if self.stepper is None:
-            self.one_table.fill(1)
-            self.two_table.fill(1)
-            self.choice_table.fill(1)
-        else:
-            self.stepper.flush()
+        self.stepper.flush()
         self.ghr_value = 0
         self.bhb_value = 0
         self.outcomes.clear()
 
     # ------------------------------------------------------------------- spans
 
-    def run_span(self, lo: int, hi: int, monitor: _MonitorMirror | None = None,
-                 ) -> _SpanResult:
-        """Replay branches ``[lo, hi)`` under a constant mapping/codec key.
+    def run_span(self, lo: int, hi: int, monitor=None) -> tuple[int, bool]:
+        """Replay branches ``[lo, hi)``; return ``(executed_to, fired)``.
 
-        With ``monitor`` set (STBPU), the structural loop additionally feeds
-        the re-randomization counters and stops — state bit-exact — right
-        after the access that exhausts one; the span result reports how far
-        execution got so the caller can re-key and resume.
+        The stepper supplies the span's direction predictions, the prelude
+        computes its histories and BTB keys in array kernels, and the
+        structural loop replays the BTB/RSB accesses.  With ``monitor`` set
+        (STBPU), the loop also feeds the re-randomization counters and stops
+        right after the access that exhausts one; only the executed prefix
+        is committed, so the caller re-keys and resumes from
+        ``executed_to``.  A guarded stepper's span is capped at
+        ``_STEPPER_SPAN_LIMIT`` branches, so ``executed_to`` may fall short
+        of ``hi`` without a fire as well.
         """
-        if hi <= lo:
-            return _SpanResult(hi, False)
-        if self.stepper is not None:
-            return self._run_span_stepper(lo, hi, monitor)
-        arrays = self.arrays
-        span = slice(lo, hi)
-        length = hi - lo
-        ips = arrays.ips[span]
-        targets = arrays.targets[span]
-        takens = arrays.takens[span]
-        contexts = self.map_contexts[span]
-        is_cond = self.is_cond[span]
-
-        # ----------------------------------------------- direction prediction
-        cond_rel = np.flatnonzero(is_cond)
-        cond_takens = takens[cond_rel]
-        ghr_pre, ghr_extended = _ghr_window(
-            cond_takens.astype(np.uint64), self.ghr_value, self.sizes.ghr_bits)
-        cond_ips = ips[cond_rel]
-        cond_ctx = contexts[cond_rel]
-        one_idx = np.asarray(self.pht_maps.pht1(cond_ips, cond_ctx)).astype(np.int64)
-        two_idx = np.asarray(
-            self.pht_maps.pht2(cond_ips, ghr_pre, cond_ctx)).astype(np.int64)
-        entries = self.sizes.pht_entries
-        if entries & (entries - 1):
-            # Non-power-of-two tables: the scalar PatternHistoryTable wraps
-            # every access with ``index % entries``; fold/mask outputs can
-            # exceed the table, so apply the same wrap up front.
-            one_idx %= entries
-            two_idx %= entries
-        updates = np.where(cond_takens, np.uint8(MAP_INCREMENT),
-                           np.uint8(MAP_DECREMENT))
-        one_pre, one_scan, one_order = _scan_counters(one_idx, updates, self.one_table)
-        two_pre, two_scan, _ = _scan_counters(two_idx, updates, self.two_table)
-        one_pred = one_pre > 1
-        two_pred = two_pre > 1
-        one_correct = one_pred == cond_takens
-        two_correct = two_pred == cond_takens
-        choice_updates = np.where(
-            one_correct != two_correct,
-            np.where(two_correct, np.uint8(MAP_INCREMENT), np.uint8(MAP_DECREMENT)),
-            np.uint8(MAP_IDENTITY))
-        choice_pre, choice_scan, _ = _scan_counters(
-            one_idx, choice_updates, self.choice_table, order=one_order)
-        predicted_taken_cond = np.where(choice_pre > 1, two_pred, one_pred)
-
-        predicted_taken = np.zeros(length, dtype=bool)
-        predicted_taken[cond_rel] = predicted_taken_cond
-
-        # --------------------------------------------------------- histories
-        update_mask = self.bhb_updates[span]
-        mixed = self.mixed[span][update_mask]
-        bhb_states = _bhb_states(mixed, self.bhb_value, self.sizes.bhb_bits)
-        update_cum = np.cumsum(update_mask)
-        ind_ret_rel = np.flatnonzero(self.is_ind_or_ret[span])
-        updates_before = update_cum[ind_ret_rel] - update_mask[ind_ret_rel]
-        bhb_at = bhb_states[updates_before]
-
-        # ---------------------------------------------------------- BTB keys
-        if self._mode1_cache is not None:
-            mode1_base = self._mode1_cache[0][span]
-            mode1_key = self._mode1_cache[1][span]
-            encoded = self._encoded_cache[span]
-            push_values = self._push_cache[span]
-        else:
-            mode1_base, mode1_key = self._mode1_keys(span)
-            encoded = self._encode(targets, span)
-            push_values = self._encode(
-                (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span)
-        mode2_base = np.zeros(length, dtype=np.int64)
-        mode2_key = np.zeros(length, dtype=np.int64)
-        if ind_ret_rel.shape[0]:
-            index2, key2 = self.btb_maps.btb2(
-                ips[ind_ret_rel], bhb_at, contexts[ind_ret_rel])
-            index2 = index2.astype(np.int64)
-            if self.set_count != self.sizes.btb_sets:
-                index2 %= self.set_count
-            mode2_base[ind_ret_rel] = index2 * self.ways
-            mode2_key[ind_ret_rel] = key2.astype(np.int64)
-
-        # -------------------------------------------------------- direction ok
-        dir_ok = ~is_cond | (predicted_taken == takens)
-        self.dir_ok[span] = dir_ok
-
-        # ------------------------------------------------------- participants
-        opcode = self.base_opcode[span].copy()
-        opcode[cond_rel] = np.where(predicted_taken_cond, np.uint8(_OP_LOOKUP1),
-                                    np.uint8(_OP_UPDATE1))
-        part_rel = np.flatnonzero(~is_cond | predicted_taken | takens)
-        loop_result = self._structural_loop(
-            opcode[part_rel].tolist(),
-            takens[part_rel].tolist(),
-            mode1_base[part_rel].tolist(),
-            mode1_key[part_rel].tolist(),
-            mode2_base[part_rel].tolist(),
-            mode2_key[part_rel].tolist(),
-            encoded[part_rel].tolist(),
-            self.high_ok[span][part_rel].tolist(),
-            self.fallthrough_ok[span][part_rel].tolist(),
-            self.is_call[span][part_rel].tolist(),
-            push_values[part_rel].tolist(),
-            dir_ok[part_rel].tolist(),
-            monitor,
-        )
-        target_ok_list, hit_list, evict_list, under_list, stopped_at, _ = loop_result
-
-        fired = stopped_at >= 0
-        if fired:
-            executed_rel = int(part_rel[stopped_at]) + 1
-            part_rel = part_rel[: stopped_at + 1]
-            target_ok_list = target_ok_list[: stopped_at + 1]
-            hit_list = hit_list[: stopped_at + 1]
-            evict_list = evict_list[: stopped_at + 1]
-            under_list = under_list[: stopped_at + 1]
-        else:
-            executed_rel = length
-
-        target_ok = np.ones(length, dtype=bool)
-        target_ok[part_rel] = target_ok_list
-        self.target_ok[span] = target_ok
-        hit = np.zeros(length, dtype=bool)
-        hit[part_rel] = hit_list
-        self.btb_hit[span] = hit
-        evict = np.zeros(length, dtype=bool)
-        evict[part_rel] = evict_list
-        self.btb_evict[span] = evict
-        under = np.zeros(length, dtype=bool)
-        under[part_rel] = under_list
-        self.rsb_under[span] = under
-
-        # ------------------------------------------------ commit predictor state
-        executed_cond = int(np.searchsorted(cond_rel, executed_rel))
-        if one_scan is not None:
-            upto = None if not fired else executed_cond
-            one_scan.commit(self.one_table, upto)
-            two_scan.commit(self.two_table, upto)
-            choice_scan.commit(self.choice_table, upto)
-        self.ghr_value = _ghr_value_at(ghr_extended, executed_cond,
-                                       self.sizes.ghr_bits)
-        if fired:
-            executed_updates = int(update_cum[executed_rel - 1]) if executed_rel else 0
-        else:
-            executed_updates = int(update_cum[-1]) if length else 0
-        self.bhb_value = int(bhb_states[executed_updates])
-        _extend_outcomes(self.outcomes, cond_takens[:executed_cond].tolist(),
-                         self.max_outcomes)
-        return _SpanResult(lo + executed_rel, fired)
-
-    def _run_span_stepper(self, lo: int, hi: int,
-                          monitor: _MonitorMirror | None) -> _SpanResult:
-        """Replay ``[lo, hi)`` through the direction stepper.
-
-        The stepper precomputes the span's array-kernel inputs (folded
-        histories, table rows, speculative hit bits / batched dot products)
-        and hands back a per-conditional ``step`` closure; the structural
-        loop interleaves it with the BTB/RSB accesses so monitor-fired stops
-        land bit-exactly and resume from the executed prefix.
-
-        Spans are capped at ``_STEPPER_SPAN_LIMIT`` branches: the TAGE
-        allocation guard repairs same-index accesses of the *current* span,
-        so bounded spans bound the repair walks (and the speculative fold /
-        window arrays).  Callers already resume from ``executed_to``.
-        """
-        hi = min(hi, lo + _STEPPER_SPAN_LIMIT)
+        stepper = self.stepper
+        guarded = stepper.guarded
+        if guarded:
+            hi = min(hi, lo + _STEPPER_SPAN_LIMIT)
         arrays = self.arrays
         span = slice(lo, hi)
         length = hi - lo
@@ -1357,8 +1209,8 @@ class _CompositeEngine:
         is_cond = self.is_cond[span]
         cond_rel = np.flatnonzero(is_cond)
         cond_takens = takens[cond_rel]
-        step = self.stepper.prepare_span(
-            ips[cond_rel], contexts[cond_rel], cond_takens, self.outcomes)
+        prediction = stepper.prepare_span(
+            ips[cond_rel], contexts[cond_rel], cond_takens, self)
 
         # --------------------------------------------------------- histories
         update_mask = self.bhb_updates[span]
@@ -1391,55 +1243,81 @@ class _CompositeEngine:
             mode2_base[ind_ret_rel] = index2 * self.ways
             mode2_key[ind_ret_rel] = key2.astype(np.int64)
 
-        dir_ok_list = [True] * length
-        loop_result = self._structural_loop(
-            self.base_opcode[span].tolist(),
-            takens.tolist(),
-            mode1_base.tolist(),
-            mode1_key.tolist(),
-            mode2_base.tolist(),
-            mode2_key.tolist(),
-            encoded.tolist(),
-            self.high_ok[span].tolist(),
-            self.fallthrough_ok[span].tolist(),
-            self.is_call[span].tolist(),
-            push_values.tolist(),
-            dir_ok_list,
+        # ------------------------------------------------------- participants
+        if guarded:
+            # Every branch enters the loop; conditionals resolve there
+            # through the step closure, which fills ``dir_ok``.
+            part = slice(None)
+            ops = self.base_opcode[span]
+            dir_ok = dir_flags = [True] * length
+            conds = is_cond.tolist()
+            step = prediction
+        else:
+            # A conditional predicted and resolved not-taken touches no
+            # structure and feeds the monitor nothing, so it skips the loop.
+            predicted = np.zeros(length, dtype=bool)
+            predicted[cond_rel] = prediction
+            ops = self.base_opcode[span].copy()
+            ops[cond_rel] = np.where(prediction, np.uint8(_OP_LOOKUP1),
+                                     np.uint8(_OP_UPDATE1))
+            part = np.flatnonzero(~is_cond | predicted | takens)
+            # Stored from the array: scattering a Python list costs far more.
+            dir_flags = (~is_cond | (predicted == takens))[part]
+            dir_ok = dir_flags.tolist()
+            conds = step = None
+        target_ok, hits, evicts, unders, stopped_at = self._structural_loop(
+            ops[part].tolist(),
+            takens[part].tolist(),
+            mode1_base[part].tolist(),
+            mode1_key[part].tolist(),
+            mode2_base[part].tolist(),
+            mode2_key[part].tolist(),
+            encoded[part].tolist(),
+            self.high_ok[span][part].tolist(),
+            self.fallthrough_ok[span][part].tolist(),
+            self.is_call[span][part].tolist(),
+            push_values[part].tolist(),
+            dir_ok,
             monitor,
-            conds=is_cond.tolist(),
-            step=step,
+            conds,
+            step,
         )
-        (target_ok_list, hit_list, evict_list, under_list, stopped_at,
-         executed_cond) = loop_result
+        flags = (dir_flags, target_ok, hits, evicts, unders)
         fired = stopped_at >= 0
-        executed_rel = stopped_at + 1 if fired else length
+        executed_rel = length
+        if fired:
+            # Store and commit only the executed prefix; the resumed span
+            # replays the rest.
+            done = stopped_at + 1
+            if guarded:
+                executed_rel, part = done, slice(0, done)
+            else:
+                executed_rel, part = int(part[stopped_at]) + 1, part[:done]
+            flags = [values[:done] for values in flags]
 
-        # Full-length result lists: entries past a fired stop keep their
-        # defaults and are overwritten when the resumed span replays them.
-        self.dir_ok[span] = dir_ok_list
-        self.target_ok[span] = target_ok_list
-        self.btb_hit[span] = hit_list
-        self.btb_evict[span] = evict_list
-        self.rsb_under[span] = under_list
+        # Loop-skipped conditionals keep the defaults.
+        for column, values, default in zip(
+                (self.dir_ok, self.target_ok, self.btb_hit, self.btb_evict,
+                 self.rsb_under), flags, (True, True, False, False, False)):
+            view = column[lo:lo + executed_rel]
+            view[:] = default
+            view[part] = values
 
         # ------------------------------------------------ commit predictor state
+        executed_cond = int(np.searchsorted(cond_rel, executed_rel))
         executed_outcomes = cond_takens[:executed_cond].tolist()
         self.ghr_value = _ghr_commit(self.ghr_value, executed_outcomes,
                                      self.sizes.ghr_bits)
-        if fired:
-            executed_updates = int(update_cum[executed_rel - 1]) if executed_rel else 0
-        else:
-            executed_updates = int(update_cum[-1]) if length else 0
-        self.bhb_value = int(bhb_states[executed_updates])
-        self.stepper.commit_span(cond_takens, executed_cond)
+        stepper.commit_span(cond_takens, executed_cond)
+        self.bhb_value = int(bhb_states[update_cum[executed_rel - 1]])
         _extend_outcomes(self.outcomes, executed_outcomes, self.max_outcomes)
-        return _SpanResult(lo + executed_rel, fired)
+        return lo + executed_rel, fired
 
     # --------------------------------------------------------- structural loop
 
     def _structural_loop(self, ops, takens, base1, key1, base2, key2, encoded,
                          high_ok, fall_ok, calls, pushes, dir_ok, monitor,
-                         conds=None, step=None):
+                         conds, step):
         keys = self.bt_keys
         tags = self.bt_tags
         offsets = self.bt_offsets
@@ -1460,24 +1338,33 @@ class _CompositeEngine:
         valid_bonus = 1 << 62
         huge = 1 << 63
         stopped_at = -1
-        conds_stepped = 0
+        ordinal = 0
 
-        if monitor is not None:
-            mis_remaining = monitor.mis_remaining
-            ev_remaining = monitor.ev_remaining
-            dir_remaining = monitor.dir_remaining
-            has_direction = monitor.has_direction
-            observed_mis = monitor.observed_mis
-            observed_ev = monitor.observed_ev
-            fired_count = monitor.fired
         watching = monitor is not None
+        if watching:
+            # The per-branch loop works on local copies of the monitor's
+            # thresholds and counters (attribute reads cost per access) and
+            # writes the counters back on exit.
+            config = monitor.config
+            counters = monitor.counters
+            mis_threshold = config.misprediction_threshold
+            ev_threshold = config.eviction_threshold
+            has_direction = config.direction_misprediction_threshold is not None
+            dir_threshold = (config.direction_misprediction_threshold
+                             if has_direction else mis_threshold)
+            mis_remaining = counters.mispredictions_remaining
+            ev_remaining = counters.evictions_remaining
+            dir_remaining = counters.direction_remaining
+            observed_mis = monitor.observed_mispredictions
+            observed_ev = monitor.observed_evictions
+            fired_count = monitor.fired_count
 
         for j in range(count):
             taken = takens[j]
             if conds is not None and conds[j]:
-                # Stepper mode: resolve the direction prediction in place.
-                predicted = step(conds_stepped)
-                conds_stepped += 1
+                # Guarded stepper: resolve the direction prediction in place.
+                predicted = step(ordinal)
+                ordinal += 1
                 dir_ok[j] = predicted == taken
                 if predicted:
                     op = 0
@@ -1629,80 +1516,48 @@ class _CompositeEngine:
                                 fire = True
                     if fire:
                         fired_count += 1
-                        mis_remaining = monitor.mis_threshold
-                        ev_remaining = monitor.ev_threshold
-                        dir_remaining = monitor.dir_threshold
+                        mis_remaining = mis_threshold
+                        ev_remaining = ev_threshold
+                        dir_remaining = dir_threshold
                         stopped_at = j
                         break
 
         self.clock = clock
         self.evictions = evictions
-        if monitor is not None:
-            monitor.mis_remaining = mis_remaining
-            monitor.ev_remaining = ev_remaining
-            monitor.dir_remaining = dir_remaining
-            monitor.observed_mis = observed_mis
-            monitor.observed_ev = observed_ev
-            monitor.fired = fired_count
-        return target_ok, hits, evicts, unders, stopped_at, conds_stepped
+        if watching:
+            counters.mispredictions_remaining = mis_remaining
+            counters.evictions_remaining = ev_remaining
+            counters.direction_remaining = dir_remaining
+            monitor.observed_mispredictions = observed_mis
+            monitor.observed_evictions = observed_ev
+            monitor.fired_count = fired_count
+        return target_ok, hits, evicts, unders, stopped_at
 
 
 # --------------------------------------------------------------------- stats
 
-def _accumulate_stats(engine: _CompositeEngine, stats: PredictorStats,
-                      warmup: int) -> None:
-    """Fold the whole-trace flag arrays into ``stats``, exactly like the
-    reference loop records branches past the global warm-up count."""
-    n = engine.n
-    start = min(max(warmup, 0), n)
-    span = slice(start, n)
-    conditional = engine.is_cond[span]
-    taken = engine.arrays.takens[span]
-    dir_ok = engine.dir_ok[span]
-    target_ok = engine.target_ok[span]
+def _accumulate(engine: _CompositeEngine, stats: PredictorStats,
+                measured) -> None:
+    """Fold the flags of the ``measured`` branches (a slice or an index
+    array) into ``stats``, exactly like the reference loop records them."""
+    conditional = engine.is_cond[measured]
+    taken = engine.arrays.takens[measured]
+    dir_ok = engine.dir_ok[measured]
+    target_ok = engine.target_ok[measured]
     effective = dir_ok & target_ok
+    count = conditional.shape[0]
     conditional_count = int(np.count_nonzero(conditional))
-    stats.branches += n - start
+    stats.branches += count
     stats.conditional_branches += conditional_count
     stats.direction_predictions += conditional_count
     stats.direction_correct += int(np.count_nonzero(conditional & dir_ok))
     stats.target_predictions += int(np.count_nonzero(taken))
     stats.target_correct += int(np.count_nonzero(taken & target_ok))
     stats.effective_correct += int(np.count_nonzero(effective))
-    stats.mispredictions += (n - start) - int(np.count_nonzero(effective))
-    stats.btb_evictions += int(np.count_nonzero(engine.btb_evict[span]))
-    stats.btb_hits += int(np.count_nonzero(engine.btb_hit[span]))
-    stats.rsb_underflows += int(np.count_nonzero(engine.rsb_under[span]))
-
-
-def _accumulate_smt(engine: _CompositeEngine, per_thread_stats,
-                    thread_offset: int, warmup: int) -> None:
-    """Per-thread accumulation for SMT co-runs (per-thread warm-up ordinals)."""
-    contexts = engine.arrays.context_ids
-    thread_one = contexts >= thread_offset
-    for thread, mask in ((0, ~thread_one), (1, thread_one)):
-        positions = np.flatnonzero(mask)
-        measured = positions[warmup:]
-        if measured.shape[0] == 0:
-            continue
-        stats = per_thread_stats[thread]
-        conditional = engine.is_cond[measured]
-        taken = engine.arrays.takens[measured]
-        dir_ok = engine.dir_ok[measured]
-        target_ok = engine.target_ok[measured]
-        effective = dir_ok & target_ok
-        conditional_count = int(np.count_nonzero(conditional))
-        stats.branches += measured.shape[0]
-        stats.conditional_branches += conditional_count
-        stats.direction_predictions += conditional_count
-        stats.direction_correct += int(np.count_nonzero(conditional & dir_ok))
-        stats.target_predictions += int(np.count_nonzero(taken))
-        stats.target_correct += int(np.count_nonzero(taken & target_ok))
-        stats.effective_correct += int(np.count_nonzero(effective))
-        stats.mispredictions += measured.shape[0] - int(np.count_nonzero(effective))
-        stats.btb_evictions += int(np.count_nonzero(engine.btb_evict[measured]))
-        stats.btb_hits += int(np.count_nonzero(engine.btb_hit[measured]))
-        stats.rsb_underflows += int(np.count_nonzero(engine.rsb_under[measured]))
+    stats.mispredictions += count - int(np.count_nonzero(effective))
+    stats.btb_evictions += int(np.count_nonzero(engine.btb_evict[measured]))
+    stats.btb_hits += int(np.count_nonzero(engine.btb_hit[measured]))
+    stats.rsb_underflows += int(np.count_nonzero(engine.rsb_under[measured]))
 
 
 # ------------------------------------------------------------------- kernels
@@ -1721,13 +1576,20 @@ class _KernelBase:
         self.model = model
 
     def run_trace(self, trace: Trace, warmup: int, stats: PredictorStats) -> None:
+        """Replay ``trace`` and record every branch past the first
+        ``warmup``, as the reference loop does (a negative warm-up records
+        them all)."""
         self._replay(trace)
-        _accumulate_stats(self.engine, stats, warmup)
+        _accumulate(self.engine, stats, slice(max(warmup, 0), None))
 
     def run_smt(self, merged: ColumnarTrace, thread_offset: int, warmup: int,
                 per_thread_stats) -> None:
+        """Replay a co-run; the warm-up counts each thread's own branches."""
         self._replay(merged)
-        _accumulate_smt(self.engine, per_thread_stats, thread_offset, warmup)
+        engine = self.engine
+        thread_one = engine.arrays.context_ids >= thread_offset
+        for stats, mask in zip(per_thread_stats, (~thread_one, thread_one)):
+            _accumulate(engine, stats, np.flatnonzero(mask)[max(warmup, 0):])
 
     def _replay(self, trace: Trace | ColumnarTrace) -> None:
         columns = trace.columns()
@@ -1752,10 +1614,10 @@ class _KernelBase:
         position = lo
         while position < hi:
             # run_span may stop early (stepper span cap); resume until done.
-            position = engine.run_span(position, hi).executed_to
+            position, _ = engine.run_span(position, hi)
 
-    def _on_event(self, event: TraceEvent) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def _on_event(self, event: TraceEvent) -> None:
+        dispatch_event(self.model, event)
 
     def _sync_extra(self, columns) -> None:
         pass
@@ -1899,11 +1761,8 @@ class _STBPUKernel(_KernelBase):
                 continue
             stop = min(pending[-1][0], hi) if pending else hi
             while position < stop:
-                mirror = _MonitorMirror(model.monitor)
-                result = engine.run_span(position, stop, mirror)
-                mirror.write_back()
-                position = result.executed_to
-                if result.fired:
+                position, fired = engine.run_span(position, stop, model.monitor)
+                if fired:
                     model._current_context = int(effective[position - 1])
                     model.rerandomize_current()
                     self._refresh()
@@ -1915,18 +1774,6 @@ class _STBPUKernel(_KernelBase):
         model.register.load(token)
         model.mapping.set_token(token)
         model.codec.set_token(token)
-
-    def _on_event(self, event: TraceEvent) -> None:
-        model = self.model
-        kind = event.kind
-        if kind is EventKind.CONTEXT_SWITCH:
-            model.on_context_switch(event.context_id)
-        elif kind is EventKind.MODE_SWITCH_ENTER_KERNEL:
-            model.on_mode_switch(PrivilegeMode.KERNEL, event.context_id)
-        elif kind is EventKind.MODE_SWITCH_EXIT_KERNEL:
-            model.on_mode_switch(PrivilegeMode.USER, event.context_id)
-        elif kind is EventKind.INTERRUPT:
-            model.on_interrupt(event.context_id)
 
 
 # ------------------------------------------------------------ kernel builders
@@ -1945,14 +1792,14 @@ def _make_engine(composite) -> _CompositeEngine | None:
     if type(composite) is not CompositeBPU:
         return None
     direction = composite.direction
-    stepper_type = None
     if type(direction) is SKLConditionalPredictor:
         if composite.sizes.pht_counter_bits != 2:
             return None
+        stepper_type, map_methods = _SKLStepper, ()
     elif type(direction) is TAGEPredictor:
-        stepper_type = _TAGEStepper
+        stepper_type, map_methods = _TAGEStepper, ("tage_indices", "tage_tags")
     elif type(direction) is PerceptronPredictor:
-        stepper_type = _PerceptronStepper
+        stepper_type, map_methods = _PerceptronStepper, ("perceptron_rows",)
     else:
         return None
     if type(composite.btb) is not BranchTargetBuffer:
@@ -1968,17 +1815,10 @@ def _make_engine(composite) -> _CompositeEngine | None:
     btb_maps = composite.btb.mapping.vector_maps()
     if pht_maps is None or btb_maps is None:
         return None
-    stepper = None
-    if stepper_type is _TAGEStepper:
-        if not (hasattr(pht_maps, "tage_indices")
-                and hasattr(pht_maps, "tage_tags")):
-            return None
-        stepper = _TAGEStepper(direction, pht_maps)
-    elif stepper_type is _PerceptronStepper:
-        if not hasattr(pht_maps, "perceptron_rows"):
-            return None
-        stepper = _PerceptronStepper(direction, pht_maps)
-    return _CompositeEngine(composite, pht_maps, btb_maps, codec, stepper)
+    if not all(hasattr(pht_maps, name) for name in map_methods):
+        return None
+    return _CompositeEngine(composite, pht_maps, btb_maps, codec,
+                            stepper_type(direction, pht_maps))
 
 
 def composite_kernel(model):
@@ -2031,7 +1871,8 @@ def kernel_status(model) -> str:
     """Backend coverage class for ``model``.
 
     ``"kernel"``
-        Closed-form array kernels end to end (SKL composites).
+        Closed-form array kernels end to end: the direction stepper is not
+        guarded (SKL composites).
     ``"guarded"``
         Array kernels plus a guarded-specialization direction stepper
         (TAGE, Perceptron): span inputs are speculative and repaired or
@@ -2039,16 +1880,14 @@ def kernel_status(model) -> str:
     ``"fallback"``
         No vector kernel; replay runs the reference loop.
 
-    A kernel accepts every trace — ``trace``, ``cpu`` and ``smt`` jobs — so
-    the class says which path replays all of the model's jobs.
+    The class is the kernel's ``engine.stepper.guarded`` flag.  A kernel
+    accepts every trace — ``trace``, ``cpu`` and ``smt`` jobs — so the class
+    says which path replays all of the model's jobs.
     """
     kernel = model.vector_kernel()
     if kernel is None:
         return "fallback"
-    engine = getattr(kernel, "engine", None)
-    if engine is not None and getattr(engine, "stepper", None) is not None:
-        return "guarded"
-    return "kernel"
+    return "guarded" if kernel.engine.stepper.guarded else "kernel"
 
 
 def _count_decline(model, kind: str) -> None:

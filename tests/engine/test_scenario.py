@@ -96,6 +96,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown scale keys"):
             parse_scenario({**_QUICK, "scale": {"branches": 100}})
 
+    @pytest.mark.parametrize("scale, message", [
+        ({"warmup_branches": -5}, "warmup_branches must not be negative"),
+        ({"branch_count": 0}, "branch_count must be positive"),
+        ({"branch_count": "2000"}, "branch_count must be an integer"),
+        ({"branch_count": 2000.0}, "branch_count must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"workload_limit": 1.5}, "workload_limit must be an integer"),
+    ])
+    def test_out_of_range_scale_is_rejected(self, scale, message):
+        with pytest.raises(ValueError, match=f"invalid scenario: scale {message}"):
+            parse_scenario({**_QUICK, "scale": scale})
+
+    def test_out_of_range_scale_fails_the_cli(self, capsys, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({**_QUICK, "scale": {"warmup_branches": -5}}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid scenario: scale warmup_branches")
+        assert captured.out == ""
+
     def test_baseline_must_be_a_declared_model(self):
         with pytest.raises(ValueError, match="baseline"):
             parse_scenario({**_QUICK, "baseline": "ST_TAGE_SC_L_8KB"})

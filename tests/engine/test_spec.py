@@ -148,6 +148,17 @@ class TestCLIAliases:
             aliased_out.replace(str(aliased_json), "X")
         assert json.loads(direct_json.read_text()) == json.loads(aliased_json.read_text())
 
+    @pytest.mark.parametrize("option, value", [("--warmup", "-5"),
+                                               ("--branches", "0")])
+    def test_out_of_range_scale_option_is_a_cli_error(self, capsys, option, value):
+        from repro.cli import main
+
+        assert main(["figure5", "--workload-limit", "1", "--branches", "600",
+                     "--warmup", "60", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: scale ")
+        assert "Traceback" not in captured.err
+
     def test_list_experiments_command(self, capsys):
         from repro.cli import main
 

@@ -1,24 +1,45 @@
-"""Randomized differential harness: ``vector`` against ``reference`` on SMT co-runs.
+"""Randomized differential harness: ``vector`` against ``reference``.
 
-Hypothesis builds pairs of small random traces — random branch types, ips
-from a small pool so entries collide, contexts 0–3 with kernel-mode
-branches, and random context-switch, mode-switch and interrupt events — and
-co-runs them through the STBPU factories under random scheduling quanta,
-warm-ups, monitor thresholds (with and without the direction register) and
-token-sharing groups.  Both backends must agree on the per-thread and
-protection stats and on the complete post-replay state: predictor tables,
-BTB, RSB, histories and the token machinery.  A second property pins the
-columnar SMT merge to the record-by-record one it replaces on the vector
-path.
+Hypothesis builds small random traces — random branch types, ips from a
+small pool so entries collide, contexts 0–3 with kernel-mode branches, and
+random context-switch, mode-switch and interrupt events.  One property
+replays a single trace through every kernel class — plain, flushing and
+conservative SKL composites, TAGE, Perceptron and the three STBPU factories
+— under random warm-ups (negative ones included), monitor thresholds and
+guarded-stepper span caps, on a small BTB so evictions feed the monitors.
+Another co-runs trace pairs through the STBPU factories under random
+scheduling quanta, warm-ups, monitor thresholds (with and without the
+direction register) and token-sharing groups.  Both backends must agree on
+the stats and protection stats and on the complete post-replay state:
+predictor tables, BTB, RSB, histories and the token machinery.  A third
+property pins the columnar SMT merge to the record-by-record one it
+replaces on the vector path.
 """
+
+import dataclasses
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bpu.common import StructureSizes
+from repro.bpu.protections import (
+    make_conservative,
+    make_ucode_protection_1,
+    make_ucode_protection_2,
+    make_unprotected_baseline,
+)
 from repro.bpu.tage import TAGE_SC_L_8KB
 from repro.core.monitoring import MonitorConfig
-from repro.core.stbpu import make_stbpu_perceptron, make_stbpu_skl, make_stbpu_tage
-from repro.sim import fastpath
+from repro.core.stbpu import (
+    make_stbpu_perceptron,
+    make_stbpu_skl,
+    make_stbpu_tage,
+    make_unprotected_perceptron,
+    make_unprotected_tage,
+)
+from repro.sim import fastpath, vector
+from repro.sim.bpu_sim import TraceSimulator
 from repro.sim.config import SimulationLengths
 from repro.sim.smt import SMTSimulator
 from repro.trace.branch import (
@@ -68,8 +89,8 @@ def _items(draw):
         mode=PrivilegeMode.KERNEL if kernel else PrivilegeMode.USER)
 
 
-def _traces(name):
-    return st.lists(_items(), max_size=90).map(
+def _traces(name, min_size=0, max_size=90):
+    return st.lists(_items(), min_size=min_size, max_size=max_size).map(
         lambda items: Trace(items=items, name=name))
 
 
@@ -97,6 +118,79 @@ def _direction_state(direction):
             direction.chooser._values)
 
 
+#: A BTB small enough for the random traces to evict, and small PHTs; the
+#: plain SKL composite's is not a power of two, which the kernels wrap.
+SMALL = StructureSizes(btb_sets=16, btb_ways=2, pht_entries=1024, rsb_entries=4)
+
+SINGLE_MODELS = {
+    "baseline": lambda monitor, seed: make_unprotected_baseline(
+        dataclasses.replace(SMALL, pht_entries=1000)),
+    "ucode_protection_1": lambda monitor, seed: make_ucode_protection_1(SMALL),
+    "ucode_protection_2": lambda monitor, seed: make_ucode_protection_2(SMALL),
+    "conservative": lambda monitor, seed: make_conservative(SMALL),
+    "TAGE_SC_L_8KB": lambda monitor, seed: make_unprotected_tage(
+        TAGE_SC_L_8KB, SMALL),
+    "PerceptronBP": lambda monitor, seed: make_unprotected_perceptron(sizes=SMALL),
+    **{name: (lambda monitor, seed, factory=factory: factory(
+        sizes=SMALL, monitor_config=monitor, seed=seed))
+       for name, factory in FACTORIES.items()},
+}
+
+
+def _wrapper_state(model):
+    """What a protection wrapper keeps outside the composite."""
+    if hasattr(model, "_context_tokens"):
+        return _token_state(model)
+    if hasattr(model, "_mapping"):
+        return model._mapping.current_context
+    return getattr(model, "_current_context", None)
+
+
+def _snapshot(model, stats):
+    """A replay's stats and post-replay state, labelled part by part."""
+    inner = getattr(model, "inner", model)
+    return {"stats": stats, "protection": model.protection_stats(),
+            "wrapper": _wrapper_state(model),
+            "composite": _composite_state(inner),
+            "direction": _direction_state(inner.direction)}
+
+
+def _diverged(replay):
+    """Run ``replay()`` on each backend; return the labels of the snapshot
+    parts on which they disagree.
+
+    Only labels leave this frame.  A diff of whole predictor tables would
+    dominate every Hypothesis shrink step, and a failing example keeps the
+    frame that raised alive.
+    """
+    snapshots = {}
+    for backend in ("reference", "vector"):
+        with fastpath.forced_backend(backend):
+            snapshots[backend] = replay()
+    reference, vector_ = snapshots["reference"], snapshots["vector"]
+    return sorted(label for label in reference
+                  if reference[label] != vector_[label])
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace=_traces("t", min_size=20, max_size=200), warmup=st.integers(-3, 30),
+       monitors=st.fixed_dictionaries({name: _monitors() for name in FACTORIES}),
+       seed=st.integers(0, 7), span_limit=st.integers(1, 64))
+def test_single_trace_reference_equals_vector(trace, warmup, monitors, seed,
+                                              span_limit):
+    def replay():
+        parts = {}
+        for name, factory in SINGLE_MODELS.items():
+            model = factory(monitors.get(name), seed)
+            stats = TraceSimulator(warmup_branches=warmup).run(model, trace).stats
+            for part, value in _snapshot(model, stats).items():
+                parts[name, part] = value
+        return parts
+
+    with mock.patch.object(vector, "_STEPPER_SPAN_LIMIT", span_limit):
+        assert _diverged(replay) == []
+
+
 def _shifted(trace, offset):
     """``trace`` with every record and event moved ``offset`` contexts up."""
     shifted = Trace(name=trace.name)
@@ -110,26 +204,21 @@ def _shifted(trace, offset):
 
 @settings(max_examples=30, deadline=None)
 @given(trace_a=_traces("a"), trace_b=_traces("b"),
-       quantum=st.integers(1, 40), warmup=st.integers(0, 30),
+       quantum=st.integers(1, 40), warmup=st.integers(-3, 30),
        monitor=_monitors(), groups=_GROUPS,
        model_name=st.sampled_from(sorted(FACTORIES)), seed=st.integers(0, 7))
 def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
                                            monitor, groups, model_name, seed):
-    snapshots = {}
-    for backend in ("reference", "vector"):
-        with fastpath.forced_backend(backend):
-            model = FACTORIES[model_name](monitor_config=monitor, seed=seed,
-                                          shared_token_groups=groups)
-            simulator = SMTSimulator(
-                lengths=SimulationLengths(warmup_branches=warmup),
-                quantum=quantum)
-            result = simulator.run(model, trace_a, trace_b,
-                                   thread_offset=THREAD_OFFSET)
-            snapshots[backend] = (
-                result.thread_stats, result.protection, _token_state(model),
-                _composite_state(model.inner),
-                _direction_state(model.inner.direction))
-    assert snapshots["reference"] == snapshots["vector"]
+    def replay():
+        model = FACTORIES[model_name](monitor_config=monitor, seed=seed,
+                                      shared_token_groups=groups)
+        simulator = SMTSimulator(
+            lengths=SimulationLengths(warmup_branches=warmup), quantum=quantum)
+        result = simulator.run(model, trace_a, trace_b,
+                               thread_offset=THREAD_OFFSET)
+        return _snapshot(model, result.thread_stats)
+
+    assert _diverged(replay) == []
 
 
 @settings(max_examples=30, deadline=None)

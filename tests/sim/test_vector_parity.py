@@ -148,6 +148,25 @@ class TestThreeWayParity:
                     model, trace).stats
         assert stats["reference"] == stats["vector"], f"warmup={warmup}"
 
+    def test_negative_smt_warmup_records_every_branch(self):
+        # The reference co-run loop records a thread's branch once its count
+        # passes the warm-up, so a negative warm-up records all of them.
+        from repro.engine import trace_for
+        from repro.sim.config import SimulationLengths
+
+        traces = (trace_for("505.mcf", 2_000, 7), trace_for("541.leela", 2_000, 7))
+        thread_stats = {}
+        for backend in BACKENDS:
+            with fastpath.forced_backend(backend):
+                simulator = SMTSimulator(
+                    lengths=SimulationLengths(warmup_branches=-5))
+                thread_stats[backend] = simulator.run(
+                    make_unprotected_baseline(), *traces).thread_stats
+        assert thread_stats["reference"] == thread_stats["vector"]
+        for trace, stats in zip(traces, thread_stats["vector"]):
+            assert stats.branches == sum(
+                isinstance(item, BranchRecord) for item in trace)
+
 
 def _declines(model: str, kind: str) -> float:
     """The ``repro_replay_declines_total`` sample for ``(model, kind)``."""
@@ -413,13 +432,17 @@ class TestBackendSwitch:
     def test_every_registry_model_has_a_kernel(self):
         from repro.engine.registry import build_model, list_models
 
+        # The class comes from the stepper's ``guarded`` flag and feeds
+        # list-models, the bench's predictors block and perfbench's
+        # sim.guarded_s, so the whole table is pinned.
         statuses = {name: vector.kernel_status(build_model(name, seed=0))
                     for name in list_models()}
-        assert set(statuses.values()) <= {"kernel", "guarded"}
-        assert statuses["TAGE_SC_L_64KB"] == "guarded"
-        assert statuses["ST_PerceptronBP"] == "guarded"
-        assert statuses["baseline"] == "kernel"
-        assert statuses["stbpu_variant"] == "kernel"
+        guarded = {"PerceptronBP", "ST_PerceptronBP", "TAGE_SC_L_8KB",
+                   "TAGE_SC_L_64KB", "ST_TAGE_SC_L_8KB", "ST_TAGE_SC_L_64KB"}
+        kernel = {"baseline", "SKLCond", "ST_SKLCond", "conservative",
+                  "stbpu_variant", "ucode_protection_1", "ucode_protection_2"}
+        assert statuses == {**{name: "guarded" for name in guarded},
+                            **{name: "kernel" for name in kernel}}
 
 
 class TestVectorKernels:
@@ -458,12 +481,14 @@ class TestVectorKernels:
         bits = 7
         outcomes = rng.integers(0, 2, size=50).astype(np.uint64)
         seed = 0b1011001
-        values, extended = vector._ghr_window(outcomes, seed, bits)
+        values = vector._ghr_window(outcomes, seed, bits)
         register = seed
         for position, outcome in enumerate(outcomes.tolist()):
             assert values[position] == register
+            assert vector._ghr_commit(seed, outcomes[:position].tolist(),
+                                      bits) == register
             register = ((register << 1) | outcome) & ((1 << bits) - 1)
-        assert vector._ghr_value_at(extended, len(outcomes), bits) == register
+        assert vector._ghr_commit(seed, outcomes.tolist(), bits) == register
 
     def test_bhb_states_match_shift_register(self):
         rng = np.random.default_rng(17)

@@ -283,6 +283,18 @@ class TestEndpoints:
         assert status == 400
         assert "invalid scenario" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("scale", [
+        {"branch_count": 2000, "warmup_branches": -5},
+        {"branch_count": "2000"},
+        {"branch_count": 0},
+    ])
+    def test_out_of_range_scale_is_400(self, base_url, scale):
+        status, _, body = _request(base_url, "POST", "/v1/experiments",
+                                   dict(SCENARIO, kind="smt", scale=scale,
+                                        workloads=[["505.mcf", "541.leela"]]))
+        assert status == 400
+        assert "invalid scenario: scale" in json.loads(body)["error"]
+
     def test_non_json_body_is_400(self, base_url):
         request = urllib.request.Request(
             base_url + "/v1/experiments", data=b"{broken", method="POST")
