@@ -9,11 +9,16 @@ forked pool workers inherit it as it stood when their run began.
 The cache is a capped LRU: grids expand workload-major, so consecutive jobs
 reuse the hot entry while million-job scenario sweeps can no longer grow
 memory without bound.  Hit/miss counters are exposed for the bench report
-(:func:`trace_cache_stats`).
+(:func:`trace_cache_stats`).  ``repro serve`` runs several job-worker threads
+through the one cache, so its dict and counters change only under a lock,
+held around dict operations and never across synthesis.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
@@ -44,7 +49,13 @@ TraceKey = tuple[str, int, int]
 
 
 class TraceCache:
-    """LRU-bounded memoisation of synthetic traces with hit/miss counters."""
+    """LRU-bounded memoisation of synthetic traces with hit/miss counters.
+
+    Thread-safe: every read and update of the entries and counters holds
+    ``_lock``.  A forked child gets a fresh lock (see
+    :func:`_reset_locks_after_fork`), because a pool worker may fork while
+    another job thread holds it.
+    """
 
     def __init__(self, capacity: int = TRACE_CACHE_CAPACITY):
         if capacity < 1:
@@ -54,39 +65,61 @@ class TraceCache:
         self.misses = 0
         self.evictions = 0
         self._entries: OrderedDict[TraceKey, Trace] = OrderedDict()
+        self._lock = threading.Lock()
+        _CACHES.add(self)
 
     def get(self, key: TraceKey) -> Trace | None:
-        trace = self._entries.get(key)
-        if trace is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return trace
+        with self._lock:
+            trace = self._entries.get(key)
+            if trace is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return trace
 
     def put(self, key: TraceKey, trace: Trace) -> None:
-        entries = self._entries
-        entries[key] = trace
-        entries.move_to_end(key)
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
+        with self._lock:
+            entries = self._entries
+            entries[key] = trace
+            entries.move_to_end(key)
+            while len(entries) > self.capacity:
+                entries.popitem(last=False)
+                self.evictions += 1
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
 
+
+#: Every live cache, so a forked child can replace their locks.
+_CACHES: weakref.WeakSet[TraceCache] = weakref.WeakSet()
+
+
+def _reset_locks_after_fork() -> None:
+    """Give each cache a fresh lock in a forked child.
+
+    ``fork`` copies only the forking thread, so a lock another thread held
+    at that moment would stay held in the child forever.
+    """
+    for cache in _CACHES:
+        cache._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_locks_after_fork)
 
 _TRACE_CACHE = TraceCache()
 

@@ -39,8 +39,10 @@ from repro.lint.rules._ast import dotted_name, finding_at, self_attribute_chain
 
 #: Modules reachable from the threaded serve tier.  The metrics registry
 #: (``repro.obs``) is mutated from every request handler and job worker, so
-#: it carries the same lock discipline as the store.
-SCOPE = ("repro.store", "repro.store.", "repro.obs", "repro.obs.")
+#: it carries the same lock discipline as the store, and so does the trace
+#: cache (``repro.engine.workloads``) that every job worker reads and fills.
+SCOPE = ("repro.store", "repro.store.", "repro.obs", "repro.obs.",
+         "repro.engine.workloads")
 
 #: Callables whose result is shared mutable module state when assigned at
 #: module level.
@@ -229,6 +231,7 @@ RULE = register_rule(Rule(
     id="thread-safety",
     severity=Severity.ERROR,
     description="serve-tier shared state (module globals, lock-owning "
-                "classes in repro.store) mutated without its lock",
+                "classes in repro.store, repro.obs and the trace cache) "
+                "mutated without its lock",
     check=_check,
 ))

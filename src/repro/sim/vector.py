@@ -1172,9 +1172,7 @@ class _CompositeEngine:
     def flush(self) -> None:
         """Emulate ``CompositeBPU.flush_predictor_state`` on the adopted state."""
         keys = self.bt_keys
-        for position, key in enumerate(keys):
-            if key != -1:
-                keys[position] = -1
+        keys[:] = [-1] * len(keys)
         self.rsb.clear()
         self.stepper.flush()
         self.ghr_value = 0

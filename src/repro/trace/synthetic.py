@@ -17,6 +17,21 @@ interrupts.  Multi-process captures interleave per-context generators and emit
 context-switch events, optionally sharing the user-level program image
 (Apache/MySQL prefork workers) so that protection schemes that flush on
 context switch lose genuinely useful state.
+
+Records are shared immutable values.  A trace revisits a few thousand sites,
+so most of its records repeat: each generator keeps one
+:class:`~repro.trace.branch.BranchRecord` per distinct record value and
+appends that object every time the value recurs.  Records are frozen, so
+sharing is invisible to consumers, while the default figure3 traces hold a
+sixth of the objects (and cost the garbage collector a sixth of the walks)
+that one record per branch would.
+
+Integer draws go through :func:`_randbelow`, which mirrors CPython's
+``Random._randbelow_with_getrandbits``, the routine that ``randrange``,
+``randint``, ``choice`` and ``shuffle`` all reduce to.  Called on the same
+``getrandbits``, it consumes the same words and returns the same integers as
+those methods, in one Python frame instead of three.  A stdlib whose draws
+differ fails the property test that pins the helper to ``random.Random``.
 """
 
 from __future__ import annotations
@@ -27,6 +42,8 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.trace.branch import (
+    BRANCH_TYPE_CODES,
+    BRANCH_TYPES_BY_CODE,
     VIRTUAL_ADDRESS_MASK,
     BranchRecord,
     BranchType,
@@ -42,9 +59,53 @@ _KERNEL_CODE_BASE = 0xFFFF_8000_0100_0000 & VIRTUAL_ADDRESS_MASK
 _CONTEXT_IMAGE_STRIDE = 0x0000_0010_0000_0000
 _INSTRUCTION_STRIDE = 16
 
+_CONDITIONAL = BRANCH_TYPE_CODES[BranchType.CONDITIONAL]
+_DIRECT_JUMP = BRANCH_TYPE_CODES[BranchType.DIRECT_JUMP]
+_DIRECT_CALL = BRANCH_TYPE_CODES[BranchType.DIRECT_CALL]
+_INDIRECT_JUMP = BRANCH_TYPE_CODES[BranchType.INDIRECT_JUMP]
+_INDIRECT_CALL = BRANCH_TYPE_CODES[BranchType.INDIRECT_CALL]
+_RETURN = BRANCH_TYPE_CODES[BranchType.RETURN]
 
-class _ConditionalBehavior:
-    """Direction-generation model for one conditional branch site.
+
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform integer in ``[0, n)``, drawn exactly as ``random.Random`` draws it.
+
+    This is CPython's ``Random._randbelow_with_getrandbits`` on a generator's
+    bound ``getrandbits``: ``rng.randrange(n)`` is ``_randbelow(bits, n)``,
+    ``rng.randint(a, b)`` is ``a + _randbelow(bits, b - a + 1)`` and
+    ``rng.choice(seq)`` is ``seq[_randbelow(bits, len(seq))]``.  ``n`` must
+    be positive; ``n == 0`` would never return.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+class _RecordMemo(dict):
+    """One shared :class:`BranchRecord` per distinct record value.
+
+    Keys are ``(ip, target, taken, type_code, context_id, kernel)``: the
+    record's fields, with the branch type as its :data:`BRANCH_TYPE_CODES`
+    code and the mode as a kernel flag, because enum members hash in Python
+    and ints in C.  A missing key builds the record, so an emitter appends
+    ``memo[key]`` without a Python call once the value has been seen.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[int, int, bool, int, int, bool]) -> BranchRecord:
+        ip, target, taken, type_code, context_id, kernel = key
+        record = self[key] = BranchRecord(
+            ip, target, taken, BRANCH_TYPES_BY_CODE[type_code], context_id,
+            PrivilegeMode.KERNEL if kernel else PrivilegeMode.USER,
+        )
+        return record
+
+
+class _ConditionalSite:
+    """One conditional branch site and the model generating its directions.
 
     Three site classes model the spectrum seen in real code:
 
@@ -61,39 +122,28 @@ class _ConditionalBehavior:
     PATTERNED = "patterned"
     MARKOV = "markov"
 
-    __slots__ = ("kind", "taken_probability", "pattern", "position", "persistence", "state")
+    __slots__ = ("ip", "taken_target", "fall_through", "kind", "taken_probability",
+                 "pattern", "position", "persistence", "state")
 
     def __init__(
         self,
+        ip: int,
+        taken_target: int,
         kind: str,
         taken_probability: float,
-        pattern: tuple[bool, ...],
+        pattern: tuple[bool, ...] = (),
         persistence: float = 0.5,
     ):
+        self.ip = ip
+        self.taken_target = taken_target
+        #: The not-taken target, masked like every record address.
+        self.fall_through = (ip + 4) & VIRTUAL_ADDRESS_MASK
         self.kind = kind
         self.taken_probability = taken_probability
         self.pattern = pattern
         self.position = 0
         self.persistence = persistence
         self.state = True
-
-    def next_outcome(self, rng: random.Random) -> bool:
-        if self.kind == self.PATTERNED:
-            outcome = self.pattern[self.position % len(self.pattern)]
-            self.position += 1
-            return outcome
-        if self.kind == self.MARKOV:
-            if rng.random() >= self.persistence:
-                self.state = not self.state
-            return self.state
-        return rng.random() < self.taken_probability
-
-
-@dataclass(slots=True)
-class _ConditionalSite:
-    ip: int
-    taken_target: int
-    behavior: _ConditionalBehavior
 
 
 @dataclass(slots=True)
@@ -102,8 +152,6 @@ class _IndirectSite:
     targets: tuple[int, ...]
     is_call: bool
     history_correlated: bool
-    #: Rolling selector mixed from recent outcomes; used when correlated.
-    selector: int = 0
 
 
 @dataclass(slots=True)
@@ -153,6 +201,8 @@ class _ContextState:
     context_id: int
     image: _ProgramImage
     rng: random.Random
+    #: Kernel-mode context: the shared kernel image entered on events.
+    kernel: bool = False
     call_stack: list[int] = field(default_factory=list)
     recent_history: int = 0
     current_loop: int = 0
@@ -181,6 +231,10 @@ class SyntheticTraceGenerator:
         self._rng = random.Random(
             (zlib.crc32(profile.name.encode("utf-8")) & 0xFFFF_FFFF) ^ (seed * 0x9E3779B9)
         )
+        self._records = _RecordMemo()
+        #: ``append`` of the item list :meth:`generate` is filling.
+        self._append = None
+        self._max_call_depth = max(2, int(profile.call_depth_mean * 1.5))
         self._kernel_image = self._build_image(
             base=_KERNEL_CODE_BASE,
             conditional_sites=max(64, profile.static_conditional_sites // 8),
@@ -190,7 +244,8 @@ class SyntheticTraceGenerator:
         )
         self._contexts = self._build_contexts()
         self._kernel_state = _ContextState(
-            context_id=-1, image=self._kernel_image, rng=random.Random(self._rng.random())
+            context_id=-1, image=self._kernel_image, rng=random.Random(self._rng.random()),
+            kernel=True,
         )
 
     # ------------------------------------------------------------------ build
@@ -238,30 +293,33 @@ class SyntheticTraceGenerator:
     ) -> _ProgramImage:
         profile = self.profile
         rng = random.Random(self._rng.getrandbits(64))
+        bits = rng.getrandbits
         next_address = base
 
         def allocate() -> int:
             nonlocal next_address
             address = next_address
             # Real code is not laid out uniformly; skip a random small gap.
-            next_address += _INSTRUCTION_STRIDE * rng.randint(1, 24)
+            next_address += _INSTRUCTION_STRIDE * (1 + _randbelow(bits, 24))
             return address & VIRTUAL_ADDRESS_MASK
 
         conditionals: list[_ConditionalSite] = []
         for _ in range(conditional_sites):
             ip = allocate()
-            taken_target = (ip + _INSTRUCTION_STRIDE * rng.randint(2, 4000)) & VIRTUAL_ADDRESS_MASK
+            taken_target = (
+                ip + _INSTRUCTION_STRIDE * (2 + _randbelow(bits, 3_999))
+            ) & VIRTUAL_ADDRESS_MASK
             roll = rng.random()
             if roll < profile.biased_site_fraction:
                 probability = 0.97 if rng.random() < 0.6 else 0.03
-                behavior = _ConditionalBehavior(_ConditionalBehavior.BIASED, probability, ())
+                site = _ConditionalSite(ip, taken_target, _ConditionalSite.BIASED, probability)
             elif roll < profile.biased_site_fraction + profile.patterned_site_fraction:
-                length = rng.randint(2, 8)
+                length = 2 + _randbelow(bits, 7)
                 pattern = tuple(rng.random() < 0.5 for _ in range(length))
                 # Guarantee the pattern is not constant so it is genuinely periodic.
                 if all(pattern) or not any(pattern):
                     pattern = pattern[:-1] + (not pattern[-1],)
-                behavior = _ConditionalBehavior(_ConditionalBehavior.PATTERNED, 0.5, pattern)
+                site = _ConditionalSite(ip, taken_target, _ConditionalSite.PATTERNED, 0.5, pattern)
             else:
                 # "Hard" sites: data-dependent branches whose outcomes come in
                 # runs.  The workload entropy parameter controls the run
@@ -269,10 +327,10 @@ class SyntheticTraceGenerator:
                 # to predict runs, high entropy gives long predictable ones.
                 persistence = min(0.97, 0.55 + profile.random_site_entropy
                                   + rng.uniform(0.0, 0.2))
-                behavior = _ConditionalBehavior(
-                    _ConditionalBehavior.MARKOV, 0.5, (), persistence=persistence
+                site = _ConditionalSite(
+                    ip, taken_target, _ConditionalSite.MARKOV, 0.5, persistence=persistence
                 )
-            conditionals.append(_ConditionalSite(ip=ip, taken_target=taken_target, behavior=behavior))
+            conditionals.append(site)
 
         indirects: list[_IndirectSite] = []
         for _ in range(indirect_sites):
@@ -280,7 +338,7 @@ class SyntheticTraceGenerator:
             count = max(1, int(rng.expovariate(1.0 / profile.indirect_targets_mean)) + 1)
             count = min(count, 16)
             targets = tuple(
-                (ip + _INSTRUCTION_STRIDE * rng.randint(8, 6000)) & VIRTUAL_ADDRESS_MASK
+                (ip + _INSTRUCTION_STRIDE * (8 + _randbelow(bits, 5_993))) & VIRTUAL_ADDRESS_MASK
                 for _ in range(count)
             )
             indirects.append(
@@ -295,10 +353,12 @@ class SyntheticTraceGenerator:
         calls: list[_CallSite] = []
         for _ in range(call_sites):
             ip = allocate()
-            target = (ip + _INSTRUCTION_STRIDE * rng.randint(16, 8000)) & VIRTUAL_ADDRESS_MASK
-            body_length = rng.randint(2, 6)
+            target = (
+                ip + _INSTRUCTION_STRIDE * (16 + _randbelow(bits, 7_985))
+            ) & VIRTUAL_ADDRESS_MASK
+            body_length = 2 + _randbelow(bits, 5)
             if conditionals:
-                start = rng.randrange(len(conditionals))
+                start = _randbelow(bits, len(conditionals))
                 body = tuple(
                     conditionals[(start + position) % len(conditionals)]
                     for position in range(body_length)
@@ -310,17 +370,20 @@ class SyntheticTraceGenerator:
         directs: list[_DirectSite] = []
         for _ in range(direct_sites):
             ip = allocate()
-            target = (ip + _INSTRUCTION_STRIDE * rng.randint(4, 2000)) & VIRTUAL_ADDRESS_MASK
+            target = (
+                ip + _INSTRUCTION_STRIDE * (4 + _randbelow(bits, 1_997))
+            ) & VIRTUAL_ADDRESS_MASK
             directs.append(_DirectSite(ip=ip, target=target))
 
         # Dedicated loop back-edge branches (taken on every iteration but the last).
         back_edges: list[_ConditionalSite] = []
         for _ in range(max(4, len(conditionals) // 8)):
             ip = allocate()
-            taken_target = (ip - _INSTRUCTION_STRIDE * rng.randint(8, 512)) & VIRTUAL_ADDRESS_MASK
-            behavior = _ConditionalBehavior(_ConditionalBehavior.BIASED, 1.0, ())
+            taken_target = (
+                ip - _INSTRUCTION_STRIDE * (8 + _randbelow(bits, 505))
+            ) & VIRTUAL_ADDRESS_MASK
             back_edges.append(
-                _ConditionalSite(ip=ip, taken_target=taken_target, behavior=behavior)
+                _ConditionalSite(ip, taken_target, _ConditionalSite.BIASED, 1.0)
             )
 
         loops = self._group_into_loops(rng, conditionals, indirects, calls, directs, back_edges)
@@ -342,17 +405,21 @@ class SyntheticTraceGenerator:
         back_edges: list[_ConditionalSite],
     ) -> list[_Loop]:
         """Partition all sites into short loops with a hot/cold visit profile."""
+        bits = rng.getrandbits
         site_pool: list[object] = []
         site_pool.extend(conditionals)
         site_pool.extend(indirects)
         site_pool.extend(calls)
         site_pool.extend(directs)
-        rng.shuffle(site_pool)
+        # rng.shuffle(site_pool), draw for draw.
+        for i in reversed(range(1, len(site_pool))):
+            j = _randbelow(bits, i + 1)
+            site_pool[i], site_pool[j] = site_pool[j], site_pool[i]
 
         loops: list[_Loop] = []
         index = 0
         while index < len(site_pool):
-            size = rng.randint(4, 16)
+            size = 4 + _randbelow(bits, 13)
             body = site_pool[index:index + size]
             index += size
             mean_iterations = 8.0 + rng.expovariate(1.0 / 24.0)
@@ -371,6 +438,7 @@ class SyntheticTraceGenerator:
         profile = self.profile
         target_branches = branch_count if branch_count is not None else profile.branch_count
         trace = Trace(name=profile.name)
+        self._append = append = trace.items.append
 
         active = 0
         emitted = 0
@@ -380,20 +448,19 @@ class SyntheticTraceGenerator:
 
         while emitted < target_branches:
             state = self._contexts[active]
-            produced = self._emit_loop_step(trace, state, PrivilegeMode.USER)
-            emitted += produced
+            emitted += self._emit_loop_step(state)
 
             if profile.syscall_interval and emitted >= next_syscall:
                 next_syscall = emitted + self._interval(profile.syscall_interval)
                 emitted += self._emit_kernel_entry(
-                    trace, state.context_id, EventKind.MODE_SWITCH_ENTER_KERNEL,
+                    state.context_id, EventKind.MODE_SWITCH_ENTER_KERNEL,
                     profile.kernel_branch_burst,
                 )
 
             if profile.interrupt_interval and emitted >= next_interrupt:
                 next_interrupt = emitted + self._interval(profile.interrupt_interval)
                 emitted += self._emit_kernel_entry(
-                    trace, state.context_id, EventKind.INTERRUPT,
+                    state.context_id, EventKind.INTERRUPT,
                     max(8, profile.kernel_branch_burst // 3),
                 )
 
@@ -404,8 +471,8 @@ class SyntheticTraceGenerator:
             ):
                 next_context_switch = emitted + self._interval(profile.context_switch_interval)
                 choices = [i for i in range(profile.co_resident_contexts) if i != active]
-                active = self._rng.choice(choices)
-                trace.append(TraceEvent(EventKind.CONTEXT_SWITCH, context_id=active))
+                active = choices[_randbelow(self._rng.getrandbits, len(choices))]
+                append(TraceEvent(EventKind.CONTEXT_SWITCH, context_id=active))
 
         return trace
 
@@ -414,7 +481,7 @@ class SyntheticTraceGenerator:
             return 1 << 62
         return max(1, int(self._rng.expovariate(1.0 / mean)))
 
-    def _emit_loop_step(self, trace: Trace, state: _ContextState, mode: PrivilegeMode) -> int:
+    def _emit_loop_step(self, state: _ContextState) -> int:
         """Emit one site's worth of branches from the context's current loop."""
         image = state.image
         if state.loop_remaining <= 0 or state.current_loop >= len(image.loops):
@@ -427,28 +494,33 @@ class SyntheticTraceGenerator:
 
         loop = image.loops[state.current_loop]
         site = loop.sites[state.site_cursor]
-        produced = self._emit_site(trace, state, site, mode)
+        site_class = site.__class__
+        if site_class is _ConditionalSite:
+            self._emit_conditional(state, site)
+            produced = 1
+        elif site_class is _CallSite:
+            produced = self._emit_call(state, site)
+        elif site_class is _IndirectSite:
+            produced = self._emit_indirect(state, site)
+        elif site_class is _DirectSite:
+            self._append(self._records[
+                site.ip, site.target, True, _DIRECT_JUMP, state.context_id, state.kernel])
+            produced = 1
+        else:
+            raise TypeError(f"unknown site type: {site_class!r}")
 
         state.site_cursor += 1
         if state.site_cursor >= len(loop.sites):
             state.site_cursor = 0
             state.loop_remaining -= 1
-            if loop.back_edge is not None:
+            back_edge = loop.back_edge
+            if back_edge is not None:
                 # Loop-control branch: taken while more iterations remain.
                 taken = state.loop_remaining > 0
-                back_edge = loop.back_edge
-                target = back_edge.taken_target if taken else (back_edge.ip + 4)
-                trace.append(
-                    BranchRecord(
-                        ip=back_edge.ip,
-                        target=target,
-                        taken=taken,
-                        branch_type=BranchType.CONDITIONAL,
-                        context_id=state.context_id,
-                        mode=mode,
-                    )
-                )
-                state.recent_history = ((state.recent_history << 1) | int(taken)) & 0xFFFF
+                target = back_edge.taken_target if taken else back_edge.fall_through
+                self._append(self._records[
+                    back_edge.ip, target, taken, _CONDITIONAL, state.context_id, state.kernel])
+                state.recent_history = ((state.recent_history << 1) | taken) & 0xFFFF
                 produced += 1
         return produced
 
@@ -463,57 +535,34 @@ class SyntheticTraceGenerator:
         loop_count = len(state.image.loops)
         hot_count = max(1, int(loop_count * 0.06))
         warm_count = max(hot_count + 1, int(loop_count * 0.25))
-        roll = state.rng.random()
+        rng = state.rng
+        roll = rng.random()
         if roll < 0.85:
-            return state.rng.randrange(hot_count)
+            return _randbelow(rng.getrandbits, hot_count)
         if roll < 0.95:
-            return state.rng.randrange(warm_count)
-        return state.rng.randrange(loop_count)
+            return _randbelow(rng.getrandbits, warm_count)
+        return _randbelow(rng.getrandbits, loop_count)
 
-    def _emit_site(
-        self, trace: Trace, state: _ContextState, site: object, mode: PrivilegeMode
-    ) -> int:
-        if isinstance(site, _ConditionalSite):
-            return self._emit_conditional(trace, state, site, mode)
-        if isinstance(site, _IndirectSite):
-            return self._emit_indirect(trace, state, site, mode)
-        if isinstance(site, _CallSite):
-            return self._emit_call(trace, state, site, mode)
-        if isinstance(site, _DirectSite):
-            trace.append(
-                BranchRecord(
-                    ip=site.ip,
-                    target=site.target,
-                    taken=True,
-                    branch_type=BranchType.DIRECT_JUMP,
-                    context_id=state.context_id,
-                    mode=mode,
-                )
-            )
-            return 1
-        raise TypeError(f"unknown site type: {type(site)!r}")
+    def _emit_conditional(self, state: _ContextState, site: _ConditionalSite) -> None:
+        kind = site.kind
+        if kind == _ConditionalSite.PATTERNED:
+            pattern = site.pattern
+            taken = pattern[site.position % len(pattern)]
+            site.position += 1
+        elif kind == _ConditionalSite.MARKOV:
+            if state.rng.random() >= site.persistence:
+                site.state = not site.state
+            taken = site.state
+        else:
+            taken = state.rng.random() < site.taken_probability
+        target = site.taken_target if taken else site.fall_through
+        self._append(self._records[
+            site.ip, target, taken, _CONDITIONAL, state.context_id, state.kernel])
+        state.recent_history = ((state.recent_history << 1) | taken) & 0xFFFF
 
-    def _emit_conditional(
-        self, trace: Trace, state: _ContextState, site: _ConditionalSite, mode: PrivilegeMode
-    ) -> int:
-        taken = site.behavior.next_outcome(state.rng)
-        target = site.taken_target if taken else (site.ip + 4)
-        record = BranchRecord(
-            ip=site.ip,
-            target=target,
-            taken=taken,
-            branch_type=BranchType.CONDITIONAL,
-            context_id=state.context_id,
-            mode=mode,
-        )
-        trace.append(record)
-        state.recent_history = ((state.recent_history << 1) | int(taken)) & 0xFFFF
-        return 1
-
-    def _emit_indirect(
-        self, trace: Trace, state: _ContextState, site: _IndirectSite, mode: PrivilegeMode
-    ) -> int:
-        if len(site.targets) == 1:
+    def _emit_indirect(self, state: _ContextState, site: _IndirectSite) -> int:
+        targets = site.targets
+        if len(targets) == 1:
             index = 0
         elif site.history_correlated:
             # Most dynamic executions of a polymorphic indirect branch hit its
@@ -523,90 +572,59 @@ class SyntheticTraceGenerator:
             if state.rng.random() < 0.85:
                 index = 0
             else:
-                index = 1 + (state.recent_history % (len(site.targets) - 1))
+                index = 1 + (state.recent_history % (len(targets) - 1))
         else:
-            index = state.rng.randrange(len(site.targets))
-        target = site.targets[index]
-        branch_type = BranchType.INDIRECT_CALL if site.is_call else BranchType.INDIRECT_JUMP
-        trace.append(
-            BranchRecord(
-                ip=site.ip,
-                target=target,
-                taken=True,
-                branch_type=branch_type,
-                context_id=state.context_id,
-                mode=mode,
-            )
-        )
-        produced = 1
+            index = _randbelow(state.rng.getrandbits, len(targets))
+        type_code = _INDIRECT_CALL if site.is_call else _INDIRECT_JUMP
+        self._append(self._records[
+            site.ip, targets[index], True, type_code, state.context_id, state.kernel])
         if site.is_call:
-            state.call_stack.append(site.ip + 4)
-            produced += self._emit_returns(trace, state, mode, probability=0.9)
-        return produced
+            state.call_stack.append((site.ip + 4) & VIRTUAL_ADDRESS_MASK)
+            return 1 + self._emit_returns(state, probability=0.9)
+        return 1
 
-    def _emit_call(
-        self, trace: Trace, state: _ContextState, site: _CallSite, mode: PrivilegeMode
-    ) -> int:
-        trace.append(
-            BranchRecord(
-                ip=site.ip,
-                target=site.target,
-                taken=True,
-                branch_type=BranchType.DIRECT_CALL,
-                context_id=state.context_id,
-                mode=mode,
-            )
-        )
-        state.call_stack.append(site.ip + 4)
-        produced = 1
+    def _emit_call(self, state: _ContextState, site: _CallSite) -> int:
+        self._append(self._records[
+            site.ip, site.target, True, _DIRECT_CALL, state.context_id, state.kernel])
+        state.call_stack.append((site.ip + 4) & VIRTUAL_ADDRESS_MASK)
 
         # Execute the callee's (fixed) body of conditional branches.
-        image = state.image
         for body_site in site.body_sites:
-            produced += self._emit_conditional(trace, state, body_site, mode)
+            self._emit_conditional(state, body_site)
+        produced = 1 + len(site.body_sites)
 
         # Occasionally nest deeper before unwinding, so the RSB can underflow.
-        max_depth = max(2, int(self.profile.call_depth_mean * 1.5))
-        if len(state.call_stack) < max_depth and state.rng.random() < 0.35 and image.calls:
-            nested = image.calls[state.rng.randrange(len(image.calls))]
+        calls = state.image.calls
+        if len(state.call_stack) < self._max_call_depth and state.rng.random() < 0.35 and calls:
+            nested = calls[_randbelow(state.rng.getrandbits, len(calls))]
             if nested.ip != site.ip:
-                produced += self._emit_call(trace, state, nested, mode)
+                produced += self._emit_call(state, nested)
 
-        produced += self._emit_returns(trace, state, mode, probability=0.95)
-        return produced
+        return produced + self._emit_returns(state, probability=0.95)
 
-    def _emit_returns(
-        self, trace: Trace, state: _ContextState, mode: PrivilegeMode, probability: float
-    ) -> int:
+    def _emit_returns(self, state: _ContextState, probability: float) -> int:
         """Pop and emit return branches with the given per-frame probability."""
         produced = 0
-        while state.call_stack and state.rng.random() < probability:
-            return_address = state.call_stack.pop()
-            trace.append(
-                BranchRecord(
-                    ip=(return_address + 64) & VIRTUAL_ADDRESS_MASK,
-                    target=return_address,
-                    taken=True,
-                    branch_type=BranchType.RETURN,
-                    context_id=state.context_id,
-                    mode=mode,
-                )
-            )
+        call_stack = state.call_stack
+        random_draw = state.rng.random
+        while call_stack and random_draw() < probability:
+            return_address = call_stack.pop()
+            self._append(self._records[
+                (return_address + 64) & VIRTUAL_ADDRESS_MASK, return_address, True, _RETURN,
+                state.context_id, state.kernel])
             produced += 1
         return produced
 
-    def _emit_kernel_entry(
-        self, trace: Trace, context_id: int, kind: EventKind, burst: int
-    ) -> int:
+    def _emit_kernel_entry(self, context_id: int, kind: EventKind, burst: int) -> int:
         """Emit a kernel excursion: event marker, kernel branches, exit marker."""
-        trace.append(TraceEvent(kind, context_id=context_id))
+        self._append(TraceEvent(kind, context_id=context_id))
         produced = 0
         kernel = self._kernel_state
         kernel.context_id = context_id
         length = max(1, int(self._rng.expovariate(1.0 / burst))) if burst else 0
         while produced < length:
-            produced += self._emit_loop_step(trace, kernel, PrivilegeMode.KERNEL)
-        trace.append(TraceEvent(EventKind.MODE_SWITCH_EXIT_KERNEL, context_id=context_id))
+            produced += self._emit_loop_step(kernel)
+        self._append(TraceEvent(EventKind.MODE_SWITCH_EXIT_KERNEL, context_id=context_id))
         return produced
 
 

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +175,55 @@ class TestTraceCacheLRU:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             TraceCache(capacity=0)
+
+    def test_concurrent_get_and_put(self):
+        # `repro serve` runs two job-worker threads through one cache: a put
+        # that evicts a key between a get's lookup and its LRU refresh must
+        # not raise, and no counter update may be lost.
+        cache = TraceCache(capacity=2)
+        keys = [("w", 1, seed) for seed in range(4)]
+        errors: list[Exception] = []
+        gets = [0, 0]
+        done = threading.Event()
+
+        def getter(slot):
+            try:
+                while not done.is_set():
+                    for key in keys:
+                        cache.get(key)
+                    gets[slot] += len(keys)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+                done.set()
+
+        def putter():
+            try:
+                deadline = time.monotonic() + 1.0
+                while not done.is_set() and time.monotonic() < deadline:
+                    for key in keys:
+                        cache.put(key, "trace")
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=getter, args=(0,)),
+                       threading.Thread(target=getter, args=(1,)),
+                       threading.Thread(target=putter)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == sum(gets)
+        assert stats["size"] <= 2
 
     def test_module_cache_reports_stats(self):
         trace_for("505.mcf", 600, 3)

@@ -298,6 +298,22 @@ class TestThreadSafety:
             """}, rules=["thread-safety"])
         assert report.clean
 
+    def test_trace_cache_module_is_in_scope(self, lint_tree):
+        # Serve's job-worker threads share the trace cache.
+        report = lint_tree({"repro/engine/workloads.py": """\
+            import threading
+
+            class TraceCache:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.hits = 0
+
+                def get(self):
+                    self.hits += 1
+            """}, rules=["thread-safety"])
+        (finding,) = report.findings
+        assert "bare augassign of self.hits" in finding.message
+
 
 class TestBackendParity:
     def test_provider_overriding_scalar_map_must_define_vector_maps(self, lint_tree):
