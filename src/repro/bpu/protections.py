@@ -4,7 +4,7 @@ The paper compares STBPU against:
 
 * **µcode protection 1** — IBPB + IBRS + STIBP: the BPU is flushed on context
   switches (IBPB) *and* on privilege-mode switches (IBRS), and SMT threads are
-  logically segmented (STIBP).
+  logically segmented (STIBP, modelled as a halved BTB).
 * **µcode protection 2** — IBPB + IBRS without STIBP: flushes on context
   switches and kernel entries only.
 * **conservative** — a structural redesign that stores full 48-bit addresses
@@ -34,10 +34,11 @@ class FlushingProtectedBPU(BranchPredictorModel):
         flush_on_context_switch: Model IBPB (flush on every context switch).
         flush_on_mode_switch: Model IBRS (flush when entering the kernel so
             lower-privilege state cannot steer higher-privilege speculation).
-        stibp: Model STIBP by segmenting predictions between hardware
-            threads.  In the single-core trace simulation this adds a flush
-            whenever execution migrates between *sibling-thread* contexts;
-            the SMT simulator partitions structures by thread instead.
+        stibp: Records that the configuration includes STIBP.  No hook
+            reads it: STIBP's cost is modelled only by the halved BTB that
+            :func:`make_ucode_protection_1` builds
+            (``btb_capacity_scale=0.5``); neither simulator adds flushes or
+            partitions structures by thread for it.
     """
 
     __slots__ = ("inner", "name", "flush_on_context_switch",

@@ -66,6 +66,10 @@ HELP_TEXT: dict[str, str] = {
     "repro_replay_declines_total":
         "Replays the vector backend declined to the reference loop, "
         "by model and job kind.",
+    "repro_replay_spans_total":
+        "Vector-backend spans replayed, by model and job kind.",
+    "repro_replay_branches_total":
+        "Branches the vector backend replayed, by model and job kind.",
     "repro_faults_injected_total": "Injected store faults, by kind.",
     "repro_http_requests_total": "Serve HTTP requests, by method/route/status.",
     "repro_http_request_seconds": "Serve HTTP request latency, by route.",

@@ -5,10 +5,10 @@ The simulators keep two equivalent replay implementations:
 * ``reference`` — the straightforward per-item loop, the specification every
   faster path is checked against; and
 * ``vector`` — the NumPy array-at-a-time backend in :mod:`repro.sim.vector`
-  (the default), which replays epoch-chunked array kernels for models that
-  provide one; a kernel accepts every trace, SMT co-runs included.  When a
-  model has no kernel, the replay runs the ``reference`` loop and the
-  decline is counted in ``repro_replay_declines_total``.
+  (the default), which replays spans of branches with array kernels for
+  models that provide one; a kernel accepts every trace, SMT co-runs
+  included.  When a model has no kernel, the replay runs the ``reference``
+  loop and the decline is counted in ``repro_replay_declines_total``.
 
 Both produce byte-identical result frames — the parity tests pin that — so
 the switch only ever changes wall-clock time.  The process-wide default can

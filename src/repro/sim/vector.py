@@ -21,16 +21,28 @@ every piece of predictor state except the BTB/RSB precomputable:
   keys — no objects, no hashing, no attribute chasing — touching only the
   branches that actually access them.
 
-Epochs are chunked between protection events so event semantics stay exact:
-OS events delimit epochs, and an STBPU re-randomization fired by the
-monitoring counters ends the chunk *at the firing access* — scans commit only
-the executed prefix (the scan composition is pure until committed) and
-replay resumes under the fresh token.  STBPU token swaps (context and mode
-changes, including an SMT co-run's every scheduling quantum) do not split
-chunks: the kernel gathers each branch's ψ and ϕ from a per-context token
-table, so the token is per-branch data like the context column.  The parity
-tests pin all of this to byte-identical results against the per-item
-reference loop.
+OS events do not end spans.  Each kernel walks a trace's events once in
+Python and replays all of its branches, so event semantics become span data:
+
+* a µcode flush (:class:`~repro.bpu.protections.FlushingProtectedBPU`) inside
+  an SKL span starts a new *epoch*: counter-scan keys are offset per epoch
+  and later epochs start from the flushed counter value, each history window
+  keeps only the bits pushed since its epoch began (for the GF(2)-linear BHB
+  the carried state is XORed back out), the structural loop clears the BTB
+  and RSB where a flush lands, and commit keeps only the last epoch;
+* an STBPU token swap (a context or mode change, an OS event, an SMT co-run's
+  every scheduling quantum) is per-branch data: the kernel gathers each
+  branch's ψ and ϕ from a per-context token table, and counts the token loads
+  the reference hooks would make with one vector compare.
+
+A span still ends where the event semantics are sequential: where an STBPU
+context with no token is installed for the first time (its token is drawn
+from the generator re-randomizations also draw from), at an STBPU
+re-randomization fired by the monitoring counters — the span ends *at the
+firing access*, scans commit only the executed prefix (the scan composition
+is pure until committed) and replay resumes under the fresh token — and, for
+the guarded steppers below, at every flush.  The parity tests pin all of this
+to byte-identical results against the per-item reference loop.
 
 Every direction component replays through a *span stepper*
 (``STEPPER_PROTOCOL``), so one span routine serves all three.  The SKL
@@ -48,8 +60,8 @@ entry; the perceptron stepper batches dot-products for a block of accesses
 from a weight snapshot under a "no row retrained since the snapshot" guard,
 and on a guard failure (aliasing conflict / saturation already applied)
 commits the executed prefix and re-specializes the rest of the block from
-live weights — the same commit/resume shape the epoch chunking uses for
-mid-chunk re-randomizations.
+live weights — the same commit/resume shape a span uses for a
+re-randomization fired inside it.
 
 Models opt in via ``vector_kernel()``, and a kernel accepts every trace:
 single traces and SMT co-runs alike.  A model with no kernel replays through
@@ -63,13 +75,11 @@ import numpy as np
 
 from repro.bpu.common import PredictorStats
 from repro.obs import metrics as obs_metrics
-from repro.sim.bpu_sim import dispatch_event
 from repro.trace.branch import (
     VIRTUAL_ADDRESS_MASK,
     ColumnarTrace,
     EventKind,
     Trace,
-    TraceEvent,
 )
 
 # Branch-type codes, mirroring repro.trace.branch.BRANCH_TYPE_CODES.
@@ -92,6 +102,10 @@ def _pack_map(states: tuple[int, int, int, int]) -> int:
 MAP_IDENTITY = _pack_map((0, 1, 2, 3))
 MAP_INCREMENT = _pack_map((1, 2, 3, 3))
 MAP_DECREMENT = _pack_map((0, 0, 1, 2))
+
+#: A flushed 2-bit counter's value (``PatternHistoryTable.flush``: the
+#: midpoint, for the chooser as well).
+FLUSHED_COUNTER = 1
 
 
 def _build_compose_table() -> np.ndarray:
@@ -117,32 +131,31 @@ class _CounterScan:
         self.inclusive = inclusive
         self.init_states = init_states
 
-    def commit(self, table: np.ndarray, upto: int | None = None) -> None:
+    def commit(self, table: np.ndarray, upto: int | None = None,
+               epoch: int = 0) -> None:
         """Scatter final per-index counter states back into ``table``.
 
         ``upto`` restricts the commit to accesses with original ordinal
         ``< upto`` (the executed prefix when an STBPU re-randomization fired
-        mid-chunk); ``None`` commits every access.
+        mid-span); ``None`` commits every access.  ``epoch`` is the scan's
+        last flush epoch: only its accesses (keys offset by ``epoch``
+        table lengths) are scattered, into a table the caller has flushed.
         """
         idx_sorted = self.idx_sorted
-        count = idx_sorted.shape[0]
-        if count == 0:
-            return
+        base = epoch * table.shape[0]
+        first = int(np.searchsorted(idx_sorted, base)) if epoch else 0
         if upto is None:
-            last = np.empty(count, dtype=bool)
-            last[-1] = True
-            np.not_equal(idx_sorted[1:], idx_sorted[:-1], out=last[:-1])
-            positions = np.flatnonzero(last)
+            selected = np.arange(first, idx_sorted.shape[0])
         else:
-            selected = np.flatnonzero(self.order < upto)
-            if selected.shape[0] == 0:
-                return
-            idx_selected = idx_sorted[selected]
-            last = np.empty(selected.shape[0], dtype=bool)
-            last[-1] = True
-            np.not_equal(idx_selected[1:], idx_selected[:-1], out=last[:-1])
-            positions = selected[last]
-        table[idx_sorted[positions]] = (
+            selected = first + np.flatnonzero(self.order[first:] < upto)
+        if selected.shape[0] == 0:
+            return
+        idx_selected = idx_sorted[selected]
+        last = np.empty(selected.shape[0], dtype=bool)
+        last[-1] = True
+        np.not_equal(idx_selected[1:], idx_selected[:-1], out=last[:-1])
+        positions = selected[last]
+        table[idx_sorted[positions] - base] = (
             self.inclusive[positions] >> (self.init_states[positions] << 1)) & 3
 
 
@@ -155,6 +168,8 @@ def _scan_counters(indices: np.ndarray, maps: np.ndarray, table: np.ndarray,
     counter value access ``k`` observes *before* its own update, ``scan``
     commits the final states, and ``order`` is the stable argsort of
     ``indices`` (reusable for further scans over the same index stream).
+    An index past the table's end addresses a flushed copy of it (a later
+    flush epoch's key), whose counters all start at :data:`FLUSHED_COUNTER`.
     """
     count = indices.shape[0]
     if count == 0:
@@ -176,7 +191,12 @@ def _scan_counters(indices: np.ndarray, maps: np.ndarray, table: np.ndarray,
     exclusive = np.empty_like(inclusive)
     exclusive[1:] = inclusive[:-1]
     exclusive[first] = MAP_IDENTITY
-    init_states = table[idx_sorted]
+    unflushed = int(np.searchsorted(idx_sorted, table.shape[0]))
+    if unflushed == count:
+        init_states = table[idx_sorted]
+    else:
+        init_states = np.full(count, FLUSHED_COUNTER, dtype=table.dtype)
+        init_states[:unflushed] = table[idx_sorted[:unflushed]]
     pre_sorted = (exclusive >> (init_states << 1)) & 3
     pre = np.empty(count, dtype=np.uint8)
     pre[order] = pre_sorted
@@ -220,6 +240,21 @@ def _bhb_states(mixed: np.ndarray, seed_value: int, bits: int) -> np.ndarray:
             states[c] ^= _U64(seed_term)
     states &= _U64(mask)
     return states
+
+
+def _bhb_cleared(states: np.ndarray, reads, cleared_at, bits: int):
+    """BHB values after ``reads`` pushes, had the register been cleared after
+    ``cleared_at`` of them (``reads >= cleared_at``, elementwise).
+
+    ``states`` is the uncleared :func:`_bhb_states` sequence.  The register
+    is GF(2)-linear, so the clear removes exactly the value it found, shifted
+    by the pushes made since: ``states[cleared_at] << 2·(reads − cleared_at)``
+    within the mask.
+    """
+    shifts = 2 * (reads - cleared_at)
+    carried = (states[cleared_at] << np.minimum(shifts, 63).astype(np.uint64)
+               ) & _U64((1 << bits) - 1)
+    return states[reads] ^ np.where(shifts < bits, carried, _U64(0))
 
 
 def _extend_outcomes(outcomes: list, appended, max_outcomes: int, *,
@@ -341,9 +376,11 @@ def _ghr_commit(seed: int, executed_bits, bits: int) -> int:
 #: cond_takens, engine)`` batches one span's prediction inputs, and
 #: ``commit_span(cond_takens, executed_cond)`` commits the executed prefix.
 #: A stepper with ``guarded = False`` returns the span's conditional
-#: predictions from ``prepare_span``; a guarded one returns a per-conditional
+#: predictions from ``prepare_span`` and also applies the flushes inside a
+#: span (``engine.cond_epochs``); a guarded one returns a per-conditional
 #: ``step(ordinal) -> predicted`` closure whose speculation repairs or
-#: re-batches itself when a guard fails mid-span.
+#: re-batches itself when a guard fails mid-span, and its spans end at
+#: every flush.
 STEPPER_PROTOCOL = ("begin", "prepare_span", "commit_span", "flush", "finish")
 
 
@@ -354,11 +391,12 @@ class _SKLStepper:
     arrays, and a span's predictions come from three segmented counter
     scans — no per-conditional step.  A scan is pure until committed, so
     ``commit_span`` scatters only the executed prefix when a monitor fired
-    mid-span.
+    mid-span.  A span with flushes scans each flush epoch under its own keys
+    (offset by epoch × table length), and commit keeps the last epoch only.
     """
 
     __slots__ = ("direction", "maps", "one_table", "two_table",
-                 "choice_table", "scans")
+                 "choice_table", "scans", "epochs")
 
     guarded = False
 
@@ -379,14 +417,24 @@ class _SKLStepper:
         direction.chooser._values = self.choice_table.tolist()
 
     def flush(self) -> None:
-        self.one_table.fill(1)
-        self.two_table.fill(1)
-        self.choice_table.fill(1)
+        self.one_table.fill(FLUSHED_COUNTER)
+        self.two_table.fill(FLUSHED_COUNTER)
+        self.choice_table.fill(FLUSHED_COUNTER)
 
     def prepare_span(self, cond_ips, cond_ctx, cond_takens, engine):
         sizes = engine.sizes
+        bits = sizes.ghr_bits
         ghr_pre = _ghr_window(cond_takens.astype(np.uint64), engine.ghr_value,
-                              sizes.ghr_bits)
+                              bits)
+        epochs = engine.cond_epochs
+        self.epochs = engine.epochs
+        if epochs is not None:
+            # A flush clears the GHR: a later epoch's windows keep only the
+            # outcomes pushed since the epoch began.
+            since = (np.arange(epochs.shape[0])
+                     - np.searchsorted(epochs, epochs)).clip(max=bits)
+            kept = (_U64(1) << since.astype(np.uint64)) - _U64(1)
+            ghr_pre = np.where(epochs > 0, ghr_pre & kept, ghr_pre)
         one_idx = np.asarray(self.maps.pht1(cond_ips, cond_ctx)).astype(np.int64)
         two_idx = np.asarray(
             self.maps.pht2(cond_ips, ghr_pre, cond_ctx)).astype(np.int64)
@@ -397,6 +445,10 @@ class _SKLStepper:
             # exceed the table, so apply the same wrap up front.
             one_idx %= entries
             two_idx %= entries
+        if epochs is not None:
+            # Every flush epoch scans a flushed copy of the tables.
+            one_idx += epochs * entries
+            two_idx += epochs * entries
         updates = np.where(cond_takens, np.uint8(MAP_INCREMENT),
                            np.uint8(MAP_DECREMENT))
         one_pre, one_scan, one_order = _scan_counters(one_idx, updates, self.one_table)
@@ -418,8 +470,10 @@ class _SKLStepper:
     def commit_span(self, cond_takens, executed_cond: int) -> None:
         upto = None if executed_cond == cond_takens.shape[0] else executed_cond
         for scan, table in self.scans:
+            if self.epochs:
+                table.fill(FLUSHED_COUNTER)
             if scan is not None:
-                scan.commit(table, upto)
+                scan.commit(table, upto, self.epochs)
 
 
 class _TAGEStepper:
@@ -1021,7 +1075,7 @@ class _CompositeEngine:
         "bhb_updates", "mixed", "fallthrough_ok", "high_ok", "base_opcode",
         "_mode1_cache", "_encoded_cache", "_push_cache", "dir_ok",
         "target_ok", "btb_hit", "btb_evict", "rsb_under", "map_contexts",
-        "phi_table",
+        "phi_table", "cond_epochs", "epochs", "spans",
     )
 
     def __init__(self, composite, pht_maps, btb_maps, codec, stepper):
@@ -1088,6 +1142,12 @@ class _CompositeEngine:
         #: ϕ).  The STBPU kernel swaps in its slot column and ϕ table.
         self.map_contexts = arrays.context_ids
         self.phi_table = None
+        #: The flush epoch of each conditional in the span being replayed
+        #: (``None``: the span has no flush) and the span's flush count.
+        self.cond_epochs = None
+        self.epochs = 0
+        #: :meth:`run_span` calls in this replay.
+        self.spans = 0
         ips = arrays.ips
         targets = arrays.targets
         types = arrays.types
@@ -1181,7 +1241,8 @@ class _CompositeEngine:
 
     # ------------------------------------------------------------------- spans
 
-    def run_span(self, lo: int, hi: int, monitor=None) -> tuple[int, bool]:
+    def run_span(self, lo: int, hi: int, monitor=None,
+                 flushes=()) -> tuple[int, bool]:
         """Replay branches ``[lo, hi)``; return ``(executed_to, fired)``.
 
         The stepper supplies the span's direction predictions, the prelude
@@ -1193,7 +1254,13 @@ class _CompositeEngine:
         ``executed_to``.  A guarded stepper's span is capped at
         ``_STEPPER_SPAN_LIMIT`` branches, so ``executed_to`` may fall short
         of ``hi`` without a fire as well.
+
+        ``flushes`` (sorted positions in ``[lo, hi]``, each flushing the
+        predictor before that branch) split an unguarded stepper's span into
+        epochs, applied in closed form; a span never carries both flushes
+        and a monitor.
         """
+        self.spans += 1
         stepper = self.stepper
         guarded = stepper.guarded
         if guarded:
@@ -1207,17 +1274,35 @@ class _CompositeEngine:
         is_cond = self.is_cond[span]
         cond_rel = np.flatnonzero(is_cond)
         cond_takens = takens[cond_rel]
+        bhb_bits = self.sizes.bhb_bits
+        if flushes:
+            # Epoch ``e`` runs from the span's ``e``-th flush.
+            flush_rel = np.asarray(flushes, dtype=np.int64) - lo
+            self.cond_epochs = np.searchsorted(flush_rel, cond_rel, side="right")
+            self.epochs = flush_rel.shape[0]
+        else:
+            flush_rel = self.cond_epochs = None
+            self.epochs = 0
         prediction = stepper.prepare_span(
             ips[cond_rel], contexts[cond_rel], cond_takens, self)
 
         # --------------------------------------------------------- histories
         update_mask = self.bhb_updates[span]
         mixed = self.mixed[span][update_mask]
-        bhb_states = _bhb_states(mixed, self.bhb_value, self.sizes.bhb_bits)
+        bhb_states = _bhb_states(mixed, self.bhb_value, bhb_bits)
         update_cum = np.cumsum(update_mask)
         ind_ret_rel = np.flatnonzero(self.is_ind_or_ret[span])
         updates_before = update_cum[ind_ret_rel] - update_mask[ind_ret_rel]
         bhb_at = bhb_states[updates_before]
+        if flush_rel is not None:
+            # BHB pushes made before each flush; a read in a later epoch
+            # drops the value its epoch's flush cleared.
+            flush_pushes = np.concatenate(([0], update_cum))[flush_rel]
+            read_epochs = np.searchsorted(flush_rel, ind_ret_rel, side="right")
+            later = np.flatnonzero(read_epochs)
+            bhb_at[later] = _bhb_cleared(
+                bhb_states, updates_before[later],
+                flush_pushes[read_epochs[later] - 1], bhb_bits)
 
         # ---------------------------------------------------------- BTB keys
         if self._mode1_cache is not None:
@@ -1263,6 +1348,10 @@ class _CompositeEngine:
             dir_flags = (~is_cond | (predicted == takens))[part]
             dir_ok = dir_flags.tolist()
             conds = step = None
+        # The participants each flush lands before (the loop's length when it
+        # lands after the last one).
+        clears = ([] if flush_rel is None
+                  else np.unique(np.searchsorted(part, flush_rel)).tolist())
         target_ok, hits, evicts, unders, stopped_at = self._structural_loop(
             ops[part].tolist(),
             takens[part].tolist(),
@@ -1279,6 +1368,7 @@ class _CompositeEngine:
             monitor,
             conds,
             step,
+            clears,
         )
         flags = (dir_flags, target_ok, hits, evicts, unders)
         fired = stopped_at >= 0
@@ -1303,11 +1393,21 @@ class _CompositeEngine:
 
         # ------------------------------------------------ commit predictor state
         executed_cond = int(np.searchsorted(cond_rel, executed_rel))
-        executed_outcomes = cond_takens[:executed_cond].tolist()
-        self.ghr_value = _ghr_commit(self.ghr_value, executed_outcomes,
+        pushes = update_cum[executed_rel - 1]
+        if flush_rel is None:
+            ghr_seed, first_cond = self.ghr_value, 0
+            self.bhb_value = int(bhb_states[pushes])
+        else:
+            # The histories restart at the span's last flush.
+            ghr_seed = 0
+            first_cond = int(np.searchsorted(cond_rel, flush_rel[-1]))
+            self.bhb_value = int(_bhb_cleared(bhb_states, pushes,
+                                              flush_pushes[-1], bhb_bits))
+            self.outcomes.clear()
+        executed_outcomes = cond_takens[first_cond:executed_cond].tolist()
+        self.ghr_value = _ghr_commit(ghr_seed, executed_outcomes,
                                      self.sizes.ghr_bits)
         stepper.commit_span(cond_takens, executed_cond)
-        self.bhb_value = int(bhb_states[update_cum[executed_rel - 1]])
         _extend_outcomes(self.outcomes, executed_outcomes, self.max_outcomes)
         return lo + executed_rel, fired
 
@@ -1315,7 +1415,7 @@ class _CompositeEngine:
 
     def _structural_loop(self, ops, takens, base1, key1, base2, key2, encoded,
                          high_ok, fall_ok, calls, pushes, dir_ok, monitor,
-                         conds, step):
+                         conds, step, clears):
         keys = self.bt_keys
         tags = self.bt_tags
         offsets = self.bt_offsets
@@ -1357,85 +1457,57 @@ class _CompositeEngine:
             observed_ev = monitor.observed_evictions
             fired_count = monitor.fired_count
 
-        for j in range(count):
-            taken = takens[j]
-            if conds is not None and conds[j]:
-                # Guarded stepper: resolve the direction prediction in place.
-                predicted = step(ordinal)
-                ordinal += 1
-                dir_ok[j] = predicted == taken
-                if predicted:
-                    op = 0
-                elif taken:
-                    op = 1
+        begin = 0
+        for epoch, end in enumerate((*clears, count)):
+            if epoch:
+                # A flush lands before participant ``begin``: it drops
+                # every BTB entry and the RSB.
+                keys[:] = [-1] * len(keys)
+                rsb.clear()
+            for j in range(begin, end):
+                taken = takens[j]
+                if conds is not None and conds[j]:
+                    # Guarded stepper: resolve the direction prediction in
+                    # place.
+                    predicted = step(ordinal)
+                    ordinal += 1
+                    dir_ok[j] = predicted == taken
+                    if predicted:
+                        op = 0
+                    elif taken:
+                        op = 1
+                    else:
+                        # Predicted and resolved not-taken: the fall-through
+                        # target is implicitly correct, no structure is
+                        # touched, and the monitor sees neither misprediction
+                        # nor eviction.
+                        continue
                 else:
-                    # Predicted and resolved not-taken: the fall-through
-                    # target is implicitly correct, no structure is touched,
-                    # and the monitor sees neither misprediction nor eviction.
-                    continue
-            else:
-                op = ops[j]
-            hit = False
-            correct = False
-            evicted = False
-            if op == 0:  # mode-1 lookup (conditional predicted-taken / direct)
-                clock += 1
-                base = base1[j]
-                want = key1[j]
-                stop = base + ways
-                w = base
-                while w < stop:
-                    if keys[w] == want:
-                        stamps[w] = clock
-                        hit = True
-                        if stored[w] == encoded[j] and high_ok[j]:
-                            correct = True
-                        break
-                    w += 1
-                update_base = base
-                update_key = want
-            elif op == 1:  # conditional predicted not-taken but resolved taken
-                update_base = base1[j]
-                update_key = key1[j]
-                correct = fall_ok[j]
-            elif op == 2:  # indirect: mode-2 lookup, mode-1 fallback
-                clock += 1
-                base = base2[j]
-                want = key2[j]
-                stop = base + ways
-                w = base
-                while w < stop:
-                    if keys[w] == want:
-                        stamps[w] = clock
-                        hit = True
-                        if stored[w] == encoded[j] and high_ok[j]:
-                            correct = True
-                        break
-                    w += 1
-                if not hit:
+                    op = ops[j]
+                hit = False
+                correct = False
+                evicted = False
+                if op == 0:  # mode-1 lookup (cond. predicted-taken / direct)
                     clock += 1
                     base = base1[j]
-                    want1 = key1[j]
+                    want = key1[j]
                     stop = base + ways
                     w = base
                     while w < stop:
-                        if keys[w] == want1:
+                        if keys[w] == want:
                             stamps[w] = clock
                             hit = True
                             if stored[w] == encoded[j] and high_ok[j]:
                                 correct = True
                             break
                         w += 1
-                update_base = base2[j]
-                update_key = key2[j]
-            else:  # return: RSB pop, mode-2 lookup on underflow
-                if rsb:
-                    popped = rsb.pop()
-                    if popped == encoded[j] and high_ok[j]:
-                        correct = True
-                else:
-                    self.rsb_underflows += 1
-                    unders[j] = True
+                    update_base = base
+                    update_key = want
+                elif op == 1:  # cond. predicted not-taken, resolved taken
+                    update_base = base1[j]
+                    update_key = key1[j]
+                    correct = fall_ok[j]
+                elif op == 2:  # indirect: mode-2 lookup, mode-1 fallback
                     clock += 1
                     base = base2[j]
                     want = key2[j]
@@ -1449,76 +1521,116 @@ class _CompositeEngine:
                                 correct = True
                             break
                         w += 1
-                update_base = base2[j]
-                update_key = key2[j]
+                    if not hit:
+                        clock += 1
+                        base = base1[j]
+                        want1 = key1[j]
+                        stop = base + ways
+                        w = base
+                        while w < stop:
+                            if keys[w] == want1:
+                                stamps[w] = clock
+                                hit = True
+                                if stored[w] == encoded[j] and high_ok[j]:
+                                    correct = True
+                                break
+                            w += 1
+                    update_base = base2[j]
+                    update_key = key2[j]
+                else:  # return: RSB pop, mode-2 lookup on underflow
+                    if rsb:
+                        popped = rsb.pop()
+                        if popped == encoded[j] and high_ok[j]:
+                            correct = True
+                    else:
+                        self.rsb_underflows += 1
+                        unders[j] = True
+                        clock += 1
+                        base = base2[j]
+                        want = key2[j]
+                        stop = base + ways
+                        w = base
+                        while w < stop:
+                            if keys[w] == want:
+                                stamps[w] = clock
+                                hit = True
+                                if stored[w] == encoded[j] and high_ok[j]:
+                                    correct = True
+                                break
+                            w += 1
+                    update_base = base2[j]
+                    update_key = key2[j]
 
-            if taken:
-                target_ok[j] = correct
-                # ------------------------------------------------- BTB update
-                clock += 1
-                stop = update_base + ways
-                w = update_base
-                victim = -1
-                victim_rank = huge
-                matched = False
-                while w < stop:
-                    key_w = keys[w]
-                    if key_w == update_key:
-                        stored[w] = encoded[j]
-                        stamps[w] = clock
-                        matched = True
-                        break
-                    rank = stamps[w]
-                    if key_w != -1:
-                        rank += valid_bonus
-                    if rank < victim_rank:
-                        victim_rank = rank
-                        victim = w
-                    w += 1
-                if not matched:
-                    if keys[victim] != -1:
-                        evictions += 1
-                        evicted = True
-                        evicts[j] = True
-                    keys[victim] = update_key
-                    tags[victim] = update_key >> offset_bits
-                    offsets[victim] = update_key & offset_mask
-                    stored[victim] = encoded[j]
-                    stamps[victim] = clock
-            hits[j] = hit
+                if taken:
+                    target_ok[j] = correct
+                    # --------------------------------------------- BTB update
+                    clock += 1
+                    stop = update_base + ways
+                    w = update_base
+                    victim = -1
+                    victim_rank = huge
+                    matched = False
+                    while w < stop:
+                        key_w = keys[w]
+                        if key_w == update_key:
+                            stored[w] = encoded[j]
+                            stamps[w] = clock
+                            matched = True
+                            break
+                        rank = stamps[w]
+                        if key_w != -1:
+                            rank += valid_bonus
+                        if rank < victim_rank:
+                            victim_rank = rank
+                            victim = w
+                        w += 1
+                    if not matched:
+                        if keys[victim] != -1:
+                            evictions += 1
+                            evicted = True
+                            evicts[j] = True
+                        keys[victim] = update_key
+                        tags[victim] = update_key >> offset_bits
+                        offsets[victim] = update_key & offset_mask
+                        stored[victim] = encoded[j]
+                        stamps[victim] = clock
+                hits[j] = hit
 
-            if calls[j]:
-                if len(rsb) >= rsb_capacity:
-                    del rsb[0]
-                    self.rsb_overflows += 1
-                rsb.append(pushes[j])
+                if calls[j]:
+                    if len(rsb) >= rsb_capacity:
+                        del rsb[0]
+                        self.rsb_overflows += 1
+                    rsb.append(pushes[j])
 
-            if watching:
-                mispredicted = not (dir_ok[j] and (correct or not taken))
-                if mispredicted or evicted:
-                    fire = False
-                    if evicted:
-                        observed_ev += 1
-                        ev_remaining -= 1
-                        if ev_remaining <= 0:
-                            fire = True
-                    if mispredicted:
-                        observed_mis += 1
-                        if has_direction and not dir_ok[j]:
-                            dir_remaining -= 1
-                            if dir_remaining <= 0:
+                if watching:
+                    mispredicted = not (dir_ok[j] and (correct or not taken))
+                    if mispredicted or evicted:
+                        fire = False
+                        if evicted:
+                            observed_ev += 1
+                            ev_remaining -= 1
+                            if ev_remaining <= 0:
                                 fire = True
-                        else:
-                            mis_remaining -= 1
-                            if mis_remaining <= 0:
-                                fire = True
-                    if fire:
-                        fired_count += 1
-                        mis_remaining = mis_threshold
-                        ev_remaining = ev_threshold
-                        dir_remaining = dir_threshold
-                        stopped_at = j
-                        break
+                        if mispredicted:
+                            observed_mis += 1
+                            if has_direction and not dir_ok[j]:
+                                dir_remaining -= 1
+                                if dir_remaining <= 0:
+                                    fire = True
+                            else:
+                                mis_remaining -= 1
+                                if mis_remaining <= 0:
+                                    fire = True
+                        if fire:
+                            fired_count += 1
+                            mis_remaining = mis_threshold
+                            ev_remaining = ev_threshold
+                            dir_remaining = dir_threshold
+                            stopped_at = j
+                            break
+            if stopped_at >= 0:
+                break
+            begin = end
 
         self.clock = clock
         self.evictions = evictions
@@ -1561,13 +1673,14 @@ def _accumulate(engine: _CompositeEngine, stats: PredictorStats,
 # ------------------------------------------------------------------- kernels
 
 class _KernelBase:
-    """Shared replay scaffolding for the per-model vector kernels."""
+    """Shared replay scaffolding for the per-model vector kernels.
+
+    A kernel adopts the trace, walks its OS events once in Python
+    (:meth:`_run`) and replays every branch in as few spans as the model's
+    event semantics allow.
+    """
 
     __slots__ = ("engine", "model")
-
-    #: Kernels whose event hooks are no-ops replay the whole trace as one
-    #: epoch instead of chunking at (inert) event boundaries.
-    merge_events = False
 
     def __init__(self, engine: _CompositeEngine, model):
         self.engine = engine
@@ -1593,56 +1706,41 @@ class _KernelBase:
         columns = trace.columns()
         engine = self.engine
         engine.begin(columns.arrays())
-        self._prepare()
-        if self.merge_events:
-            self._run_block(0, engine.n)
-        else:
-            for start, stop, event in columns.segments:
-                self._run_block(start, stop)
-                if event is not None:
-                    self._on_event(event)
+        self._run(columns.segments)
         engine.finish()
-        self._sync_extra(columns)
 
-    def _prepare(self) -> None:
-        """Per-replay set-up once the engine has adopted the trace."""
+    def _run(self, segments) -> None:
+        """Replay the adopted trace's branches and apply its OS events
+        (``segments``, as in :class:`~repro.trace.branch.TraceColumns`)."""
+        self._run_spans(0, self.engine.n)
 
-    def _run_block(self, lo: int, hi: int) -> None:
+    def _run_spans(self, lo: int, hi: int) -> None:
         engine = self.engine
         position = lo
         while position < hi:
             # run_span may stop early (stepper span cap); resume until done.
             position, _ = engine.run_span(position, hi)
 
-    def _on_event(self, event: TraceEvent) -> None:
-        dispatch_event(self.model, event)
-
-    def _sync_extra(self, columns) -> None:
-        pass
-
 
 class _PlainKernel(_KernelBase):
     """Unprotected :class:`~repro.bpu.composite.CompositeBPU`: every OS-event
-    hook is a no-op, so the whole trace replays as one epoch."""
+    hook is a no-op."""
 
     __slots__ = ()
-
-    merge_events = True
 
 
 class _ConservativeKernel(_KernelBase):
     """Conservative model: the partition slot is per-branch data (the maps
     receive the context column), so events only influence the mapping's final
-    ``current_context`` value, restored after replay."""
+    ``current_context`` value, set after replay."""
 
     __slots__ = ()
 
-    merge_events = True
-
-    def _sync_extra(self, columns) -> None:
+    def _run(self, segments) -> None:
+        super()._run(segments)
         mapping = self.model._mapping
         context_ids = self.engine.arrays.context_ids
-        for start, stop, event in reversed(columns.segments):
+        for start, stop, event in reversed(segments):
             if event is not None and event.kind is EventKind.CONTEXT_SWITCH:
                 mapping.current_context = event.context_id
                 return
@@ -1652,70 +1750,160 @@ class _ConservativeKernel(_KernelBase):
 
 
 class _FlushingKernel(_KernelBase):
-    """µcode-style protection: emulates the flush-on-event hooks against the
-    adopted state (the live structures are stale until ``finish``)."""
+    """µcode-style protection: the flush-on-event hooks become flush points.
+
+    One walk over the events applies the hooks' rules — a context switch
+    flushes when it leaves a known context, a kernel entry or interrupt
+    flushes always, each when its policy is on — to ``flush_count`` and
+    ``_current_context``.  An SKL composite then replays the whole trace in
+    one span whose flushes are in-span epochs
+    (:meth:`_CompositeEngine.run_span`); a guarded stepper cannot see a reset
+    inside a span, so its spans end at each flush, which is applied to the
+    adopted state in between.
+    """
 
     __slots__ = ()
 
-    def _on_event(self, event: TraceEvent) -> None:
+    def _run(self, segments) -> None:
         model = self.model
-        kind = event.kind
-        if kind is EventKind.CONTEXT_SWITCH:
-            if (model._current_context is not None
-                    and event.context_id != model._current_context
-                    and model.flush_on_context_switch):
-                self.engine.flush()
-                model.flush_count += 1
-            model._current_context = event.context_id
-        elif kind is EventKind.MODE_SWITCH_ENTER_KERNEL or kind is EventKind.INTERRUPT:
-            if model.flush_on_mode_switch:
-                self.engine.flush()
-                model.flush_count += 1
+        engine = self.engine
+        flushes = []
+        current = model._current_context
+        for _, stop, event in segments:
+            if event is None:
+                continue
+            kind = event.kind
+            if kind is EventKind.CONTEXT_SWITCH:
+                if (current is not None and event.context_id != current
+                        and model.flush_on_context_switch):
+                    flushes.append(stop)
+                current = event.context_id
+            elif ((kind is EventKind.MODE_SWITCH_ENTER_KERNEL
+                   or kind is EventKind.INTERRUPT)
+                  and model.flush_on_mode_switch):
+                flushes.append(stop)
+        model.flush_count += len(flushes)
+        model._current_context = current
+        # Back-to-back flushes leave the same state as one.
+        points = sorted(set(flushes))
+        n = engine.n
+        if n and not engine.stepper.guarded:
+            engine.run_span(0, n, flushes=points)
+            return
+        position = 0
+        for point in points:
+            self._run_spans(position, point)
+            engine.flush()
+            position = point
+        self._run_spans(position, n)
 
 
 class _STBPUKernel(_KernelBase):
-    """STBPU: the secret token is per-branch data, not a chunk boundary.
+    """STBPU: the secret token is per-branch data, not a span boundary.
 
     Each branch's effective context (``KERNEL_CONTEXT_ID`` in kernel mode) is
     numbered into a dense slot, and the maps and the codec gather ψ and ϕ per
     branch from slot → token tables, so one span crosses context switches —
-    SMT co-runs included.  Spans end only at OS events (they go to the
-    *real* model hooks, which touch only the token machinery, never the
-    adopted predictor structures), at monitor-fired re-randomizations, at
-    the first branch of a context that has no token yet (its token is drawn
-    there: the generator serves first draws and re-randomizations alike, so
-    drawing ahead would reorder them) and at the stepper cap.  The token
-    bookkeeping the reference loop does per branch is applied per block in
-    closed form.
+    OS events and SMT co-runs included.  The hooks touch only the token
+    machinery, so events are bookkeeping: each event loads a token and sets
+    the current context (``KERNEL_CONTEXT_ID`` for a kernel entry or an
+    interrupt, the event's context otherwise), and a branch loads one when
+    its effective context differs from the previous event's or branch's.
+    Spans end only where a context with no token is installed for the first
+    time, by an event or a branch (its token is drawn there: the generator
+    serves first draws and re-randomizations alike, so drawing ahead would
+    reorder them), at monitor-fired re-randomizations and at the stepper cap.
     """
 
-    __slots__ = ("_effective", "_slot_contexts", "_pending", "_loaded",
-                 "_psi", "_phi")
+    __slots__ = ("_slot_contexts", "_loaded", "_psi", "_phi")
 
-    def _prepare(self) -> None:
+    def _run(self, segments) -> None:
         from repro.core.stbpu import KERNEL_CONTEXT_ID
 
+        model = self.model
         engine = self.engine
         arrays = engine.arrays
+        n = engine.n
         effective = np.where(arrays.kernel_modes, np.int64(KERNEL_CONTEXT_ID),
                              arrays.context_ids)
         contexts, first, slots = np.unique(effective, return_index=True,
                                            return_inverse=True)
-        self._effective = effective
-        self._slot_contexts = contexts.tolist()
-        # (first branch, context) per context, earliest on top: the points
-        # where a context that still has no token draws one.
-        self._pending = sorted(zip(first.tolist(), self._slot_contexts),
-                               reverse=True)
-        self._loaded = [None] * contexts.shape[0]
-        self._psi = np.zeros(contexts.shape[0], dtype=np.uint64)
-        self._phi = np.zeros(contexts.shape[0], dtype=np.uint64)
+        slot_contexts = contexts.tolist()
+        tokens = model._context_tokens
+
+        # The context each branch finds current: the previous branch's, or
+        # that of the last event before it.
+        previous = np.empty(n, dtype=np.int64)
+        previous[1:] = effective[:-1]
+        current = model._current_context
+        previous[:1] = current
+        # Context → (position, rank) of its first install when it has no
+        # token yet; an event ranks before the branch at its position.
+        installs = {}
+        for rank, (_, stop, event) in enumerate(segments):
+            if event is None:
+                continue
+            kind = event.kind
+            if (kind is EventKind.MODE_SWITCH_ENTER_KERNEL
+                    or kind is EventKind.INTERRUPT):
+                current = KERNEL_CONTEXT_ID
+            else:
+                current = event.context_id
+            if stop < n:
+                previous[stop] = current
+            if current not in tokens:
+                installs.setdefault(current, (stop, rank))
+        for context, branch in zip(slot_contexts, first.tolist()):
+            if context not in tokens:
+                installs[context] = min(installs.get(context, (n, 0)),
+                                        (branch, len(segments)))
+        if segments[-1][0] < n:
+            current = int(effective[-1])
+
+        self._slot_contexts = slot_contexts
+        self._loaded = [None] * len(slot_contexts)
+        self._psi = np.zeros(len(slot_contexts), dtype=np.uint64)
+        self._phi = np.zeros(len(slot_contexts), dtype=np.uint64)
         engine.map_contexts = slots
         for maps in (engine.pht_maps, engine.btb_maps):
             if getattr(maps, "token_dependent", False):
                 maps.psi_table = self._psi
         if engine.codec.token_dependent:
             engine.phi_table = self._phi
+        self._refresh()
+
+        position = 0
+        for (point, _), context in sorted(
+                (point, context) for context, point in installs.items()):
+            self._run_monitored(position, point, effective)
+            position = point
+            model._token_for_context(context)
+            self._refresh()
+        self._run_monitored(position, n, effective)
+
+        # Leave the token machinery as the hooks leave it: the loads counted,
+        # the context of the last event or branch current, and the register,
+        # mapping and codec on its token.
+        stats = model.stats
+        stats.token_loads += (len(segments) - 1
+                              + int(np.count_nonzero(effective != previous)))
+        stats.contexts_seen.update(slot_contexts)
+        token = tokens[current]
+        model._current_context = current
+        model.register.load(token)
+        model.mapping.set_token(token)
+        model.codec.set_token(token)
+
+    def _run_monitored(self, lo: int, hi: int, effective) -> None:
+        """Replay ``[lo, hi)``, re-randomizing where the monitor fires."""
+        model = self.model
+        position = lo
+        while position < hi:
+            position, fired = self.engine.run_span(position, hi, model.monitor)
+            if fired:
+                model._current_context = int(effective[position - 1])
+                model.rerandomize_current()
+                self._refresh()
 
     def _refresh(self) -> None:
         """Re-read the slot tables from the model's per-context tokens."""
@@ -1727,51 +1915,6 @@ class _STBPUKernel(_KernelBase):
                 loaded[slot] = token
                 self._psi[slot] = token.psi
                 self._phi[slot] = token.phi
-
-    def _run_block(self, lo: int, hi: int) -> None:
-        if hi <= lo:
-            return
-        model = self.model
-        engine = self.engine
-        effective = self._effective
-        block = effective[lo:hi]
-        # The reference loop loads a token at every change of effective
-        # context, the block's first branch compared with the context current
-        # before it.
-        loads = int(np.count_nonzero(block[1:] != block[:-1]))
-        if int(block[0]) != model._current_context:
-            loads += 1
-        model.stats.token_loads += loads
-        model.stats.contexts_seen.update(np.unique(block).tolist())
-        self._refresh()
-        tokens = model._context_tokens
-        pending = self._pending
-        position = lo
-        while position < hi:
-            while pending and (pending[-1][0] < position
-                               or pending[-1][1] in tokens):
-                pending.pop()
-            if pending and pending[-1][0] == position:
-                # First branch of a tokenless context: draw its token here,
-                # exactly where the reference loop draws it.
-                model._token_for_context(pending.pop()[1])
-                self._refresh()
-                continue
-            stop = min(pending[-1][0], hi) if pending else hi
-            while position < stop:
-                position, fired = engine.run_span(position, stop, model.monitor)
-                if fired:
-                    model._current_context = int(effective[position - 1])
-                    model.rerandomize_current()
-                    self._refresh()
-        # Leave the token machinery as the reference loop leaves it: current
-        # context, register, mapping and codec on the last branch's token.
-        context = int(effective[hi - 1])
-        token = tokens[context]
-        model._current_context = context
-        model.register.load(token)
-        model.mapping.set_token(token)
-        model.codec.set_token(token)
 
 
 # ------------------------------------------------------------ kernel builders
@@ -1894,18 +2037,30 @@ def _count_decline(model, kind: str) -> None:
                     kind=kind)
 
 
+def _count_replay(model, kind: str, engine: _CompositeEngine) -> None:
+    """Count an accepted replay's spans and branches, labelled like a
+    decline."""
+    labels = {"model": getattr(model, "name", type(model).__name__),
+              "kind": kind}
+    obs_metrics.inc("repro_replay_spans_total", engine.spans, **labels)
+    obs_metrics.inc("repro_replay_branches_total", engine.n, **labels)
+
+
 def try_replay_trace(model, trace: Trace, warmup: int,
                      stats: PredictorStats) -> bool:
     """Vector-replay ``trace`` through ``model`` into ``stats`` if possible.
 
     ``False`` means the model has no kernel; it is counted as a
     ``kind="trace"`` decline and the caller then runs the reference loop.
+    An accepted replay adds its spans and branches to
+    ``repro_replay_spans_total`` and ``repro_replay_branches_total``.
     """
     kernel = kernel_for(model)
     if kernel is None:
         _count_decline(model, "trace")
         return False
     kernel.run_trace(trace, warmup, stats)
+    _count_replay(model, "trace", kernel.engine)
     return True
 
 
@@ -1916,11 +2071,13 @@ def try_replay_smt(model, merged: ColumnarTrace, thread_offset: int,
     ``merged`` is the co-run as columns
     (:func:`~repro.trace.branch.merge_columns_round_robin`), thread B's
     contexts offset by ``thread_offset``; a model without a kernel is
-    counted as a ``kind="smt"`` decline.
+    counted as a ``kind="smt"`` decline, and an accepted co-run's spans and
+    branches are counted under ``kind="smt"``.
     """
     kernel = kernel_for(model)
     if kernel is None:
         _count_decline(model, "smt")
         return False
     kernel.run_smt(merged, thread_offset, warmup, per_thread_stats)
+    _count_replay(model, "smt", kernel.engine)
     return True

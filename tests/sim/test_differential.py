@@ -2,18 +2,20 @@
 
 Hypothesis builds small random traces — random branch types, ips from a
 small pool so entries collide, contexts 0–3 with kernel-mode branches, and
-random context-switch, mode-switch and interrupt events.  One property
+random context-switch, mode-switch and interrupt events for contexts 0–5, so
+events also install tokens for contexts no branch uses.  One property
 replays a single trace through every kernel class — plain, flushing and
-conservative SKL composites, TAGE, Perceptron and the three STBPU factories
-— under random warm-ups (negative ones included), monitor thresholds and
+conservative SKL composites, TAGE and Perceptron composites bare and under
+flushing protection, and the three STBPU factories — under random warm-ups
+(negative ones included), monitor thresholds, token-sharing groups and
 guarded-stepper span caps, on a small BTB so evictions feed the monitors.
 Another co-runs trace pairs through the STBPU factories under random
 scheduling quanta, warm-ups, monitor thresholds (with and without the
 direction register) and token-sharing groups.  Both backends must agree on
 the stats and protection stats and on the complete post-replay state:
-predictor tables, BTB, RSB, histories and the token machinery.  A third
-property pins the columnar SMT merge to the record-by-record one it
-replaces on the vector path.
+predictor tables, BTB, RSB and its overflow and underflow counts, histories
+and the token machinery.  A third property pins the columnar SMT merge to
+the record-by-record one it replaces on the vector path.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.bpu.common import StructureSizes
 from repro.bpu.protections import (
+    FlushingProtectedBPU,
     make_conservative,
     make_ucode_protection_1,
     make_ucode_protection_2,
@@ -76,7 +79,7 @@ def _items(draw):
     """One trace item: mostly branches, sometimes an OS event."""
     if draw(st.integers(0, 9)) == 0:
         kind = draw(st.sampled_from(list(EventKind)))
-        return TraceEvent(kind, draw(st.integers(0, 3)))
+        return TraceEvent(kind, draw(st.integers(0, 5)))
     branch_type = draw(st.sampled_from(list(BranchType)))
     ip = draw(st.sampled_from(_IPS))
     conditional = branch_type is BranchType.CONDITIONAL
@@ -104,7 +107,8 @@ def _monitors(draw):
 
 _GROUPS = st.one_of(
     st.none(),
-    st.sets(st.sampled_from([-1, 0, 1, 2, 3, THREAD_OFFSET, THREAD_OFFSET + 1]),
+    st.sets(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, THREAD_OFFSET,
+                             THREAD_OFFSET + 1]),
             min_size=2).map(lambda members: {context: "shared"
                                              for context in members}))
 
@@ -123,16 +127,24 @@ def _direction_state(direction):
 SMALL = StructureSizes(btb_sets=16, btb_ways=2, pht_entries=1024, rsb_entries=4)
 
 SINGLE_MODELS = {
-    "baseline": lambda monitor, seed: make_unprotected_baseline(
+    "baseline": lambda monitor, seed, groups: make_unprotected_baseline(
         dataclasses.replace(SMALL, pht_entries=1000)),
-    "ucode_protection_1": lambda monitor, seed: make_ucode_protection_1(SMALL),
-    "ucode_protection_2": lambda monitor, seed: make_ucode_protection_2(SMALL),
-    "conservative": lambda monitor, seed: make_conservative(SMALL),
-    "TAGE_SC_L_8KB": lambda monitor, seed: make_unprotected_tage(
+    "ucode_protection_1": lambda monitor, seed, groups: make_ucode_protection_1(
+        SMALL),
+    "ucode_protection_2": lambda monitor, seed, groups: make_ucode_protection_2(
+        SMALL),
+    "conservative": lambda monitor, seed, groups: make_conservative(SMALL),
+    "TAGE_SC_L_8KB": lambda monitor, seed, groups: make_unprotected_tage(
         TAGE_SC_L_8KB, SMALL),
-    "PerceptronBP": lambda monitor, seed: make_unprotected_perceptron(sizes=SMALL),
-    **{name: (lambda monitor, seed, factory=factory: factory(
-        sizes=SMALL, monitor_config=monitor, seed=seed))
+    "PerceptronBP": lambda monitor, seed, groups: make_unprotected_perceptron(
+        sizes=SMALL),
+    "flushing_TAGE_SC_L_8KB": lambda monitor, seed, groups: FlushingProtectedBPU(
+        make_unprotected_tage(TAGE_SC_L_8KB, SMALL), "flushing_TAGE_SC_L_8KB"),
+    "flushing_PerceptronBP": lambda monitor, seed, groups: FlushingProtectedBPU(
+        make_unprotected_perceptron(sizes=SMALL), "flushing_PerceptronBP"),
+    **{name: (lambda monitor, seed, groups, factory=factory: factory(
+        sizes=SMALL, monitor_config=monitor, seed=seed,
+        shared_token_groups=groups))
        for name, factory in FACTORIES.items()},
 }
 
@@ -175,13 +187,14 @@ def _diverged(replay):
 @settings(max_examples=80, deadline=None)
 @given(trace=_traces("t", min_size=20, max_size=200), warmup=st.integers(-3, 30),
        monitors=st.fixed_dictionaries({name: _monitors() for name in FACTORIES}),
+       groups=st.fixed_dictionaries({name: _GROUPS for name in FACTORIES}),
        seed=st.integers(0, 7), span_limit=st.integers(1, 64))
-def test_single_trace_reference_equals_vector(trace, warmup, monitors, seed,
-                                              span_limit):
+def test_single_trace_reference_equals_vector(trace, warmup, monitors, groups,
+                                              seed, span_limit):
     def replay():
         parts = {}
         for name, factory in SINGLE_MODELS.items():
-            model = factory(monitors.get(name), seed)
+            model = factory(monitors.get(name), seed, groups.get(name))
             stats = TraceSimulator(warmup_branches=warmup).run(model, trace).stats
             for part, value in _snapshot(model, stats).items():
                 parts[name, part] = value

@@ -8,6 +8,8 @@ state against the per-item reference loop, plus unit-level parity of the
 underlying kernels.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -168,10 +170,10 @@ class TestThreeWayParity:
                 isinstance(item, BranchRecord) for item in trace)
 
 
-def _declines(model: str, kind: str) -> float:
-    """The ``repro_replay_declines_total`` sample for ``(model, kind)``."""
+def _replay_total(counter: str, model: str, kind: str) -> float:
+    """The ``repro_replay_<counter>_total`` sample for ``(model, kind)``."""
     family = obs_metrics.registry().snapshot().get(
-        "repro_replay_declines_total", {"samples": []})
+        f"repro_replay_{counter}_total", {"samples": []})
     for sample in family["samples"]:
         if sample["labels"] == {"model": model, "kind": kind}:
             return sample["value"]
@@ -228,6 +230,8 @@ def _composite_state(composite):
         composite.btb._access_clock,
         composite.btb.eviction_count,
         list(composite.rsb._stack),
+        composite.rsb.overflow_count,
+        composite.rsb.underflow_count,
         composite.history.ghr.value,
         composite.history.bhb.value,
         list(composite.history.outcomes),
@@ -399,14 +403,14 @@ class TestBackendSwitch:
 
         trace = trace_for("505.mcf", 600, 7)
         assert vector.kernel_status(make_model()) == "fallback"
-        before = _declines("ThreeBitCond", "trace")
+        before = _replay_total("declines", "ThreeBitCond", "trace")
         stats = {}
         for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 stats[backend] = TraceSimulator(warmup_branches=60).run(
                     make_model(), trace).stats
         # One decline for the vector run; the reference run never tries.
-        assert _declines("ThreeBitCond", "trace") == before + 1
+        assert _replay_total("declines", "ThreeBitCond", "trace") == before + 1
         assert stats["reference"] == stats["vector"]
 
     def test_stbpu_smt_corun_is_not_declined(self):
@@ -421,9 +425,9 @@ class TestBackendSwitch:
         for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 model = make_stbpu_skl(seed=5)
-                before = _declines("ST_SKLCond", "smt")
+                before = _replay_total("declines", "ST_SKLCond", "smt")
                 result = SMTSimulator().run(model, trace_a, trace_b)
-                assert _declines("ST_SKLCond", "smt") == before
+                assert _replay_total("declines", "ST_SKLCond", "smt") == before
                 stats[backend] = (result.thread_stats, result.protection,
                                   _token_state(model),
                                   _composite_state(model.inner))
@@ -443,6 +447,54 @@ class TestBackendSwitch:
                   "stbpu_variant", "ucode_protection_1", "ucode_protection_2"}
         assert statuses == {**{name: "guarded" for name in guarded},
                             **{name: "kernel" for name in kernel}}
+
+
+class TestSpanSchedule:
+    """OS events do not end vector spans.
+
+    µcode flushes are epochs inside one SKL span, and STBPU events are token
+    bookkeeping: an STBPU span ends only where a context with no token is
+    installed for the first time (here: the kernel context in 505.mcf, and
+    the kernel plus six more contexts in apache2_prefork_c128).
+    """
+
+    @pytest.mark.parametrize("workload, spans, protection", [
+        ("505.mcf",
+         {"ucode_protection_1": 1, "ucode_protection_2": 1, "ST_SKLCond": 2},
+         {"flushes": 11, "token_loads": 23, "contexts_seen": 2}),
+        ("apache2_prefork_c128",
+         {"ucode_protection_1": 1, "ucode_protection_2": 1, "ST_SKLCond": 8},
+         {"flushes": 48, "token_loads": 82, "contexts_seen": 8}),
+    ])
+    def test_os_events_do_not_end_spans(self, workload, spans, protection):
+        from repro.engine import trace_for
+        from repro.engine.registry import build_model
+
+        trace = trace_for(workload, 20_000, 7)
+        for name, expected in spans.items():
+            model = build_model(ModelSpec(name), seed=7)
+            with mock.patch.object(
+                    vector._CompositeEngine, "run_span", autospec=True,
+                    side_effect=vector._CompositeEngine.run_span) as run_span:
+                TraceSimulator(warmup_branches=2_000).run(model, trace)
+            assert run_span.call_count == expected, name
+            stats = model.protection_stats()
+            for key in stats.keys() & protection.keys():
+                assert stats[key] == protection[key], (name, key)
+
+    def test_replay_counters(self):
+        from repro.engine import trace_for
+        from repro.engine.registry import build_model
+
+        trace = trace_for("505.mcf", 20_000, 7)
+        model = build_model(ModelSpec("ucode_protection_2"), seed=7)
+        before = {counter: _replay_total(counter, "ucode_protection_2", "trace")
+                  for counter in ("spans", "branches")}
+        TraceSimulator(warmup_branches=2_000).run(model, trace)
+        assert _replay_total("spans", "ucode_protection_2", "trace") \
+            == before["spans"] + 1
+        assert _replay_total("branches", "ucode_protection_2", "trace") \
+            == before["branches"] + 20_000
 
 
 class TestVectorKernels:
