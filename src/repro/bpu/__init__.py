@@ -18,7 +18,7 @@ from repro.bpu.mapping import (
     TargetCodec,
 )
 from repro.bpu.history import BranchHistoryBuffer, FoldedHistory, GlobalHistoryRegister, HistoryState
-from repro.bpu.btb import BranchTargetBuffer, BTBEntry, BTBLookupResult, BTBUpdateResult
+from repro.bpu.btb import BranchTargetBuffer, BTBLookupResult, BTBUpdateResult
 from repro.bpu.pht import (
     DirectionPrediction,
     PatternHistoryTable,
@@ -57,7 +57,6 @@ __all__ = [
     "GlobalHistoryRegister",
     "HistoryState",
     "BranchTargetBuffer",
-    "BTBEntry",
     "BTBLookupResult",
     "BTBUpdateResult",
     "DirectionPrediction",

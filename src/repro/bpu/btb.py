@@ -6,6 +6,13 @@ least-significant bits of the target (optionally encrypted by the installed
 :class:`~repro.bpu.mapping.TargetCodec`).  Two addressing modes are
 supported: mode 1 keys on the branch address only, mode 2 additionally mixes
 in the branch history buffer and is used for indirect branches.
+
+The state is kept in the layout the vector replay engine
+(:mod:`repro.sim.vector`) replays in place: three per-slot lists — the packed
+key ``(tag << offset_bits) | offset``, the LRU rank and the stored target —
+where slot ``set * ways + way`` is one way, plus a dict from
+``key * slot_count + first slot of the set`` to the slot, holding the valid
+entries only.  A probe is one dict lookup instead of a walk over the ways.
 """
 
 from __future__ import annotations
@@ -21,16 +28,10 @@ from repro.bpu.mapping import (
     TargetCodec,
 )
 
-
-@dataclass(slots=True)
-class BTBEntry:
-    """One way of a BTB set."""
-
-    valid: bool = False
-    tag: int = 0
-    offset: int = 0
-    stored_target: int = 0
-    lru_stamp: int = 0
+#: Rank bonus of a valid slot.  A slot's rank is its LRU stamp, plus
+#: ``VALID`` while it holds an entry, so the replacement victim — the first
+#: way with the smallest ``(valid, stamp)`` — is the first lowest rank.
+VALID = 1 << 62
 
 
 @dataclass(slots=True)
@@ -64,7 +65,8 @@ class BranchTargetBuffer:
             budget.  A value of 0.5 halves the number of sets.
     """
 
-    __slots__ = ("sizes", "mapping", "codec", "_set_count", "_ways", "_sets",
+    __slots__ = ("sizes", "mapping", "codec", "_set_count", "_ways",
+                 "_slot_count", "_keys", "_ranks", "_targets", "_slots",
                  "_access_clock", "eviction_count")
 
     def __init__(
@@ -81,9 +83,11 @@ class BranchTargetBuffer:
             raise ValueError("capacity_scale must be in (0, 1]")
         self._set_count = max(1, int(self.sizes.btb_sets * capacity_scale))
         self._ways = self.sizes.btb_ways
-        self._sets: list[list[BTBEntry]] = [
-            [BTBEntry() for _ in range(self._ways)] for _ in range(self._set_count)
-        ]
+        slot_count = self._slot_count = self._set_count * self._ways
+        self._keys = [0] * slot_count
+        self._ranks = [0] * slot_count
+        self._targets = [0] * slot_count
+        self._slots: dict[int, int] = {}
         self._access_clock = 0
         self.eviction_count = 0
 
@@ -99,23 +103,24 @@ class BranchTargetBuffer:
 
     @property
     def entry_count(self) -> int:
-        return self._set_count * self._ways
+        return self._slot_count
 
     def flush(self) -> int:
-        """Invalidate every entry; returns the number of valid entries dropped."""
-        dropped = 0
-        for entries in self._sets:
-            for entry in entries:
-                if entry.valid:
-                    dropped += 1
-                entry.valid = False
+        """Invalidate every entry; returns the number of valid entries dropped.
+
+        Tags, offsets, stored targets and stamps survive (only the valid bit
+        goes), and the lists are mutated in place: the vector engine replays
+        them by reference.
+        """
+        ranks = self._ranks
+        for slot in self._slots.values():
+            ranks[slot] -= VALID
+        dropped = len(self._slots)
+        self._slots.clear()
         return dropped
 
     def valid_entry_count(self) -> int:
-        return sum(1 for entries in self._sets for entry in entries if entry.valid)
-
-    def occupied_sets(self) -> int:
-        return sum(1 for entries in self._sets if any(e.valid for e in entries))
+        return len(self._slots)
 
     # ---------------------------------------------------------------- lookups
 
@@ -134,60 +139,52 @@ class BranchTargetBuffer:
                                offset=key.offset)
         return key
 
+    def _packed(self, key: BTBLookupKey) -> int:
+        return (key.tag << self.sizes.btb_offset_bits) | key.offset
+
     def lookup(self, ip: int, bhb: int | None = None) -> BTBLookupResult:
         """Probe the BTB.  ``bhb`` selects addressing mode 2 when provided."""
         clock = self._access_clock + 1
         self._access_clock = clock
         key = self._key(ip, bhb)
-        tag = key.tag
-        offset = key.offset
-        for entry in self._sets[key.index]:
-            if entry.valid and entry.tag == tag and entry.offset == offset:
-                entry.lru_stamp = clock
-                predicted = self.codec.extend(entry.stored_target, ip)
-                return BTBLookupResult(hit=True, predicted_target=predicted, key=key)
-        return BTBLookupResult(hit=False, predicted_target=None, key=key)
+        slot = self._slots.get(
+            self._packed(key) * self._slot_count + key.index * self._ways)
+        if slot is None:
+            return BTBLookupResult(hit=False, predicted_target=None, key=key)
+        self._ranks[slot] = VALID + clock
+        predicted = self.codec.extend(self._targets[slot], ip)
+        return BTBLookupResult(hit=True, predicted_target=predicted, key=key)
 
     def update(self, ip: int, target: int, bhb: int | None = None) -> BTBUpdateResult:
         """Install or refresh the entry for ``ip`` with resolved ``target``."""
         clock = self._access_clock + 1
         self._access_clock = clock
         key = self._key(ip, bhb)
-        entries = self._sets[key.index]
-        tag = key.tag
-        offset = key.offset
+        packed = self._packed(key)
+        base = key.index * self._ways
+        entry = packed * self._slot_count + base
+        slots = self._slots
+        ranks = self._ranks
+        slot = slots.get(entry)
+        if slot is not None:
+            self._targets[slot] = self.codec.encode(target)
+            ranks[slot] = VALID + clock
+            return BTBUpdateResult(evicted_valid_entry=False, replaced_same_branch=True)
 
-        # One pass finds both a same-branch entry and the LRU victim (the
-        # first entry with the smallest (valid, lru_stamp) rank, matching the
-        # previous min()-based selection).
-        victim = None
-        victim_valid = True
-        victim_stamp = 0
-        for entry in entries:
-            if entry.valid and entry.tag == tag and entry.offset == offset:
-                entry.stored_target = self.codec.encode(target)
-                entry.lru_stamp = clock
-                return BTBUpdateResult(evicted_valid_entry=False, replaced_same_branch=True)
-            entry_valid = entry.valid
-            if victim is None or (entry_valid, entry.lru_stamp) < (victim_valid, victim_stamp):
-                victim = entry
-                victim_valid = entry_valid
-                victim_stamp = entry.lru_stamp
-
-        evicted = victim.valid
+        set_ranks = ranks[base:base + self._ways]
+        slot = base + set_ranks.index(min(set_ranks))
+        evicted = ranks[slot] >= VALID
         if evicted:
             self.eviction_count += 1
-        victim.valid = True
-        victim.tag = tag
-        victim.offset = offset
-        victim.stored_target = self.codec.encode(target)
-        victim.lru_stamp = clock
+            del slots[self._keys[slot] * self._slot_count + base]
+        self._keys[slot] = packed
+        self._targets[slot] = self.codec.encode(target)
+        ranks[slot] = VALID + clock
+        slots[entry] = slot
         return BTBUpdateResult(evicted_valid_entry=evicted, replaced_same_branch=False)
 
     def contains(self, ip: int, bhb: int | None = None) -> bool:
         """Non-destructive membership test (does not touch LRU state)."""
         key = self._key(ip, bhb)
-        return any(
-            entry.valid and entry.tag == key.tag and entry.offset == key.offset
-            for entry in self._sets[key.index]
-        )
+        return (self._packed(key) * self._slot_count
+                + key.index * self._ways) in self._slots

@@ -7,6 +7,10 @@ mode that hashes in the global history register.  We implement that as a
 hybrid of a bimodal (1-level) array and a gshare (2-level) array with a
 per-branch choice table — the standard generalisation of such designs — which
 we refer to throughout the code as ``SKLCond``.
+
+Each table's counters live in a ``bytearray``, which the vector replay
+engine (:mod:`repro.sim.vector`) wraps as a zero-copy ``uint8`` array and
+scans in place.
 """
 
 from __future__ import annotations
@@ -43,12 +47,14 @@ class SaturatingCounter:
 class PatternHistoryTable:
     """A flat array of saturating counters addressed by an externally computed index.
 
-    The counters are stored as a plain list of ints rather than
+    The counters are stored one per byte in a ``bytearray`` rather than as
     :class:`SaturatingCounter` objects: a predictor model owns up to three
     16k-entry tables and probes them on every conditional branch, so both
     construction (175 models per full figure grid) and the per-access
-    predict/update calls sit on the replay hot path.  The saturation
-    semantics are identical to :class:`SaturatingCounter`.
+    predict/update calls sit on the replay hot path, and the vector engine
+    replays the same buffer without copying it.  The saturation semantics
+    are identical to :class:`SaturatingCounter`.  A byte holds 0–255, so
+    ``counter_bits`` must be 1–8 and ``initial`` a counter value.
     """
 
     __slots__ = ("entries", "counter_bits", "_maximum", "_midpoint", "_values")
@@ -56,12 +62,16 @@ class PatternHistoryTable:
     def __init__(self, entries: int, counter_bits: int = 2, initial: int | None = None):
         if entries <= 0:
             raise ValueError("entries must be positive")
+        if not 1 <= counter_bits <= 8:
+            raise ValueError("counter_bits must be in 1..8 (one byte per counter)")
         self.entries = entries
         self.counter_bits = counter_bits
         self._maximum = (1 << counter_bits) - 1
         self._midpoint = self._maximum // 2
         start = initial if initial is not None else self._midpoint
-        self._values = [start] * entries
+        if not 0 <= start <= self._maximum:
+            raise ValueError(f"initial must be in [0, {self._maximum}]")
+        self._values = bytearray([start]) * entries
 
     def predict(self, index: int) -> bool:
         return self._values[index % self.entries] > self._midpoint
@@ -80,7 +90,8 @@ class PatternHistoryTable:
             values[index] = value - 1
 
     def flush(self) -> None:
-        self._values = [self._midpoint] * self.entries
+        # In place: the vector engine may hold a view of the buffer.
+        self._values[:] = bytes([self._midpoint]) * self.entries
 
 
 @dataclass(slots=True)

@@ -34,16 +34,13 @@ class FlushingProtectedBPU(BranchPredictorModel):
         flush_on_context_switch: Model IBPB (flush on every context switch).
         flush_on_mode_switch: Model IBRS (flush when entering the kernel so
             lower-privilege state cannot steer higher-privilege speculation).
-        stibp: Records that the configuration includes STIBP.  No hook
-            reads it: STIBP's cost is modelled only by the halved BTB that
-            :func:`make_ucode_protection_1` builds
-            (``btb_capacity_scale=0.5``); neither simulator adds flushes or
-            partitions structures by thread for it.
+
+    STIBP is modelled only by the halved BTB that
+    :func:`make_ucode_protection_1` builds (``btb_capacity_scale=0.5``).
     """
 
     __slots__ = ("inner", "name", "flush_on_context_switch",
-                 "flush_on_mode_switch", "stibp", "flush_count",
-                 "_current_context")
+                 "flush_on_mode_switch", "flush_count", "_current_context")
 
     def __init__(
         self,
@@ -51,13 +48,11 @@ class FlushingProtectedBPU(BranchPredictorModel):
         name: str,
         flush_on_context_switch: bool = True,
         flush_on_mode_switch: bool = True,
-        stibp: bool = False,
     ):
         self.inner = inner
         self.name = name
         self.flush_on_context_switch = flush_on_context_switch
         self.flush_on_mode_switch = flush_on_mode_switch
-        self.stibp = stibp
         self.flush_count = 0
         self._current_context: int | None = None
 
@@ -273,7 +268,6 @@ def make_ucode_protection_1(sizes: StructureSizes | None = None) -> FlushingProt
         name="ucode_protection_1",
         flush_on_context_switch=True,
         flush_on_mode_switch=True,
-        stibp=True,
     )
 
 
@@ -285,7 +279,6 @@ def make_ucode_protection_2(sizes: StructureSizes | None = None) -> FlushingProt
         name="ucode_protection_2",
         flush_on_context_switch=True,
         flush_on_mode_switch=True,
-        stibp=False,
     )
 
 

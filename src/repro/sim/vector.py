@@ -15,11 +15,15 @@ every piece of predictor state except the BTB/RSB precomputable:
   recovered with a segmented Hillis–Steele scan over packed 4-state
   transition maps (a 2-bit counter is a 4-state FSM, so a whole
   counter-function composition fits in one byte and composition is a 64K
-  lookup table);
+  lookup table).  The accesses are ordered by index with 16-bit radix
+  passes, the scan runs only the passes its longest same-index run needs,
+  and commit scatters into the tables' own byte buffers;
 * the BTB (LRU, set-associative) and RSB (bounded stack) remain genuinely
   sequential, but replay as a slim Python loop over pre-computed integer
-  keys — no objects, no hashing, no attribute chasing — touching only the
-  branches that actually access them.
+  keys, touching only the branches that actually access them.  The loop
+  works on the :class:`~repro.bpu.btb.BranchTargetBuffer`'s own slot lists
+  and key → slot dict in place: a probe is one dict ``get``, and an install
+  takes the set's first lowest LRU rank.
 
 OS events do not end spans.  Each kernel walks a trace's events once in
 Python and replays all of its branches, so event semantics become span data:
@@ -73,6 +77,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bpu.btb import VALID
 from repro.bpu.common import PredictorStats
 from repro.obs import metrics as obs_metrics
 from repro.trace.branch import (
@@ -159,6 +164,23 @@ class _CounterScan:
             self.inclusive[positions] >> (self.init_states[positions] << 1)) & 3
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys.
+
+    Sorts 16-bit digits least significant first, each with a stable argsort
+    of ``uint16`` — a radix sort in NumPy, where a 64-bit key takes a
+    comparison sort — and one digit covers every key below 65,536.
+    """
+    if keys.shape[0] == 0:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    high = keys >> 16
+    while int(high.max()):
+        order = order[np.argsort(high[order].astype(np.uint16), kind="stable")]
+        high >>= 16
+    return order
+
+
 def _scan_counters(indices: np.ndarray, maps: np.ndarray, table: np.ndarray,
                    order: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, _CounterScan | None, np.ndarray]:
@@ -176,18 +198,21 @@ def _scan_counters(indices: np.ndarray, maps: np.ndarray, table: np.ndarray,
         empty = np.empty(0, dtype=np.uint8)
         return empty, None, np.empty(0, dtype=np.int64)
     if order is None:
-        order = np.argsort(indices, kind="stable")
+        order = _stable_order(indices)
     idx_sorted = indices[order]
     inclusive = maps[order].copy()
+    first = np.empty(count, dtype=bool)
+    first[0] = True
+    np.not_equal(idx_sorted[1:], idx_sorted[:-1], out=first[1:])
+    # A pass composes only within a same-index run longer than its shift,
+    # so the passes stop at the longest run.
+    longest = int(np.diff(np.flatnonzero(np.append(first, True))).max())
     shift = 1
-    while shift < count:
+    while shift < longest:
         same = idx_sorted[shift:] == idx_sorted[:-shift]
         composed = COMPOSE[inclusive[:-shift], inclusive[shift:]]
         inclusive[shift:] = np.where(same, composed, inclusive[shift:])
         shift <<= 1
-    first = np.empty(count, dtype=bool)
-    first[0] = True
-    np.not_equal(idx_sorted[1:], idx_sorted[:-1], out=first[1:])
     exclusive = np.empty_like(inclusive)
     exclusive[1:] = inclusive[:-1]
     exclusive[first] = MAP_IDENTITY
@@ -387,9 +412,10 @@ STEPPER_PROTOCOL = ("begin", "prepare_span", "commit_span", "flush", "finish")
 class _SKLStepper:
     """Closed-form replay of a :class:`~repro.bpu.pht.SKLConditionalPredictor`.
 
-    The one-level, two-level and chooser tables are adopted as ``uint8``
-    arrays, and a span's predictions come from three segmented counter
-    scans — no per-conditional step.  A scan is pure until committed, so
+    The one-level, two-level and chooser tables are adopted as zero-copy
+    ``uint8`` views of their ``bytearray`` counters, and a span's
+    predictions come from three segmented counter scans — no
+    per-conditional step.  A scan is pure until committed, so
     ``commit_span`` scatters only the executed prefix when a monitor fired
     mid-span.  A span with flushes scans each flush epoch under its own keys
     (offset by epoch × table length), and commit keeps the last epoch only.
@@ -406,15 +432,13 @@ class _SKLStepper:
 
     def begin(self) -> None:
         direction = self.direction
-        self.one_table = np.array(direction.one_level._values, dtype=np.uint8)
-        self.two_table = np.array(direction.two_level._values, dtype=np.uint8)
-        self.choice_table = np.array(direction.chooser._values, dtype=np.uint8)
+        self.one_table = np.frombuffer(direction.one_level._values, np.uint8)
+        self.two_table = np.frombuffer(direction.two_level._values, np.uint8)
+        self.choice_table = np.frombuffer(direction.chooser._values, np.uint8)
 
     def finish(self) -> None:
-        direction = self.direction
-        direction.one_level._values = self.one_table.tolist()
-        direction.two_level._values = self.two_table.tolist()
-        direction.chooser._values = self.choice_table.tolist()
+        self.one_table = self.two_table = self.choice_table = None
+        self.scans = None
 
     def flush(self) -> None:
         self.one_table.fill(FLUSHED_COUNTER)
@@ -909,7 +933,7 @@ class _TAGEStepper:
                             idx_col = idx_matrix[table_no]
                             nxt = np.full(ncond, -1, dtype=np.int64)
                             if ncond > 1:
-                                order = np.argsort(idx_col, kind="stable")
+                                order = _stable_order(idx_col)
                                 ordered = idx_col[order]
                                 same = ordered[1:] == ordered[:-1]
                                 nxt[order[:-1][same]] = order[1:][same]
@@ -1059,18 +1083,20 @@ class _PerceptronStepper:
 class _CompositeEngine:
     """Vector replay engine over one :class:`~repro.bpu.composite.CompositeBPU`.
 
-    The engine adopts the composite's structures into flat arrays/lists on
-    ``begin``, replays spans with :meth:`run_span`, and writes every structure
-    back bit-exactly on ``finish``.  Wrapper kernels (flushing, conservative,
-    STBPU) drive the span schedule and event semantics.
+    The BTB's slot lists and index and the PHTs' counter buffers are replayed
+    in place: ``begin`` adopts them without copying (the SKL stepper wraps
+    the buffers as arrays), and ``finish`` writes back only the BTB's clock
+    and eviction count, the RSB and the history registers, which the engine
+    carries as locals.  :meth:`run_span` replays spans.  Wrapper kernels
+    (flushing, conservative, STBPU) drive the span schedule and event
+    semantics.
     """
 
     __slots__ = (
         "composite", "pht_maps", "btb_maps", "codec", "stepper", "sizes",
-        "token_dependent", "bt_keys", "bt_tags", "bt_offsets", "bt_stored",
-        "bt_stamps", "clock", "evictions", "ways", "set_count", "rsb",
-        "rsb_capacity", "rsb_overflows", "rsb_underflows", "ghr_value",
-        "bhb_value", "outcomes", "max_outcomes", "arrays", "n", "is_cond",
+        "token_dependent", "btb", "clock", "evictions", "ways", "set_count",
+        "slot_count", "rsb", "rsb_capacity", "rsb_overflows", "rsb_underflows",
+        "ghr_value", "bhb_value", "outcomes", "max_outcomes", "arrays", "n", "is_cond",
         "is_direct", "is_indirect", "is_return", "is_call", "is_ind_or_ret",
         "bhb_updates", "mixed", "fallthrough_ok", "high_ok", "base_opcode",
         "_mode1_cache", "_encoded_cache", "_push_cache", "dir_ok",
@@ -1096,31 +1122,12 @@ class _CompositeEngine:
 
     def begin(self, arrays) -> None:
         composite = self.composite
-        sizes = self.sizes
-        btb = composite.btb
-        offset_bits = sizes.btb_offset_bits
-        keys: list[int] = []
-        tags: list[int] = []
-        offsets: list[int] = []
-        stored: list[int] = []
-        stamps: list[int] = []
-        for entries in btb._sets:
-            for entry in entries:
-                keys.append(((entry.tag << offset_bits) | entry.offset)
-                            if entry.valid else -1)
-                tags.append(entry.tag)
-                offsets.append(entry.offset)
-                stored.append(entry.stored_target)
-                stamps.append(entry.lru_stamp)
-        self.bt_keys = keys
-        self.bt_tags = tags
-        self.bt_offsets = offsets
-        self.bt_stored = stored
-        self.bt_stamps = stamps
+        btb = self.btb = composite.btb
         self.clock = btb._access_clock
         self.evictions = btb.eviction_count
         self.ways = btb.way_count
         self.set_count = btb.set_count
+        self.slot_count = btb.entry_count
         self.stepper.begin()
 
         rsb = composite.rsb
@@ -1184,13 +1191,17 @@ class _CompositeEngine:
         self.btb_evict = np.zeros(self.n, dtype=bool)
         self.rsb_under = np.zeros(self.n, dtype=bool)
 
-    def _mode1_keys(self, span: slice):
-        index, key = self.btb_maps.btb1(self.arrays.ips[span],
-                                        self.map_contexts[span])
+    def _btb_entries(self, index, key):
+        """The BTB index's keys (``key * slot_count + first slot of the
+        set``) for the map outputs ``index`` and ``key``."""
         index = index.astype(np.int64)
         if self.set_count != self.sizes.btb_sets:
             index %= self.set_count
-        return index * self.ways, key.astype(np.int64)
+        return key.astype(np.int64) * self.slot_count + index * self.ways
+
+    def _mode1_keys(self, span: slice):
+        return self._btb_entries(*self.btb_maps.btb1(self.arrays.ips[span],
+                                                     self.map_contexts[span]))
 
     def _encode(self, values, span: slice):
         """Codec-encode ``values`` (branches ``span``), each under its own ϕ."""
@@ -1201,21 +1212,7 @@ class _CompositeEngine:
 
     def finish(self) -> None:
         composite = self.composite
-        btb = composite.btb
-        keys = self.bt_keys
-        tags = self.bt_tags
-        offsets = self.bt_offsets
-        stored = self.bt_stored
-        stamps = self.bt_stamps
-        position = 0
-        for entries in btb._sets:
-            for entry in entries:
-                entry.valid = keys[position] != -1
-                entry.tag = tags[position]
-                entry.offset = offsets[position]
-                entry.stored_target = stored[position]
-                entry.lru_stamp = stamps[position]
-                position += 1
+        btb = self.btb
         btb._access_clock = self.clock
         btb.eviction_count = self.evictions
         self.stepper.finish()
@@ -1231,8 +1228,7 @@ class _CompositeEngine:
 
     def flush(self) -> None:
         """Emulate ``CompositeBPU.flush_predictor_state`` on the adopted state."""
-        keys = self.bt_keys
-        keys[:] = [-1] * len(keys)
+        self.btb.flush()
         self.rsb.clear()
         self.stepper.flush()
         self.ghr_value = 0
@@ -1306,25 +1302,18 @@ class _CompositeEngine:
 
         # ---------------------------------------------------------- BTB keys
         if self._mode1_cache is not None:
-            mode1_base = self._mode1_cache[0][span]
-            mode1_key = self._mode1_cache[1][span]
+            mode1 = self._mode1_cache[span]
             encoded = self._encoded_cache[span]
             push_values = self._push_cache[span]
         else:
-            mode1_base, mode1_key = self._mode1_keys(span)
+            mode1 = self._mode1_keys(span)
             encoded = self._encode(arrays.targets[span], span)
             push_values = self._encode(
                 (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span)
-        mode2_base = np.zeros(length, dtype=np.int64)
-        mode2_key = np.zeros(length, dtype=np.int64)
+        mode2 = np.zeros(length, dtype=np.int64)
         if ind_ret_rel.shape[0]:
-            index2, key2 = self.btb_maps.btb2(
-                ips[ind_ret_rel], bhb_at, contexts[ind_ret_rel])
-            index2 = index2.astype(np.int64)
-            if self.set_count != self.sizes.btb_sets:
-                index2 %= self.set_count
-            mode2_base[ind_ret_rel] = index2 * self.ways
-            mode2_key[ind_ret_rel] = key2.astype(np.int64)
+            mode2[ind_ret_rel] = self._btb_entries(*self.btb_maps.btb2(
+                ips[ind_ret_rel], bhb_at, contexts[ind_ret_rel]))
 
         # ------------------------------------------------------- participants
         if guarded:
@@ -1355,10 +1344,8 @@ class _CompositeEngine:
         target_ok, hits, evicts, unders, stopped_at = self._structural_loop(
             ops[part].tolist(),
             takens[part].tolist(),
-            mode1_base[part].tolist(),
-            mode1_key[part].tolist(),
-            mode2_base[part].tolist(),
-            mode2_key[part].tolist(),
+            mode1[part].tolist(),
+            mode2[part].tolist(),
             encoded[part].tolist(),
             self.high_ok[span][part].tolist(),
             self.fallthrough_ok[span][part].tolist(),
@@ -1413,19 +1400,19 @@ class _CompositeEngine:
 
     # --------------------------------------------------------- structural loop
 
-    def _structural_loop(self, ops, takens, base1, key1, base2, key2, encoded,
-                         high_ok, fall_ok, calls, pushes, dir_ok, monitor,
-                         conds, step, clears):
-        keys = self.bt_keys
-        tags = self.bt_tags
-        offsets = self.bt_offsets
-        stored = self.bt_stored
-        stamps = self.bt_stamps
+    def _structural_loop(self, ops, takens, entry1, entry2, encoded, high_ok,
+                         fall_ok, calls, pushes, dir_ok, monitor, conds, step,
+                         clears):
+        btb = self.btb
+        keys = btb._keys
+        ranks = btb._ranks
+        stored = btb._targets
+        index = btb._slots
+        probe = index.get
         clock = self.clock
         evictions = self.evictions
         ways = self.ways
-        offset_bits = self.sizes.btb_offset_bits
-        offset_mask = (1 << offset_bits) - 1
+        slot_count = self.slot_count
         rsb = self.rsb
         rsb_capacity = self.rsb_capacity
         count = len(ops)
@@ -1433,8 +1420,6 @@ class _CompositeEngine:
         hits = [False] * count
         evicts = [False] * count
         unders = [False] * count
-        valid_bonus = 1 << 62
-        huge = 1 << 63
         stopped_at = -1
         ordinal = 0
 
@@ -1462,7 +1447,7 @@ class _CompositeEngine:
             if epoch:
                 # A flush lands before participant ``begin``: it drops
                 # every BTB entry and the RSB.
-                keys[:] = [-1] * len(keys)
+                btb.flush()
                 rsb.clear()
             for j in range(begin, end):
                 taken = takens[j]
@@ -1487,57 +1472,40 @@ class _CompositeEngine:
                 hit = False
                 correct = False
                 evicted = False
+                # ``slot`` ends as the update entry's slot (``None``: absent).
                 if op == 0:  # mode-1 lookup (cond. predicted-taken / direct)
                     clock += 1
-                    base = base1[j]
-                    want = key1[j]
-                    stop = base + ways
-                    w = base
-                    while w < stop:
-                        if keys[w] == want:
-                            stamps[w] = clock
-                            hit = True
-                            if stored[w] == encoded[j] and high_ok[j]:
-                                correct = True
-                            break
-                        w += 1
-                    update_base = base
-                    update_key = want
+                    entry = entry1[j]
+                    slot = probe(entry)
+                    if slot is not None:
+                        ranks[slot] = VALID + clock
+                        hit = True
+                        if stored[slot] == encoded[j] and high_ok[j]:
+                            correct = True
                 elif op == 1:  # cond. predicted not-taken, resolved taken
-                    update_base = base1[j]
-                    update_key = key1[j]
+                    entry = entry1[j]
+                    slot = probe(entry)
                     correct = fall_ok[j]
                 elif op == 2:  # indirect: mode-2 lookup, mode-1 fallback
                     clock += 1
-                    base = base2[j]
-                    want = key2[j]
-                    stop = base + ways
-                    w = base
-                    while w < stop:
-                        if keys[w] == want:
-                            stamps[w] = clock
-                            hit = True
-                            if stored[w] == encoded[j] and high_ok[j]:
-                                correct = True
-                            break
-                        w += 1
-                    if not hit:
+                    entry = entry2[j]
+                    slot = probe(entry)
+                    if slot is not None:
+                        ranks[slot] = VALID + clock
+                        hit = True
+                        if stored[slot] == encoded[j] and high_ok[j]:
+                            correct = True
+                    else:
                         clock += 1
-                        base = base1[j]
-                        want1 = key1[j]
-                        stop = base + ways
-                        w = base
-                        while w < stop:
-                            if keys[w] == want1:
-                                stamps[w] = clock
-                                hit = True
-                                if stored[w] == encoded[j] and high_ok[j]:
-                                    correct = True
-                                break
-                            w += 1
-                    update_base = base2[j]
-                    update_key = key2[j]
+                        fallback = probe(entry1[j])
+                        if fallback is not None:
+                            ranks[fallback] = VALID + clock
+                            hit = True
+                            if stored[fallback] == encoded[j] and high_ok[j]:
+                                correct = True
                 else:  # return: RSB pop, mode-2 lookup on underflow
+                    entry = entry2[j]
+                    slot = probe(entry)
                     if rsb:
                         popped = rsb.pop()
                         if popped == encoded[j] and high_ok[j]:
@@ -1546,54 +1514,29 @@ class _CompositeEngine:
                         self.rsb_underflows += 1
                         unders[j] = True
                         clock += 1
-                        base = base2[j]
-                        want = key2[j]
-                        stop = base + ways
-                        w = base
-                        while w < stop:
-                            if keys[w] == want:
-                                stamps[w] = clock
-                                hit = True
-                                if stored[w] == encoded[j] and high_ok[j]:
-                                    correct = True
-                                break
-                            w += 1
-                    update_base = base2[j]
-                    update_key = key2[j]
+                        if slot is not None:
+                            ranks[slot] = VALID + clock
+                            hit = True
+                            if stored[slot] == encoded[j] and high_ok[j]:
+                                correct = True
 
                 if taken:
                     target_ok[j] = correct
                     # --------------------------------------------- BTB update
                     clock += 1
-                    stop = update_base + ways
-                    w = update_base
-                    victim = -1
-                    victim_rank = huge
-                    matched = False
-                    while w < stop:
-                        key_w = keys[w]
-                        if key_w == update_key:
-                            stored[w] = encoded[j]
-                            stamps[w] = clock
-                            matched = True
-                            break
-                        rank = stamps[w]
-                        if key_w != -1:
-                            rank += valid_bonus
-                        if rank < victim_rank:
-                            victim_rank = rank
-                            victim = w
-                        w += 1
-                    if not matched:
-                        if keys[victim] != -1:
+                    if slot is None:
+                        base = entry % slot_count
+                        set_ranks = ranks[base:base + ways]
+                        slot = base + set_ranks.index(min(set_ranks))
+                        if ranks[slot] >= VALID:
                             evictions += 1
                             evicted = True
                             evicts[j] = True
-                        keys[victim] = update_key
-                        tags[victim] = update_key >> offset_bits
-                        offsets[victim] = update_key & offset_mask
-                        stored[victim] = encoded[j]
-                        stamps[victim] = clock
+                            del index[keys[slot] * slot_count + base]
+                        keys[slot] = entry // slot_count
+                        index[entry] = slot
+                    stored[slot] = encoded[j]
+                    ranks[slot] = VALID + clock
                 hits[j] = hit
 
                 if calls[j]:

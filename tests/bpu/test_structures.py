@@ -1,8 +1,10 @@
 """Tests for the individual BPU structures: BTB, PHT, RSB, history registers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bpu.btb import BranchTargetBuffer
+from repro.bpu.btb import VALID, BranchTargetBuffer
 from repro.bpu.common import StructureSizes, fold_bits
 from repro.bpu.history import BranchHistoryBuffer, FoldedHistory, GlobalHistoryRegister, HistoryState
 from repro.bpu.mapping import BaselineMappingProvider, FullAddressMappingProvider, IdentityTargetCodec
@@ -31,7 +33,99 @@ class TestStructureSizes:
         assert sizes.rsb_entries == 16
 
 
+class _PerWayBTB:
+    """The BTB algorithm over per-way records ``[valid, tag, offset, stored,
+    stamp]``: the victim is the first way with the lowest ``(valid, stamp)``,
+    a hit refreshes the stamp, and a flush clears only the valid bits."""
+
+    def __init__(self, btb):
+        self.mapping, self.codec = btb.mapping, btb.codec
+        self.sets = [[[False, 0, 0, 0, 0] for _ in range(btb.way_count)]
+                     for _ in range(btb.set_count)]
+        self.clock = self.evictions = 0
+
+    def _find(self, ip, bhb):
+        key = (self.mapping.btb_mode1(ip) if bhb is None
+               else self.mapping.btb_mode2(ip, bhb))
+        ways = self.sets[key.index % len(self.sets)]
+        match = [way for way in ways
+                 if way[0] and way[1:3] == [key.tag, key.offset]]
+        return ways, match[0] if match else None, key
+
+    def lookup(self, ip, bhb):
+        self.clock += 1
+        _, way, _ = self._find(ip, bhb)
+        if way is None:
+            return False, None
+        way[4] = self.clock
+        return True, self.codec.extend(way[3], ip)
+
+    def update(self, ip, target, bhb):
+        self.clock += 1
+        ways, way, key = self._find(ip, bhb)
+        if way is not None:
+            way[3:] = [self.codec.encode(target), self.clock]
+            return False, True
+        victim = min(ways, key=lambda way: (way[0], way[4]))
+        evicted = victim[0]
+        self.evictions += evicted
+        victim[:] = [True, key.tag, key.offset, self.codec.encode(target),
+                     self.clock]
+        return evicted, False
+
+    def contains(self, ip, bhb):
+        return self._find(ip, bhb)[1] is not None
+
+    def flush(self):
+        ways = [way for ways in self.sets for way in ways]
+        dropped = sum(way[0] for way in ways)
+        for way in ways:
+            way[0] = False
+        return dropped
+
+
+_BTB_OPS = st.lists(st.tuples(
+    st.sampled_from(["lookup", "update", "contains", "flush"]),
+    st.integers(0, 23).map(lambda k: 0x40_0000 + 0x24 * k),
+    st.sampled_from([0x50_0000, 0x7FFF_0041_2345, 0x1234]),
+    st.sampled_from([None, None, 0, 0x5A5, 0x3_FFFF_FFFF_FFFF])), max_size=80)
+
+
 class TestBTB:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_BTB_OPS, sets=st.integers(2, 4), ways=st.integers(1, 3),
+           scale=st.sampled_from([0.5, 1.0]))
+    def test_matches_per_way_model(self, ops, sets, ways, scale):
+        btb = BranchTargetBuffer(StructureSizes(btb_sets=sets, btb_ways=ways),
+                                 capacity_scale=scale)
+        model = _PerWayBTB(btb)
+        offset_bits = btb.sizes.btb_offset_bits
+        for op, ip, target, bhb in ops:
+            if op == "lookup":
+                result = btb.lookup(ip, bhb)
+                assert (result.hit, result.predicted_target) == model.lookup(ip, bhb)
+            elif op == "update":
+                result = btb.update(ip, target, bhb)
+                assert (result.evicted_valid_entry, result.replaced_same_branch) \
+                    == model.update(ip, target, bhb)
+            elif op == "contains":
+                assert btb.contains(ip, bhb) == model.contains(ip, bhb)
+            else:
+                assert btb.flush() == model.flush()
+            assert btb.eviction_count == model.evictions
+            assert btb._access_clock == model.clock
+            assert [(rank >= VALID, key >> offset_bits,
+                     key & ((1 << offset_bits) - 1), stored, rank % VALID)
+                    for key, rank, stored in zip(btb._keys, btb._ranks,
+                                                 btb._targets)] \
+                == [tuple(way) for records in model.sets for way in records]
+            # The index maps exactly the valid slots.
+            assert btb._slots == {
+                key * btb.entry_count + slot - slot % ways: slot
+                for slot, (key, rank) in enumerate(zip(btb._keys, btb._ranks))
+                if rank >= VALID}
+            assert btb.valid_entry_count() == len(btb._slots)
+
     def test_miss_then_hit_after_update(self):
         btb = BranchTargetBuffer()
         assert not btb.lookup(0x40_0000).hit
@@ -110,6 +204,16 @@ class TestSaturatingCounterAndPHT:
     def test_pht_rejects_bad_size(self):
         with pytest.raises(ValueError):
             PatternHistoryTable(entries=0)
+
+    def test_pht_rejects_counters_a_byte_cannot_hold(self):
+        for bits in (0, 9):
+            with pytest.raises(ValueError, match="counter_bits"):
+                PatternHistoryTable(entries=4, counter_bits=bits)
+        for initial in (-1, 4):
+            with pytest.raises(ValueError, match="initial"):
+                PatternHistoryTable(entries=4, counter_bits=2, initial=initial)
+        assert PatternHistoryTable(entries=4, counter_bits=8, initial=255) \
+            .counter_value(3) == 255
 
     def test_skl_predictor_learns_biased_branch(self):
         predictor = SKLConditionalPredictor()

@@ -8,7 +8,10 @@ replays a single trace through every kernel class — plain, flushing and
 conservative SKL composites, TAGE and Perceptron composites bare and under
 flushing protection, and the three STBPU factories — under random warm-ups
 (negative ones included), monitor thresholds, token-sharing groups and
-guarded-stepper span caps, on a small BTB so evictions feed the monitors.
+guarded-stepper span caps, on a small BTB of drawn geometry (2, 4 or 16
+sets of 1–3 ways) so evictions feed the monitors, then replays a second
+trace through the same models, so each kernel also adopts a populated BTB,
+BTB index and PHTs.
 Another co-runs trace pairs through the STBPU factories under random
 scheduling quanta, warm-ups, monitor thresholds (with and without the
 direction register) and token-sharing groups.  Both backends must agree on
@@ -118,32 +121,33 @@ def _direction_state(direction):
         return _tage_state(direction)
     if hasattr(direction, "_weights"):
         return _perceptron_state(direction)
-    return (direction.one_level._values, direction.two_level._values,
-            direction.chooser._values)
+    return (bytes(direction.one_level._values),
+            bytes(direction.two_level._values),
+            bytes(direction.chooser._values))
 
 
-#: A BTB small enough for the random traces to evict, and small PHTs; the
-#: plain SKL composite's is not a power of two, which the kernels wrap.
-SMALL = StructureSizes(btb_sets=16, btb_ways=2, pht_entries=1024, rsb_entries=4)
-
+#: Factories over the drawn small sizes; the plain SKL composite's PHT is
+#: not a power of two, which the kernels wrap.
 SINGLE_MODELS = {
-    "baseline": lambda monitor, seed, groups: make_unprotected_baseline(
-        dataclasses.replace(SMALL, pht_entries=1000)),
-    "ucode_protection_1": lambda monitor, seed, groups: make_ucode_protection_1(
-        SMALL),
-    "ucode_protection_2": lambda monitor, seed, groups: make_ucode_protection_2(
-        SMALL),
-    "conservative": lambda monitor, seed, groups: make_conservative(SMALL),
-    "TAGE_SC_L_8KB": lambda monitor, seed, groups: make_unprotected_tage(
-        TAGE_SC_L_8KB, SMALL),
-    "PerceptronBP": lambda monitor, seed, groups: make_unprotected_perceptron(
-        sizes=SMALL),
-    "flushing_TAGE_SC_L_8KB": lambda monitor, seed, groups: FlushingProtectedBPU(
-        make_unprotected_tage(TAGE_SC_L_8KB, SMALL), "flushing_TAGE_SC_L_8KB"),
-    "flushing_PerceptronBP": lambda monitor, seed, groups: FlushingProtectedBPU(
-        make_unprotected_perceptron(sizes=SMALL), "flushing_PerceptronBP"),
-    **{name: (lambda monitor, seed, groups, factory=factory: factory(
-        sizes=SMALL, monitor_config=monitor, seed=seed,
+    "baseline": lambda sizes, monitor, seed, groups: make_unprotected_baseline(
+        dataclasses.replace(sizes, pht_entries=1000)),
+    "ucode_protection_1": lambda sizes, monitor, seed, groups:
+        make_ucode_protection_1(sizes),
+    "ucode_protection_2": lambda sizes, monitor, seed, groups:
+        make_ucode_protection_2(sizes),
+    "conservative": lambda sizes, monitor, seed, groups: make_conservative(sizes),
+    "TAGE_SC_L_8KB": lambda sizes, monitor, seed, groups: make_unprotected_tage(
+        TAGE_SC_L_8KB, sizes),
+    "PerceptronBP": lambda sizes, monitor, seed, groups:
+        make_unprotected_perceptron(sizes=sizes),
+    "flushing_TAGE_SC_L_8KB": lambda sizes, monitor, seed, groups:
+        FlushingProtectedBPU(make_unprotected_tage(TAGE_SC_L_8KB, sizes),
+                             "flushing_TAGE_SC_L_8KB"),
+    "flushing_PerceptronBP": lambda sizes, monitor, seed, groups:
+        FlushingProtectedBPU(make_unprotected_perceptron(sizes=sizes),
+                             "flushing_PerceptronBP"),
+    **{name: (lambda sizes, monitor, seed, groups, factory=factory: factory(
+        sizes=sizes, monitor_config=monitor, seed=seed,
         shared_token_groups=groups))
        for name, factory in FACTORIES.items()},
 }
@@ -185,17 +189,28 @@ def _diverged(replay):
 
 
 @settings(max_examples=80, deadline=None)
-@given(trace=_traces("t", min_size=20, max_size=200), warmup=st.integers(-3, 30),
+@given(trace=_traces("t", min_size=20, max_size=200), second=_traces("u"),
+       warmup=st.integers(-3, 30),
        monitors=st.fixed_dictionaries({name: _monitors() for name in FACTORIES}),
        groups=st.fixed_dictionaries({name: _GROUPS for name in FACTORIES}),
-       seed=st.integers(0, 7), span_limit=st.integers(1, 64))
-def test_single_trace_reference_equals_vector(trace, warmup, monitors, groups,
-                                              seed, span_limit):
+       seed=st.integers(0, 7), span_limit=st.integers(1, 64),
+       btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3))
+def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
+                                              groups, seed, span_limit,
+                                              btb_sets, btb_ways):
+    # A BTB small enough for the random traces to evict, and small PHTs.  A
+    # 1-set BTB is not drawn: its mapping would fold to 0 index bits, which
+    # ``fold_bits`` refuses.
+    sizes = StructureSizes(btb_sets=btb_sets, btb_ways=btb_ways,
+                           pht_entries=1024, rsb_entries=4)
+
     def replay():
         parts = {}
         for name, factory in SINGLE_MODELS.items():
-            model = factory(monitors.get(name), seed, groups.get(name))
-            stats = TraceSimulator(warmup_branches=warmup).run(model, trace).stats
+            model = factory(sizes, monitors.get(name), seed, groups.get(name))
+            simulator = TraceSimulator(warmup_branches=warmup)
+            stats = [simulator.run(model, replayed).stats
+                     for replayed in (trace, second)]
             for part, value in _snapshot(model, stats).items():
                 parts[name, part] = value
         return parts

@@ -12,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bpu.common import fold_bits
 from repro.bpu.mapping import fold_bits_array
@@ -102,17 +104,10 @@ class TestThreeWayParity:
                      model.monitor.fired_count,
                      model.monitor.observed_mispredictions,
                      model.monitor.observed_evictions),
-                    inner.direction.one_level._values,
-                    inner.direction.two_level._values,
-                    inner.direction.chooser._values,
-                    [(e.valid, e.tag, e.offset, e.stored_target, e.lru_stamp)
-                     for s in inner.btb._sets for e in s],
-                    inner.btb._access_clock,
-                    inner.btb.eviction_count,
-                    list(inner.rsb._stack),
-                    inner.history.ghr.value,
-                    inner.history.bhb.value,
-                    list(inner.history.outcomes),
+                    bytes(inner.direction.one_level._values),
+                    bytes(inner.direction.two_level._values),
+                    bytes(inner.direction.chooser._values),
+                    _composite_state(inner),
                 )
         assert snapshots["reference"][0]["rerandomizations"] > 5
         assert snapshots["reference"] == snapshots["vector"]
@@ -223,12 +218,19 @@ def _token_state(model):
 
 
 def _composite_state(composite):
-    """Shared composite structures: BTB, RSB and the history registers."""
+    """Shared composite structures: BTB, RSB and the history registers.
+
+    The BTB is its three slot lists and its index, so a stale index entry
+    fails parity as well as a wrong slot.
+    """
+    btb = composite.btb
     return (
-        [(e.valid, e.tag, e.offset, e.stored_target, e.lru_stamp)
-         for btb_set in composite.btb._sets for e in btb_set],
-        composite.btb._access_clock,
-        composite.btb.eviction_count,
+        list(btb._keys),
+        list(btb._ranks),
+        list(btb._targets),
+        sorted(btb._slots.items()),
+        btb._access_clock,
+        btb.eviction_count,
         list(composite.rsb._stack),
         composite.rsb.overflow_count,
         composite.rsb.underflow_count,
@@ -497,28 +499,65 @@ class TestSpanSchedule:
             == before["branches"] + 20_000
 
 
+def _counter_scan_cases():
+    """``(indices, entries, epoch)`` inputs for the counter-scan walk."""
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        yield rng.integers(0, 17, size=int(rng.integers(1, 200))), 17, 0
+    # Same-index runs on both sides of 2^k boundaries: each needs exactly
+    # the Hillis-Steele passes whose shift stays below its length.
+    for run in (2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65, 129):
+        yield rng.permutation(np.concatenate(
+            [np.full(run, 5), rng.integers(6, 17, size=9)])), 17, 0
+    # Epoch keys over a flushed table reach past 65,535: the stable order
+    # takes a second 16-bit digit.
+    epochs = np.sort(rng.integers(0, 6, size=400))
+    yield rng.integers(0, 12, size=400) + epochs * 16_384, 16_384, 5
+    yield np.array([4]), 17, 0
+
+
 class TestVectorKernels:
     def test_counter_scan_matches_naive_walk(self):
-        rng = np.random.default_rng(3)
-        for trial in range(5):
-            entries = 17
-            count = int(rng.integers(1, 200))
-            indices = rng.integers(0, entries, size=count).astype(np.int64)
+        rng = np.random.default_rng(5)
+        for indices, entries, epoch in _counter_scan_cases():
+            indices = indices.astype(np.int64)
+            count = indices.shape[0]
             takens = rng.integers(0, 2, size=count).astype(bool)
             table = rng.integers(0, 4, size=entries).astype(np.uint8)
             maps = np.where(takens, np.uint8(vector.MAP_INCREMENT),
                             np.uint8(vector.MAP_DECREMENT))
-            expected_table = table.tolist()
+            # A key past the table addresses a flushed copy of it.
+            initial = table.tolist()
+            counters = {}
             expected_pre = []
-            for idx, taken in zip(indices.tolist(), takens.tolist()):
-                value = expected_table[idx]
+            for key, taken in zip(indices.tolist(), takens.tolist()):
+                value = counters.get(key, initial[key] if key < entries
+                                     else vector.FLUSHED_COUNTER)
                 expected_pre.append(value)
-                expected_table[idx] = min(3, value + 1) if taken else max(0, value - 1)
-            scanned = table.copy()
-            pre, scan, _ = vector._scan_counters(indices, maps, scanned)
-            scan.commit(scanned)
-            assert pre.tolist() == expected_pre
-            assert scanned.tolist() == expected_table
+                counters[key] = (min(3, value + 1) if taken
+                                 else max(0, value - 1))
+            pre, scan, _ = vector._scan_counters(indices, maps, table)
+            # Commit scatters the last epoch's counters into the flushed
+            # table.
+            committed = table.copy()
+            if epoch:
+                committed.fill(vector.FLUSHED_COUNTER)
+            expected_table = committed.tolist()
+            for key, value in counters.items():
+                if key // entries == epoch:
+                    expected_table[key % entries] = value
+            scan.commit(committed, epoch=epoch)
+            assert pre.tolist() == expected_pre, (count, entries)
+            assert committed.tolist() == expected_table, (count, entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.sampled_from([16, 32, 62]).flatmap(
+        lambda bits: st.lists(st.integers(0, (1 << bits) - 1), max_size=120)
+        .map(lambda drawn: drawn + drawn[1::3])))
+    def test_stable_order_matches_stable_argsort(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        assert vector._stable_order(keys).tolist() \
+            == np.argsort(keys, kind="stable").tolist()
 
     def test_counter_scan_prefix_commit(self):
         indices = np.array([4, 4, 9, 4, 9], dtype=np.int64)
