@@ -84,9 +84,10 @@ class MappingProvider(abc.ABC):
         ``btb2(ips, bhbs, contexts)`` — NumPy equivalents of the scalar
         methods — plus a ``token_dependent`` flag, or ``None`` when no exact
         vectorisation exists (the simulators then fall back to the scalar
-        replay loop).  Implementations gate on their *exact* class so that
-        subclasses overriding scalar behaviour never inherit a mismatched
-        vector view.
+        replay loop).  The flag only tells the STBPU vector kernel where to
+        install its per-branch slot → ψ table.  Implementations gate on their
+        *exact* class so that subclasses overriding scalar behaviour never
+        inherit a mismatched vector view.
         """
         return None
 
@@ -97,9 +98,9 @@ class TargetCodec(abc.ABC):
 
     __slots__ = ()
 
-    #: Whether encode/decode depend on a live secret token.  The vector
-    #: backend precomputes whole-trace encoded targets only when no codec or
-    #: map is token-dependent.
+    #: Whether encode/decode depend on a live secret token.  The flag only
+    #: tells the STBPU vector kernel to encode each branch under its own ϕ,
+    #: gathered from its per-branch slot → ϕ table.
     token_dependent = False
 
     @abc.abstractmethod

@@ -8,17 +8,22 @@ predicts taken when the sum is non-negative.  Training updates the weights on
 a misprediction or whenever the magnitude of the sum is below the
 length-dependent threshold.
 
-The vector backend replays this predictor through a guarded span stepper
-(:class:`repro.sim.vector._PerceptronStepper`) that batches the dot products
-from a weight-table snapshot and aborts an access to a live computation when
-its row was retrained inside the block.  The stepper mirrors the prediction
-and training rules below exactly — any semantic change here must be made
-there too, and is pinned by the fast/vector state-parity suite
+The weights are one row-major int64 ``array`` of ``table_size`` rows of
+``history_length + 1`` weights, the bias first in each row.  The vector
+backend replays this predictor in place through a guarded span stepper
+(:class:`repro.sim.vector._PerceptronStepper`): it wraps the array as a
+zero-copy 2-D view, batches the dot products from it and aborts an access to
+a live computation when its row was retrained inside the block.  int64 leaves
+room for the stepper's add-then-clamp, and :meth:`PerceptronPredictor.flush`
+zeroes the array in place.  The stepper mirrors the prediction and training
+rules below exactly — any semantic change here must be made there too, and
+is pinned by the reference/vector state-parity suite
 (``tests/sim/test_vector_parity.py``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.bpu.common import StructureSizes
@@ -62,7 +67,8 @@ class PerceptronPredictor:
     """Table-of-perceptrons direction predictor."""
 
     __slots__ = ("config", "name", "sizes", "mapping", "_weights",
-                 "_history_length", "_threshold", "_weight_limit")
+                 "_row_length", "_history_length", "_threshold",
+                 "_weight_limit")
 
     def __init__(
         self,
@@ -74,10 +80,10 @@ class PerceptronPredictor:
         self.name = config.name
         self.sizes = sizes if sizes is not None else StructureSizes()
         self.mapping = mapping if mapping is not None else BaselineMappingProvider(self.sizes)
-        # weights[row][0] is the bias weight; the rest pair with history bits.
-        self._weights = [
-            [0] * (config.history_length + 1) for _ in range(config.table_size)
-        ]
+        # Row ``r`` starts at ``r * _row_length`` with its bias weight; the
+        # rest pair with history bits.
+        self._row_length = config.history_length + 1
+        self._weights = array("q", bytes(8 * config.table_size * self._row_length))
         # Per-access invariants hoisted out of the config properties.
         self._history_length = config.history_length
         self._threshold = config.threshold
@@ -94,16 +100,16 @@ class PerceptronPredictor:
 
     def predict(self, ip: int, history: HistoryState) -> PerceptronPrediction:
         row = self.mapping.perceptron_index(ip, self.config.table_size)
-        weights = self._weights[row]
+        weights = self._weights
         bits = self._history_bits(history)
-        total = weights[0]
-        position = 1
+        position = row * self._row_length
+        total = weights[position]
         for bit in bits:
+            position += 1
             if bit > 0:
                 total += weights[position]
             else:
                 total -= weights[position]
-            position += 1
         return PerceptronPrediction(taken=total >= 0, row=row, total=total, history_bits=bits)
 
     def update(self, prediction: PerceptronPrediction, taken: bool, ip: int = 0) -> None:
@@ -111,23 +117,21 @@ class PerceptronPredictor:
         needs_training = (prediction.taken != taken) or (abs(prediction.total) <= self._threshold)
         if not needs_training:
             return
-        weights = self._weights[prediction.row]
+        weights = self._weights
         direction = 1 if taken else -1
         limit = self._weight_limit
         floor = -limit - 1
-        weights[0] = max(floor, min(limit, weights[0] + direction))
-        position = 1
+        position = prediction.row * self._row_length
+        weights[position] = max(floor, min(limit, weights[position] + direction))
         for bit in prediction.history_bits:
-            delta = direction * bit
-            value = weights[position] + delta
+            position += 1
+            value = weights[position] + direction * bit
             if value > limit:
                 value = limit
             elif value < floor:
                 value = floor
             weights[position] = value
-            position += 1
 
     def flush(self) -> None:
-        for row in self._weights:
-            for index in range(len(row)):
-                row[index] = 0
+        """Zero the weights in place (the vector engine may hold a view)."""
+        self._weights[:] = array("q", bytes(8 * len(self._weights)))

@@ -16,19 +16,26 @@ All index and tag computations are delegated to the installed
 :class:`~repro.bpu.mapping.MappingProvider`, which is how the STBPU keyed
 remapping ``Rt`` is applied without touching the prediction algorithm.
 
-The vector backend replays this predictor through a guarded span stepper
-(:class:`repro.sim.vector._TAGEStepper`) that precomputes per-span fold
-registers, table indices/tags and tagged-entry hit bits with array kernels,
-repairing the speculative hit bits when an allocation lands in a table
-mid-span.  The stepper (and the closed-form fold in
+The state is kept in columns.  Each tagged table is four: valid flags (a
+``bytearray``), tags (an int64 ``array``, so ``tag_bits`` is at most 63),
+signed prediction counters and usefulness counters (lists).  The loop table
+is five lists, since iteration counts have no bound.  The vector backend
+replays this predictor in place through a guarded span stepper
+(:class:`repro.sim.vector._TAGEStepper`): it wraps the valid and tag columns
+as zero-copy arrays to precompute per-span fold registers, table
+indices/tags and tagged-entry hit bits, repairs the speculative hit bits
+when an allocation lands in a table mid-span, and updates the columns
+themselves.  :meth:`TAGEPredictor.flush` therefore resets the columns in
+place.  The stepper (and the closed-form fold in
 :func:`repro.sim.vector._fold_values`, which must match
 :class:`_IncrementalFold`) mirrors the update rules below exactly — any
 semantic change here must be made there too, and is pinned by the
-fast/vector state-parity suite (``tests/sim/test_vector_parity.py``).
+reference/vector state-parity suite (``tests/sim/test_vector_parity.py``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.bpu.common import StructureSizes
@@ -58,6 +65,8 @@ class TAGEConfig:
         lengths = (len(self.tagged_table_entries), len(self.tag_bits), len(self.history_lengths))
         if len(set(lengths)) != 1:
             raise ValueError("tagged table parameter tuples must have equal lengths")
+        if max(self.tag_bits, default=0) > 63:
+            raise ValueError("tag_bits must not exceed 63 (tags are int64)")
 
     @property
     def table_count(self) -> int:
@@ -85,14 +94,6 @@ TAGE_SC_L_64KB = TAGEConfig(
     loop_entries=64,
     sc_table_entries=1024,
 )
-
-
-@dataclass(slots=True)
-class _TaggedEntry:
-    valid: bool = False
-    tag: int = 0
-    counter: int = 0  # signed prediction counter, range [-4, 3] for 3 bits
-    useful: int = 0
 
 
 class _IncrementalFold:
@@ -123,15 +124,6 @@ class _IncrementalFold:
 
 
 @dataclass(slots=True)
-class _LoopEntry:
-    tag: int = 0
-    past_iterations: int = 0
-    current_iterations: int = 0
-    confidence: int = 0
-    valid: bool = False
-
-
-@dataclass(slots=True)
 class TAGEPrediction:
     """Prediction state threaded from :meth:`TAGEPredictor.predict` to ``update``."""
 
@@ -157,10 +149,12 @@ class TAGEPredictor:
     """Functional TAGE-SC-L direction predictor."""
 
     __slots__ = (
-        "config", "name", "sizes", "mapping", "_bimodal", "_tables",
-        "_index_folds", "_tag_folds", "_table_index_bits", "_max_history",
-        "_ghist", "_use_alt_on_na", "_loop_table", "_sc_tables", "_sc_folds",
-        "_sc_threshold", "_access_count",
+        "config", "name", "sizes", "mapping", "_bimodal", "_valid", "_tags",
+        "_counters", "_useful", "_index_folds", "_tag_folds",
+        "_table_index_bits", "_max_history", "_ghist", "_use_alt_on_na",
+        "_loop_valid", "_loop_tags", "_loop_past", "_loop_current",
+        "_loop_conf", "_sc_tables", "_sc_folds", "_sc_threshold",
+        "_access_count",
     )
 
     def __init__(
@@ -174,9 +168,13 @@ class TAGEPredictor:
         self.sizes = sizes if sizes is not None else StructureSizes()
         self.mapping = mapping if mapping is not None else BaselineMappingProvider(self.sizes)
         self._bimodal = [0] * config.bimodal_entries  # 2-bit counters stored as 0..3
-        self._tables: list[list[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(entries)] for entries in config.tagged_table_entries
-        ]
+        # The tagged tables' columns, one per table: valid flags, tags,
+        # signed prediction counters (range [-4, 3] for 3 bits), usefulness.
+        entries = config.tagged_table_entries
+        self._valid = [bytearray(count) for count in entries]
+        self._tags = [array("q", bytes(8 * count)) for count in entries]
+        self._counters = [[0] * count for count in entries]
+        self._useful = [[0] * count for count in entries]
         self._index_folds = [
             _IncrementalFold(h, (entries - 1).bit_length())
             for h, entries in zip(config.history_lengths, config.tagged_table_entries)
@@ -192,7 +190,14 @@ class TAGEPredictor:
         #: Private global-history bit list (newest at the end), bounded in length.
         self._ghist: list[int] = []
         self._use_alt_on_na = 8  # 4-bit counter, midpoint
-        self._loop_table = [_LoopEntry() for _ in range(config.loop_entries)]
+        # The loop table's columns: valid flags, tags, past and current
+        # iteration counts, confidence.
+        loops = config.loop_entries
+        self._loop_valid = [False] * loops
+        self._loop_tags = [0] * loops
+        self._loop_past = [0] * loops
+        self._loop_current = [0] * loops
+        self._loop_conf = [0] * loops
         self._sc_tables = [
             [0] * config.sc_table_entries for _ in config.sc_history_lengths
         ]
@@ -255,9 +260,11 @@ class TAGEPredictor:
 
         provider_table: int | None = None
         alt_table: int | None = None
+        valid = self._valid
+        stored_tags = self._tags
         for table in range(config.table_count - 1, -1, -1):
-            entry = self._tables[table][indices[table]]
-            if entry.valid and entry.tag == tags[table]:
+            index = indices[table]
+            if valid[table][index] and stored_tags[table][index] == tags[table]:
                 if provider_table is None:
                     provider_table = table
                 elif alt_table is None:
@@ -265,22 +272,22 @@ class TAGEPredictor:
                     break
 
         if provider_table is not None:
-            provider_entry = self._tables[provider_table][indices[provider_table]]
-            provider_taken = provider_entry.counter >= 0
+            provider_index = indices[provider_table]
+            provider_counter = self._counters[provider_table][provider_index]
+            provider_taken = provider_counter >= 0
             if alt_table is not None:
-                alt_entry = self._tables[alt_table][indices[alt_table]]
-                alt_taken = alt_entry.counter >= 0
                 alt_index = indices[alt_table]
+                alt_taken = self._counters[alt_table][alt_index] >= 0
             else:
                 alt_taken = bimodal_taken
                 alt_index = bimodal_index
             # Newly allocated, weak entries are less trustworthy than the alternate.
-            weak = provider_entry.counter in (-1, 0) and provider_entry.useful == 0
+            weak = (provider_counter in (-1, 0)
+                    and self._useful[provider_table][provider_index] == 0)
             if weak and self._use_alt_on_na >= 8:
                 tage_taken = alt_taken
             else:
                 tage_taken = provider_taken
-            provider_index = indices[provider_table]
         else:
             tage_taken = bimodal_taken
             alt_taken = bimodal_taken
@@ -311,12 +318,13 @@ class TAGEPredictor:
 
     def _apply_loop_predictor(self, ip: int, prediction: TAGEPrediction) -> None:
         index = self._loop_index(ip)
-        entry = self._loop_table[index]
         prediction.loop_index = index
         tag = (ip >> 8) & 0x3FF
-        if entry.valid and entry.tag == tag and entry.confidence >= 3:
+        if (self._loop_valid[index] and self._loop_tags[index] == tag
+                and self._loop_conf[index] >= 3):
             prediction.loop_hit = True
-            prediction.loop_taken = entry.current_iterations + 1 < entry.past_iterations
+            prediction.loop_taken = (self._loop_current[index] + 1
+                                     < self._loop_past[index])
             prediction.taken = prediction.loop_taken
 
     def _sc_index(self, ip: int, history: HistoryState, component: int) -> int:
@@ -359,25 +367,25 @@ class TAGEPredictor:
                 for table, index in zip(self._sc_tables, prediction.sc_indices):
                     table[index] = max(-31, min(31, table[index] + direction))
 
-        # use_alt_on_na bookkeeping.
         if prediction.provider_table is not None:
-            provider_entry = self._tables[prediction.provider_table][prediction.provider_index]
-            weak = provider_entry.counter in (-1, 0) and provider_entry.useful == 0
+            index = prediction.provider_index
+            counters = self._counters[prediction.provider_table]
+            useful = self._useful[prediction.provider_table]
+            # use_alt_on_na bookkeeping.
+            weak = counters[index] in (-1, 0) and useful[index] == 0
             if weak and prediction.tage_taken != prediction.alt_taken:
                 if prediction.alt_taken == taken:
                     self._use_alt_on_na = min(15, self._use_alt_on_na + 1)
                 else:
                     self._use_alt_on_na = max(0, self._use_alt_on_na - 1)
 
-        # Provider counter update.
-        if prediction.provider_table is not None:
-            entry = self._tables[prediction.provider_table][prediction.provider_index]
-            entry.counter = self._update_signed(entry.counter, taken, low, high)
+            # Provider counter update.
+            counters[index] = self._update_signed(counters[index], taken, low, high)
             if prediction.tage_taken != prediction.alt_taken:
                 if prediction.tage_taken == taken:
-                    entry.useful = min((1 << config.useful_bits) - 1, entry.useful + 1)
+                    useful[index] = min((1 << config.useful_bits) - 1, useful[index] + 1)
                 else:
-                    entry.useful = max(0, entry.useful - 1)
+                    useful[index] = max(0, useful[index] - 1)
         else:
             value = self._bimodal[prediction.bimodal_index]
             self._bimodal[prediction.bimodal_index] = (
@@ -390,9 +398,8 @@ class TAGEPredictor:
 
         # Periodic graceful reset of useful counters.
         if self._access_count % config.useful_reset_period == 0:
-            for table in self._tables:
-                for entry in table:
-                    entry.useful >>= 1
+            for useful in self._useful:
+                useful[:] = [value >> 1 for value in useful]
 
         # Advance the private speculative history by this branch's outcome.
         self._push_history(taken)
@@ -403,59 +410,59 @@ class TAGEPredictor:
 
     def _allocate(self, prediction: TAGEPrediction, taken: bool) -> None:
         start = (prediction.provider_table + 1) if prediction.provider_table is not None else 0
+        indices = prediction.tagged_indices
         for table in range(start, self.config.table_count):
-            entry = self._tables[table][prediction.tagged_indices[table]]
-            if not entry.valid or entry.useful == 0:
-                entry.valid = True
-                entry.tag = prediction.tagged_tags[table]
-                entry.counter = 0 if taken else -1
-                entry.useful = 0
+            index = indices[table]
+            if not self._valid[table][index] or self._useful[table][index] == 0:
+                self._valid[table][index] = 1
+                self._tags[table][index] = prediction.tagged_tags[table]
+                self._counters[table][index] = 0 if taken else -1
+                self._useful[table][index] = 0
                 return
         # No free entry: decay usefulness along the allocation path.
         for table in range(start, self.config.table_count):
-            entry = self._tables[table][prediction.tagged_indices[table]]
-            entry.useful = max(0, entry.useful - 1)
+            useful = self._useful[table]
+            useful[indices[table]] = max(0, useful[indices[table]] - 1)
 
     def _update_loop_predictor(self, ip: int, prediction: TAGEPrediction, taken: bool) -> None:
-        entry = self._loop_table[prediction.loop_index]
+        index = prediction.loop_index
         tag = (ip >> 8) & 0x3FF
-        if entry.valid and entry.tag == tag:
+        if self._loop_valid[index] and self._loop_tags[index] == tag:
             if taken:
-                entry.current_iterations += 1
+                self._loop_current[index] += 1
             else:
-                if entry.current_iterations == entry.past_iterations:
-                    entry.confidence = min(7, entry.confidence + 1)
+                if self._loop_current[index] == self._loop_past[index]:
+                    self._loop_conf[index] = min(7, self._loop_conf[index] + 1)
                 else:
-                    entry.past_iterations = entry.current_iterations
-                    entry.confidence = 0
-                entry.current_iterations = 0
+                    self._loop_past[index] = self._loop_current[index]
+                    self._loop_conf[index] = 0
+                self._loop_current[index] = 0
         elif not taken:
             # A loop exit on an unknown branch seeds a new loop entry.
-            if not entry.valid or entry.confidence == 0:
-                entry.valid = True
-                entry.tag = tag
-                entry.past_iterations = entry.current_iterations = 0
-                entry.confidence = 0
+            if not self._loop_valid[index] or self._loop_conf[index] == 0:
+                self._loop_valid[index] = True
+                self._loop_tags[index] = tag
+                self._loop_past[index] = self._loop_current[index] = 0
+                self._loop_conf[index] = 0
 
     # ------------------------------------------------------------------- admin
 
     def flush(self) -> None:
-        for index in range(len(self._bimodal)):
-            self._bimodal[index] = 1
-        for table in self._tables:
-            for entry in table:
-                entry.valid = False
-                entry.tag = 0
-                entry.counter = 0
-                entry.useful = 0
-        for entry in self._loop_table:
-            entry.valid = False
-            entry.confidence = 0
-            entry.current_iterations = 0
-            entry.past_iterations = 0
+        """Reset the tables in place (the vector engine may hold views of the
+        columns); loop tags and the access count survive."""
+        self._bimodal[:] = [1] * len(self._bimodal)
+        for valid, tags, counters, useful in zip(
+                self._valid, self._tags, self._counters, self._useful):
+            valid[:] = bytes(len(valid))
+            tags[:] = array("q", bytes(8 * len(tags)))
+            counters[:] = [0] * len(counters)
+            useful[:] = [0] * len(useful)
+        loops = len(self._loop_valid)
+        self._loop_valid[:] = [False] * loops
+        for column in (self._loop_past, self._loop_current, self._loop_conf):
+            column[:] = [0] * loops
         for table in self._sc_tables:
-            for index in range(len(table)):
-                table[index] = 0
+            table[:] = [0] * len(table)
         for index_fold, tag_fold in zip(self._index_folds, self._tag_folds):
             index_fold.reset()
             tag_fold.reset()

@@ -56,16 +56,24 @@ allocation rewrites tags mid-span and perceptron training feeds its own
 weights back — so their steppers are *guarded*: every prediction input
 (folded histories, table indices and tags, hit bits, dot-product totals) is
 precomputed for a whole span with array kernels, and a slim per-conditional
-step over plain lists applies the sequential updates.  Where the sequential
-dependence bites, they speculate in the trace-specialization style: the TAGE
-stepper precomputes tagged-table hit bits against span-start tags and
-repairs exactly the later same-index accesses when an allocation rewrites an
-entry; the perceptron stepper batches dot-products for a block of accesses
+step applies the sequential updates.  Where the sequential dependence bites,
+they speculate in the trace-specialization style: the TAGE stepper
+precomputes tagged-table hit bits against span-start tags and repairs
+exactly the later same-index accesses when an allocation rewrites an entry;
+the perceptron stepper batches dot-products for a block of accesses
 from a weight snapshot under a "no row retrained since the snapshot" guard,
 and on a guard failure (aliasing conflict / saturation already applied)
 commits the executed prefix and re-specializes the rest of the block from
 live weights — the same commit/resume shape a span uses for a
 re-randomization fired inside it.
+
+Nothing is copied in or out of a replay.  Every stepper replays its
+predictor's own tables in place — the SKL PHTs' ``bytearray`` counters, the
+TAGE columns, the perceptron's int64 weight array, wrapped as zero-copy
+arrays where a kernel reads them whole — and the engine replays the BTB,
+RSB and history registers on the composite's own objects.  So a flush
+between guarded spans is the composite's own ``flush_predictor_state``, the
+call the reference hooks make.
 
 Models opt in via ``vector_kernel()``, and a kernel accepts every trace:
 single traces and SMT co-runs alike.  A model with no kernel replays through
@@ -395,18 +403,19 @@ def _ghr_commit(seed: int, executed_bits, bits: int) -> int:
 
 
 #: The span-stepper protocol: every direction stepper class must implement
-#: all of these (enforced by the ``backend-parity`` lint rule).  ``begin``/
-#: ``finish`` adopt and write back the direction state around a replay,
-#: ``flush`` mirrors a predictor flush, ``prepare_span(cond_ips, cond_ctx,
-#: cond_takens, engine)`` batches one span's prediction inputs, and
-#: ``commit_span(cond_takens, executed_cond)`` commits the executed prefix.
-#: A stepper with ``guarded = False`` returns the span's conditional
-#: predictions from ``prepare_span`` and also applies the flushes inside a
-#: span (``engine.cond_epochs``); a guarded one returns a per-conditional
-#: ``step(ordinal) -> predicted`` closure whose speculation repairs or
-#: re-batches itself when a guard fails mid-span, and its spans end at
-#: every flush.
-STEPPER_PROTOCOL = ("begin", "prepare_span", "commit_span", "flush", "finish")
+#: all of these (enforced by the ``backend-parity`` lint rule).  A stepper
+#: replays its predictor's own tables in place, so the predictor's own
+#: ``flush`` applies between spans: ``begin``/``finish`` take and drop
+#: zero-copy array views of them around a replay, ``prepare_span(cond_ips,
+#: cond_ctx, cond_takens, engine)`` batches one span's prediction inputs,
+#: and ``commit_span(cond_takens, executed_cond)`` commits the executed
+#: prefix.  A stepper with ``guarded = False`` returns the span's
+#: conditional predictions from ``prepare_span`` and also applies the
+#: flushes inside a span (``engine.cond_epochs``); a guarded one returns a
+#: per-conditional ``step(ordinal) -> predicted`` closure whose speculation
+#: repairs or re-batches itself when a guard fails mid-span, and its spans
+#: end at every flush.
+STEPPER_PROTOCOL = ("begin", "prepare_span", "commit_span", "finish")
 
 
 class _SKLStepper:
@@ -440,16 +449,11 @@ class _SKLStepper:
         self.one_table = self.two_table = self.choice_table = None
         self.scans = None
 
-    def flush(self) -> None:
-        self.one_table.fill(FLUSHED_COUNTER)
-        self.two_table.fill(FLUSHED_COUNTER)
-        self.choice_table.fill(FLUSHED_COUNTER)
-
     def prepare_span(self, cond_ips, cond_ctx, cond_takens, engine):
         sizes = engine.sizes
         bits = sizes.ghr_bits
-        ghr_pre = _ghr_window(cond_takens.astype(np.uint64), engine.ghr_value,
-                              bits)
+        ghr_pre = _ghr_window(cond_takens.astype(np.uint64),
+                              engine.history.ghr.value, bits)
         epochs = engine.cond_epochs
         self.epochs = engine.epochs
         if epochs is not None:
@@ -508,7 +512,8 @@ class _TAGEStepper:
     tags (vectorised mapping kernels), tagged-entry hit bits, bimodal / loop /
     statistical-corrector indices — are precomputed with array kernels; a
     slim per-conditional closure then applies the scalar predict/update
-    algorithm over plain lists in exact order.
+    algorithm in exact order to the predictor's own columns, in place.  The
+    hit bits read zero-copy views of the valid and tag columns.
 
     The speculative piece is the hit-bit precompute: it assumes span-start
     tag-store contents, but a TAGE allocation rewrites a tag mid-span.  An
@@ -518,12 +523,7 @@ class _TAGEStepper:
     my entry", patch precisely where that guard fails.
     """
 
-    __slots__ = (
-        "direction", "maps", "config", "_pad", "valid", "tags", "counters",
-        "useful", "bimodal", "sc_tables", "loop_valid", "loop_tags",
-        "loop_past", "loop_current", "loop_conf", "ghist", "use_alt",
-        "access_count",
-    )
+    __slots__ = ("direction", "maps", "config", "_pad", "valid", "tags")
 
     guarded = True
 
@@ -537,83 +537,30 @@ class _TAGEStepper:
 
     def begin(self) -> None:
         direction = self.direction
-        self.valid = [np.array([entry.valid for entry in table], dtype=bool)
-                      for table in direction._tables]
-        self.tags = [np.array([entry.tag for entry in table], dtype=np.int64)
-                     for table in direction._tables]
-        self.counters = [[entry.counter for entry in table]
-                         for table in direction._tables]
-        self.useful = [[entry.useful for entry in table]
-                       for table in direction._tables]
-        self.bimodal = direction._bimodal          # live list, mutated in place
-        self.sc_tables = direction._sc_tables      # live lists
-        loop = direction._loop_table
-        self.loop_valid = [entry.valid for entry in loop]
-        self.loop_tags = [entry.tag for entry in loop]
-        self.loop_past = [entry.past_iterations for entry in loop]
-        self.loop_current = [entry.current_iterations for entry in loop]
-        self.loop_conf = [entry.confidence for entry in loop]
-        self.ghist = direction._ghist              # live list of 0/1 ints
-        self.use_alt = direction._use_alt_on_na
-        self.access_count = direction._access_count
+        self.valid = [np.frombuffer(column, dtype=bool)
+                      for column in direction._valid]
+        self.tags = [np.frombuffer(column, dtype=np.int64)
+                     for column in direction._tags]
 
     def finish(self) -> None:
-        direction = self.direction
-        for table_no, table in enumerate(direction._tables):
-            valid = self.valid[table_no].tolist()
-            tags = self.tags[table_no].tolist()
-            counters = self.counters[table_no]
-            useful = self.useful[table_no]
-            for position, entry in enumerate(table):
-                entry.valid = valid[position]
-                entry.tag = tags[position]
-                entry.counter = counters[position]
-                entry.useful = useful[position]
-        for position, entry in enumerate(direction._loop_table):
-            entry.valid = self.loop_valid[position]
-            entry.tag = self.loop_tags[position]
-            entry.past_iterations = self.loop_past[position]
-            entry.current_iterations = self.loop_current[position]
-            entry.confidence = self.loop_conf[position]
-        direction._use_alt_on_na = self.use_alt
-        direction._access_count = self.access_count
+        self.valid = self.tags = None
         # The incremental fold registers equal the closed form over the final
         # history (the same identity the span kernels use), so they are
         # recomputed once here instead of being carried bit by bit.
-        ghist = self.ghist
+        direction = self.direction
+        ghist = direction._ghist
         for fold in (*direction._index_folds, *direction._tag_folds):
             fold.value = _fold_register_value(
                 ghist, fold.history_length, fold.folded_bits)
 
-    def flush(self) -> None:
-        """Emulate ``TAGEPredictor.flush`` on the adopted state (note: the
-        scalar flush keeps loop tags and the access count)."""
-        for table_no in range(len(self.valid)):
-            self.valid[table_no][:] = False
-            self.tags[table_no][:] = 0
-            self.counters[table_no] = [0] * len(self.counters[table_no])
-            self.useful[table_no] = [0] * len(self.useful[table_no])
-        bimodal = self.bimodal
-        for position in range(len(bimodal)):
-            bimodal[position] = 1
-        for position in range(len(self.loop_valid)):
-            self.loop_valid[position] = False
-            self.loop_conf[position] = 0
-            self.loop_current[position] = 0
-            self.loop_past[position] = 0
-        for table in self.sc_tables:
-            for position in range(len(table)):
-                table[position] = 0
-        self.ghist.clear()
-        self.use_alt = 8
-
     def commit_span(self, cond_takens, executed_cond: int) -> None:
-        self.access_count += executed_cond
+        direction = self.direction
+        direction._access_count += executed_cond
         if executed_cond:
             _extend_outcomes(
-                self.ghist,
+                direction._ghist,
                 cond_takens[:executed_cond].astype(np.int64).tolist(),
-                self.direction._max_history, slack=64)
+                direction._max_history, slack=64)
 
     # ------------------------------------------------------------------- spans
 
@@ -625,7 +572,7 @@ class _TAGEStepper:
         pad = self._pad
 
         # ---------------------------------------- folded histories per table
-        ghist_tail = self.ghist[-direction._max_history:]
+        ghist_tail = direction._ghist[-direction._max_history:]
         carried = len(ghist_tail)
         ext = np.zeros(pad + carried + ncond, dtype=np.int64)
         if carried:
@@ -711,7 +658,7 @@ class _TAGEStepper:
         sc_idx: list[list[int]] = []
         if use_sc:
             max_sc = max(config.sc_history_lengths)
-            tail = engine.outcomes[-max_sc:]
+            tail = engine.history.outcomes[-max_sc:]
             carried_sc = len(tail)
             ext_sc = np.zeros(carried_sc + ncond, dtype=np.int64)
             if carried_sc:
@@ -743,9 +690,10 @@ class _TAGEStepper:
                 sc_idx.append((mixed % _U64(config.sc_table_entries))
                               .astype(np.int64).tolist())
         sc_count = len(sc_idx)
+        sc_tables = direction._sc_tables
         if sc_count == 3:
             sc_i0, sc_i1, sc_i2 = sc_idx
-            sc_t0, sc_t1, sc_t2 = self.sc_tables
+            sc_t0, sc_t1, sc_t2 = sc_tables
         else:
             sc_i0 = sc_i1 = sc_i2 = sc_t0 = sc_t1 = sc_t2 = None
 
@@ -757,30 +705,29 @@ class _TAGEStepper:
         # allocation this span.
         span_next: list[list[int] | None] = [None] * table_count
         span_tags: list[list[int] | None] = [None] * table_count
-        counters = self.counters
-        useful = self.useful
-        valid_arrays = self.valid
-        tag_arrays = self.tags
-        bimodal = self.bimodal
-        sc_tables = self.sc_tables
-        loop_valid = self.loop_valid
-        loop_tags = self.loop_tags
-        loop_past = self.loop_past
-        loop_current = self.loop_current
-        loop_conf = self.loop_conf
+        valid = direction._valid
+        tags = direction._tags
+        counters = direction._counters
+        useful = direction._useful
+        bimodal = direction._bimodal
+        loop_valid = direction._loop_valid
+        loop_tags = direction._loop_tags
+        loop_past = direction._loop_past
+        loop_current = direction._loop_current
+        loop_conf = direction._loop_conf
         low, high = direction._counter_limits()
         useful_max = (1 << config.useful_bits) - 1
         reset_period = config.useful_reset_period
         sc_threshold = direction._sc_threshold
         sc_train_band = sc_threshold * 2
-        # Spans are far shorter than the useful-reset period, so at most one
-        # ordinal inside this span can trip the periodic reset; the running
-        # access count itself is committed once per span (``commit_span``).
-        reset_ordinal = (-(self.access_count + 1)) % reset_period
-        if reset_ordinal >= ncond:
-            reset_ordinal = -1
+        # The scalar update halves every usefulness counter whenever its
+        # access count reaches a multiple of the period: first at this
+        # ordinal, then every period after it.  The running access count
+        # itself is committed once per span (``commit_span``).
+        next_reset = (-(direction._access_count + 1)) % reset_period
 
         def step(ordinal: int) -> bool:
+            nonlocal next_reset
             taken = takens_list[ordinal]
 
             # ---------------------------------------------------- predict
@@ -801,7 +748,7 @@ class _TAGEStepper:
                     alt_taken = bimodal_taken
                 weak = (useful[provider][provider_position] == 0
                         and (provider_counter == -1 or provider_counter == 0))
-                if weak and self.use_alt >= 8:
+                if weak and direction._use_alt_on_na >= 8:
                     tage_taken = alt_taken
                 else:
                     tage_taken = provider_taken
@@ -890,10 +837,10 @@ class _TAGEStepper:
             if hit_mask:
                 if weak and tage_taken != alt_taken:
                     if alt_taken == taken:
-                        if self.use_alt < 15:
-                            self.use_alt += 1
-                    elif self.use_alt > 0:
-                        self.use_alt -= 1
+                        if direction._use_alt_on_na < 15:
+                            direction._use_alt_on_na += 1
+                    elif direction._use_alt_on_na > 0:
+                        direction._use_alt_on_na -= 1
                 table = counters[provider]
                 value = table[provider_position] + 1 if taken else (
                     table[provider_position] - 1)
@@ -918,11 +865,11 @@ class _TAGEStepper:
                 idx_row = idx_rows[ordinal]
                 for table_no in range(start, table_count):
                     position = idx_row[table_no]
-                    if (not valid_arrays[table_no][position]
+                    if (not valid[table_no][position]
                             or useful[table_no][position] == 0):
                         new_tag = int(tag_matrix[table_no, ordinal])
-                        valid_arrays[table_no][position] = True
-                        tag_arrays[table_no][position] = new_tag
+                        valid[table_no][position] = 1
+                        tags[table_no][position] = new_tag
                         counters[table_no][position] = 0 if taken else -1
                         useful[table_no][position] = 0
                         # Guard repair: later accesses of this span computed
@@ -956,10 +903,10 @@ class _TAGEStepper:
                         if useful[table_no][position] > 0:
                             useful[table_no][position] -= 1
 
-            if ordinal == reset_ordinal:
+            if ordinal == next_reset:
+                next_reset += reset_period
                 for table in useful:
-                    for position in range(len(table)):
-                        table[position] >>= 1
+                    table[:] = [value >> 1 for value in table]
 
             return prediction_taken
 
@@ -969,9 +916,11 @@ class _TAGEStepper:
 class _PerceptronStepper:
     """Span-stepping replay of a :class:`~repro.bpu.perceptron.PerceptronPredictor`.
 
-    Dot products are batched per block from a weight-table snapshot gather
-    over the sliding ±1 history window; the per-conditional step runs under
-    the guard "no weight row in this block was retrained since the snapshot".
+    The weights are replayed in place through a zero-copy 2-D view of the
+    predictor's int64 array.  Dot products are batched per block from a
+    weight-table gather over the sliding ±1 history window; the
+    per-conditional step runs under the guard "no weight row in this block
+    was retrained since the gather".
     Training a row (which also applies saturation or an aliasing write)
     fails the guard for that row's later accesses — those abort to a live
     dot product while the rest of the block's speculative totals, whose
@@ -994,13 +943,11 @@ class _PerceptronStepper:
         self.history_length = config.history_length
 
     def begin(self) -> None:
-        self.weights = np.array(self.direction._weights, dtype=np.int64)
+        self.weights = np.frombuffer(self.direction._weights, dtype=np.int64
+                                     ).reshape(self.table_size, -1)
 
     def finish(self) -> None:
-        self.direction._weights = self.weights.tolist()
-
-    def flush(self) -> None:
-        self.weights.fill(0)
+        self.weights = None
 
     def commit_span(self, cond_takens, executed_cond: int) -> None:
         pass  # the perceptron keeps no history of its own
@@ -1010,7 +957,7 @@ class _PerceptronStepper:
         ncond = cond_ips.shape[0]
         rows = np.asarray(self.maps.perceptron_rows(
             cond_ips, self.table_size, cond_ctx)).astype(np.int64)
-        tail = engine.outcomes[-depth:]
+        tail = engine.history.outcomes[-depth:]
         carried = len(tail)
         # ±1 stream: "not taken" pads for missing pre-trace history, then the
         # carried outcomes, then this span's outcomes.
@@ -1083,25 +1030,24 @@ class _PerceptronStepper:
 class _CompositeEngine:
     """Vector replay engine over one :class:`~repro.bpu.composite.CompositeBPU`.
 
-    The BTB's slot lists and index and the PHTs' counter buffers are replayed
-    in place: ``begin`` adopts them without copying (the SKL stepper wraps
-    the buffers as arrays), and ``finish`` writes back only the BTB's clock
-    and eviction count, the RSB and the history registers, which the engine
-    carries as locals.  :meth:`run_span` replays spans.  Wrapper kernels
-    (flushing, conservative, STBPU) drive the span schedule and event
-    semantics.
+    Every structure is replayed in place on the composite's own objects: the
+    BTB's slot lists and index, the RSB stack and its overflow and underflow
+    counts, the history registers, and the direction predictor's tables (the
+    stepper wraps its buffers as arrays).  Nothing is copied in or written
+    back; within one :meth:`run_span` call the structural loop works on
+    locals and stores them on exit, and :meth:`flush` is the composite's own
+    flush.  Wrapper kernels (flushing, conservative, STBPU) drive the span
+    schedule and event semantics.
     """
 
     __slots__ = (
         "composite", "pht_maps", "btb_maps", "codec", "stepper", "sizes",
-        "token_dependent", "btb", "clock", "evictions", "ways", "set_count",
-        "slot_count", "rsb", "rsb_capacity", "rsb_overflows", "rsb_underflows",
-        "ghr_value", "bhb_value", "outcomes", "max_outcomes", "arrays", "n", "is_cond",
-        "is_direct", "is_indirect", "is_return", "is_call", "is_ind_or_ret",
-        "bhb_updates", "mixed", "fallthrough_ok", "high_ok", "base_opcode",
-        "_mode1_cache", "_encoded_cache", "_push_cache", "dir_ok",
-        "target_ok", "btb_hit", "btb_evict", "rsb_under", "map_contexts",
-        "phi_table", "cond_epochs", "epochs", "spans",
+        "btb", "ways", "set_count", "slot_count", "rsb", "history", "arrays",
+        "n", "is_cond", "is_direct", "is_indirect", "is_return", "is_call",
+        "is_ind_or_ret", "bhb_updates", "mixed", "fallthrough_ok", "high_ok",
+        "base_opcode", "dir_ok", "target_ok", "btb_hit", "btb_evict",
+        "rsb_under", "map_contexts", "phi_table", "cond_epochs", "epochs",
+        "spans",
     )
 
     def __init__(self, composite, pht_maps, btb_maps, codec, stepper):
@@ -1112,35 +1058,17 @@ class _CompositeEngine:
         #: The direction component's span stepper (``STEPPER_PROTOCOL``).
         self.stepper = stepper
         self.sizes = composite.sizes
-        self.token_dependent = bool(
-            getattr(pht_maps, "token_dependent", False)
-            or getattr(btb_maps, "token_dependent", False)
-            or codec.token_dependent
-        )
+        btb = self.btb = composite.btb
+        self.ways = btb.way_count
+        self.set_count = btb.set_count
+        self.slot_count = btb.entry_count
+        self.rsb = composite.rsb
+        self.history = composite.history
 
     # ------------------------------------------------------------------ state
 
     def begin(self, arrays) -> None:
-        composite = self.composite
-        btb = self.btb = composite.btb
-        self.clock = btb._access_clock
-        self.evictions = btb.eviction_count
-        self.ways = btb.way_count
-        self.set_count = btb.set_count
-        self.slot_count = btb.entry_count
         self.stepper.begin()
-
-        rsb = composite.rsb
-        self.rsb = list(rsb._stack)
-        self.rsb_capacity = rsb.capacity
-        self.rsb_overflows = rsb.overflow_count
-        self.rsb_underflows = rsb.underflow_count
-
-        history = composite.history
-        self.ghr_value = history.ghr.value
-        self.bhb_value = history.bhb.value
-        self.outcomes = history.outcomes
-        self.max_outcomes = history.max_outcomes
 
         # ---------------------------------------------- whole-trace invariants
         self.arrays = arrays
@@ -1175,15 +1103,6 @@ class _CompositeEngine:
         opcode[self.is_return] = _OP_RETURN
         self.base_opcode = opcode  # conditional entries filled per span
 
-        self._mode1_cache = None
-        self._encoded_cache = None
-        self._push_cache = None
-        if not self.token_dependent:
-            self._mode1_cache = self._mode1_keys(slice(0, self.n))
-            self._encoded_cache = np.asarray(self.codec.vector_encode(targets))
-            self._push_cache = np.asarray(self.codec.vector_encode(
-                (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK)))
-
         # Whole-trace result flags, filled span by span.
         self.dir_ok = np.ones(self.n, dtype=bool)
         self.target_ok = np.ones(self.n, dtype=bool)
@@ -1199,10 +1118,6 @@ class _CompositeEngine:
             index %= self.set_count
         return key.astype(np.int64) * self.slot_count + index * self.ways
 
-    def _mode1_keys(self, span: slice):
-        return self._btb_entries(*self.btb_maps.btb1(self.arrays.ips[span],
-                                                     self.map_contexts[span]))
-
     def _encode(self, values, span: slice):
         """Codec-encode ``values`` (branches ``span``), each under its own ϕ."""
         if self.phi_table is None:
@@ -1211,29 +1126,11 @@ class _CompositeEngine:
             values, self.phi_table[self.map_contexts[span]]))
 
     def finish(self) -> None:
-        composite = self.composite
-        btb = self.btb
-        btb._access_clock = self.clock
-        btb.eviction_count = self.evictions
         self.stepper.finish()
 
-        rsb = composite.rsb
-        rsb._stack = self.rsb
-        rsb.overflow_count = self.rsb_overflows
-        rsb.underflow_count = self.rsb_underflows
-
-        history = composite.history
-        history.ghr.value = self.ghr_value
-        history.bhb.value = self.bhb_value
-
     def flush(self) -> None:
-        """Emulate ``CompositeBPU.flush_predictor_state`` on the adopted state."""
-        self.btb.flush()
-        self.rsb.clear()
-        self.stepper.flush()
-        self.ghr_value = 0
-        self.bhb_value = 0
-        self.outcomes.clear()
+        """Flush the composite between spans, as the reference hooks do."""
+        self.composite.flush_predictor_state()
 
     # ------------------------------------------------------------------- spans
 
@@ -1283,9 +1180,10 @@ class _CompositeEngine:
             ips[cond_rel], contexts[cond_rel], cond_takens, self)
 
         # --------------------------------------------------------- histories
+        history = self.history
         update_mask = self.bhb_updates[span]
         mixed = self.mixed[span][update_mask]
-        bhb_states = _bhb_states(mixed, self.bhb_value, bhb_bits)
+        bhb_states = _bhb_states(mixed, history.bhb.value, bhb_bits)
         update_cum = np.cumsum(update_mask)
         ind_ret_rel = np.flatnonzero(self.is_ind_or_ret[span])
         updates_before = update_cum[ind_ret_rel] - update_mask[ind_ret_rel]
@@ -1301,15 +1199,10 @@ class _CompositeEngine:
                 flush_pushes[read_epochs[later] - 1], bhb_bits)
 
         # ---------------------------------------------------------- BTB keys
-        if self._mode1_cache is not None:
-            mode1 = self._mode1_cache[span]
-            encoded = self._encoded_cache[span]
-            push_values = self._push_cache[span]
-        else:
-            mode1 = self._mode1_keys(span)
-            encoded = self._encode(arrays.targets[span], span)
-            push_values = self._encode(
-                (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span)
+        mode1 = self._btb_entries(*self.btb_maps.btb1(ips, contexts))
+        encoded = self._encode(arrays.targets[span], span)
+        push_values = self._encode(
+            (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span)
         mode2 = np.zeros(length, dtype=np.int64)
         if ind_ret_rel.shape[0]:
             mode2[ind_ret_rel] = self._btb_entries(*self.btb_maps.btb2(
@@ -1382,20 +1275,21 @@ class _CompositeEngine:
         executed_cond = int(np.searchsorted(cond_rel, executed_rel))
         pushes = update_cum[executed_rel - 1]
         if flush_rel is None:
-            ghr_seed, first_cond = self.ghr_value, 0
-            self.bhb_value = int(bhb_states[pushes])
+            ghr_seed, first_cond = history.ghr.value, 0
+            history.bhb.value = int(bhb_states[pushes])
         else:
             # The histories restart at the span's last flush.
             ghr_seed = 0
             first_cond = int(np.searchsorted(cond_rel, flush_rel[-1]))
-            self.bhb_value = int(_bhb_cleared(bhb_states, pushes,
-                                              flush_pushes[-1], bhb_bits))
-            self.outcomes.clear()
+            history.bhb.value = int(_bhb_cleared(bhb_states, pushes,
+                                                 flush_pushes[-1], bhb_bits))
+            history.outcomes.clear()
         executed_outcomes = cond_takens[first_cond:executed_cond].tolist()
-        self.ghr_value = _ghr_commit(ghr_seed, executed_outcomes,
-                                     self.sizes.ghr_bits)
+        history.ghr.value = _ghr_commit(ghr_seed, executed_outcomes,
+                                        self.sizes.ghr_bits)
         stepper.commit_span(cond_takens, executed_cond)
-        _extend_outcomes(self.outcomes, executed_outcomes, self.max_outcomes)
+        _extend_outcomes(history.outcomes, executed_outcomes,
+                         history.max_outcomes)
         return lo + executed_rel, fired
 
     # --------------------------------------------------------- structural loop
@@ -1409,12 +1303,14 @@ class _CompositeEngine:
         stored = btb._targets
         index = btb._slots
         probe = index.get
-        clock = self.clock
-        evictions = self.evictions
+        clock = btb._access_clock
+        evictions = btb.eviction_count
         ways = self.ways
         slot_count = self.slot_count
-        rsb = self.rsb
-        rsb_capacity = self.rsb_capacity
+        rsb = self.rsb._stack
+        rsb_capacity = self.rsb.capacity
+        overflows = self.rsb.overflow_count
+        underflows = self.rsb.underflow_count
         count = len(ops)
         target_ok = [True] * count
         hits = [False] * count
@@ -1511,7 +1407,7 @@ class _CompositeEngine:
                         if popped == encoded[j] and high_ok[j]:
                             correct = True
                     else:
-                        self.rsb_underflows += 1
+                        underflows += 1
                         unders[j] = True
                         clock += 1
                         if slot is not None:
@@ -1542,7 +1438,7 @@ class _CompositeEngine:
                 if calls[j]:
                     if len(rsb) >= rsb_capacity:
                         del rsb[0]
-                        self.rsb_overflows += 1
+                        overflows += 1
                     rsb.append(pushes[j])
 
                 if watching:
@@ -1575,8 +1471,10 @@ class _CompositeEngine:
                 break
             begin = end
 
-        self.clock = clock
-        self.evictions = evictions
+        btb._access_clock = clock
+        btb.eviction_count = evictions
+        self.rsb.overflow_count = overflows
+        self.rsb.underflow_count = underflows
         if watching:
             counters.mispredictions_remaining = mis_remaining
             counters.evictions_remaining = ev_remaining
@@ -1701,8 +1599,8 @@ class _FlushingKernel(_KernelBase):
     ``_current_context``.  An SKL composite then replays the whole trace in
     one span whose flushes are in-span epochs
     (:meth:`_CompositeEngine.run_span`); a guarded stepper cannot see a reset
-    inside a span, so its spans end at each flush, which is applied to the
-    adopted state in between.
+    inside a span, so its spans end at each flush, and the composite is
+    flushed in between, as the reference hooks flush it.
     """
 
     __slots__ = ()

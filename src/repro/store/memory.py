@@ -51,14 +51,6 @@ class MemoryStore(ResultStore):
             found = [fp for (ns, fp) in self._entries if ns == namespace]
         return iter(sorted(found))
 
-    def clear(self) -> None:
-        with self._entries_lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._entries_lock:
-            return len(self._entries)
-
     def stats(self) -> dict[str, Any]:
         namespaces: dict[str, int] = {}
         total_bytes = 0

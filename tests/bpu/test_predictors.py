@@ -34,6 +34,10 @@ class TestTAGE:
         with pytest.raises(ValueError):
             TAGEConfig(name="bad", bimodal_entries=16,
                        tagged_table_entries=(16, 16), tag_bits=(8,), history_lengths=(4, 8))
+        with pytest.raises(ValueError, match="tag_bits"):
+            # Tags are stored in int64 columns.
+            TAGEConfig(name="wide", bimodal_entries=16, tagged_table_entries=(16,),
+                       tag_bits=(64,), history_lengths=(4,))
 
     def test_learns_bias(self):
         assert _run_direction(TAGEPredictor(TAGE_SC_L_8KB), lambda i: True) > 0.97
@@ -84,8 +88,7 @@ class TestPerceptron:
         predictor = PerceptronPredictor(config)
         _run_direction(predictor, lambda i: True, steps=500)
         limit = config.weight_limit
-        for row in predictor._weights:
-            assert all(-limit - 1 <= w <= limit for w in row)
+        assert all(-limit - 1 <= w <= limit for w in predictor._weights)
 
 
 def _conditional(ip, taken, ctx=0):

@@ -6,7 +6,8 @@ random context-switch, mode-switch and interrupt events for contexts 0–5, so
 events also install tokens for contexts no branch uses.  One property
 replays a single trace through every kernel class — plain, flushing and
 conservative SKL composites, TAGE and Perceptron composites bare and under
-flushing protection, and the three STBPU factories — under random warm-ups
+flushing protection, a TAGE with 16- and 32-entry tables whose allocations
+collide, and the three STBPU factories — under random warm-ups
 (negative ones included), monitor thresholds, token-sharing groups and
 guarded-stepper span caps, on a small BTB of drawn geometry (2, 4 or 16
 sets of 1–3 ways) so evictions feed the monitors, then replays a second
@@ -35,7 +36,8 @@ from repro.bpu.protections import (
     make_ucode_protection_2,
     make_unprotected_baseline,
 )
-from repro.bpu.tage import TAGE_SC_L_8KB
+from repro.bpu.perceptron import PerceptronPredictor
+from repro.bpu.tage import TAGE_SC_L_8KB, TAGEConfig, TAGEPredictor
 from repro.core.monitoring import MonitorConfig
 from repro.core.stbpu import (
     make_stbpu_perceptron,
@@ -117,14 +119,24 @@ _GROUPS = st.one_of(
 
 
 def _direction_state(direction):
-    if hasattr(direction, "_tables"):
+    if isinstance(direction, TAGEPredictor):
         return _tage_state(direction)
-    if hasattr(direction, "_weights"):
+    if isinstance(direction, PerceptronPredictor):
         return _perceptron_state(direction)
     return (bytes(direction.one_level._values),
             bytes(direction.two_level._values),
             bytes(direction.chooser._values))
 
+
+#: A TAGE small enough for the random traces to collide in: short
+#: histories make tagged hits common, allocations overwrite live entries
+#: (about a third of them), so the hit-bit repair chain runs on rewritten
+#: columns, and the short reset period halves usefulness inside spans.
+SMALL_TAGE = TAGEConfig(
+    name="TAGE_small", bimodal_entries=64,
+    tagged_table_entries=(16, 32, 16, 32), tag_bits=(5, 6, 7, 8),
+    history_lengths=(1, 3, 6, 12), loop_entries=8, sc_table_entries=32,
+    useful_reset_period=16)
 
 #: Factories over the drawn small sizes; the plain SKL composite's PHT is
 #: not a power of two, which the kernels wrap.
@@ -138,6 +150,8 @@ SINGLE_MODELS = {
     "conservative": lambda sizes, monitor, seed, groups: make_conservative(sizes),
     "TAGE_SC_L_8KB": lambda sizes, monitor, seed, groups: make_unprotected_tage(
         TAGE_SC_L_8KB, sizes),
+    "TAGE_small": lambda sizes, monitor, seed, groups: make_unprotected_tage(
+        SMALL_TAGE, sizes),
     "PerceptronBP": lambda sizes, monitor, seed, groups:
         make_unprotected_perceptron(sizes=sizes),
     "flushing_TAGE_SC_L_8KB": lambda sizes, monitor, seed, groups:

@@ -8,6 +8,7 @@ state against the per-item reference loop, plus unit-level parity of the
 underlying kernels.
 """
 
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -176,24 +177,32 @@ def _replay_total(counter: str, model: str, kind: str) -> float:
 
 
 def _tage_state(direction):
-    """Complete TAGE-SC-L predictor state, every table and register."""
+    """Complete TAGE-SC-L predictor state, every column and register."""
     return (
         list(direction._bimodal),
-        [[(e.valid, e.tag, e.counter, e.useful) for e in t]
-         for t in direction._tables],
+        [(bytes(valid), list(tags), list(counters), list(useful))
+         for valid, tags, counters, useful in zip(
+             direction._valid, direction._tags, direction._counters,
+             direction._useful)],
         [f.value for f in direction._index_folds],
         [f.value for f in direction._tag_folds],
         list(direction._ghist),
         direction._use_alt_on_na,
         direction._access_count,
-        [(e.tag, e.past_iterations, e.current_iterations, e.confidence,
-          e.valid) for e in direction._loop_table],
+        [list(column) for column in (
+            direction._loop_tags, direction._loop_past,
+            direction._loop_current, direction._loop_conf,
+            direction._loop_valid)],
         [list(t) for t in direction._sc_tables],
     )
 
 
 def _perceptron_state(direction):
-    return [list(row) for row in direction._weights]
+    """The weight table, row by row."""
+    weights = list(direction._weights)
+    width = direction.config.history_length + 1
+    return [weights[start:start + width]
+            for start in range(0, len(weights), width)]
 
 
 def _token_state(model):
@@ -240,6 +249,35 @@ def _composite_state(composite):
     )
 
 
+def _state_objects(model):
+    """Every list, buffer and dict a replay mutates, by attribute path: the
+    direction predictor's (and its PHTs'), the BTB's, the RSB's and the
+    history's, and the inner lists of a list of lists."""
+    inner = getattr(model, "inner", model)
+    direction = inner.direction
+    owners = {"direction": direction, "btb": inner.btb, "rsb": inner.rsb,
+              "history": inner.history}
+    for name in ("one_level", "two_level", "chooser"):
+        if hasattr(direction, name):
+            owners[name] = getattr(direction, name)
+    found = {}
+
+    def walk(path, value):
+        if isinstance(value, list):
+            found[path] = value
+            for position, item in enumerate(value):
+                walk(f"{path}[{position}]", item)
+        elif isinstance(value, (bytearray, array, dict)):
+            found[path] = value
+
+    for owner_name, owner in owners.items():
+        for cls in type(owner).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                if hasattr(owner, name):
+                    walk(f"{owner_name}.{name}", getattr(owner, name))
+    return found
+
+
 class TestPredictorStateParity:
     """Reference-vs-vector *state* parity for the guarded TAGE/Perceptron
     kernels.
@@ -251,10 +289,10 @@ class TestPredictorStateParity:
     resumes observable even when they happen to leave the stats alone.
     """
 
-    def _replay(self, factory, workload, state_fn, branches=6_000):
+    def _replay(self, factory, workload, state_fn, branches=6_000, seed=7):
         from repro.engine import trace_for
 
-        trace = trace_for(workload, branches, 7)
+        trace = trace_for(workload, branches, seed)
         snapshots = {}
         for backend in BACKENDS:
             with fastpath.forced_backend(backend):
@@ -356,6 +394,57 @@ class TestPredictorStateParity:
         snapshots = self._replay(make_unprotected_tage, "505.mcf",
                                  _tage_state, branches=2_000)
         assert snapshots["reference"] == snapshots["vector"]
+
+    def test_tage_useful_reset_fires_every_period_in_a_span(self):
+        # A guarded span runs up to _STEPPER_SPAN_LIMIT conditionals, so a
+        # short reset period falls due several times inside one span; each
+        # periodic usefulness reset must land where the scalar access count
+        # reaches a multiple of the period.
+        import dataclasses
+
+        from repro.bpu.tage import TAGE_SC_L_8KB
+        from repro.core.stbpu import make_unprotected_tage
+
+        config = dataclasses.replace(TAGE_SC_L_8KB, useful_reset_period=16)
+        snapshots = self._replay(lambda: make_unprotected_tage(config),
+                                 "505.mcf", _tage_state, branches=1_000,
+                                 seed=1)
+        assert snapshots["reference"] == snapshots["vector"]
+
+    @pytest.mark.parametrize("name", ["baseline", "TAGE_SC_L_8KB",
+                                      "PerceptronBP", "flushing_TAGE_SC_L_8KB",
+                                      "flushing_PerceptronBP"])
+    def test_vector_replay_keeps_state_objects(self, name):
+        """The vector engine replays the predictor's own tables, RSB stack
+        and history list in place: a replay rebinds none of them, a guarded
+        one whose spans end at mid-trace flushes included."""
+        from repro.bpu.protections import FlushingProtectedBPU
+        from repro.bpu.tage import TAGE_SC_L_8KB
+        from repro.core.stbpu import (
+            make_unprotected_perceptron,
+            make_unprotected_tage,
+        )
+        from repro.engine import trace_for
+
+        factories = {
+            "baseline": make_unprotected_baseline,
+            "TAGE_SC_L_8KB": lambda: make_unprotected_tage(TAGE_SC_L_8KB),
+            "PerceptronBP": make_unprotected_perceptron,
+        }
+        flushing = name.startswith("flushing_")
+        model = factories[name.removeprefix("flushing_")]()
+        if flushing:
+            model = FlushingProtectedBPU(model, name)
+        before = _state_objects(model)
+        trace = trace_for("apache2_prefork_c128", 3_000, 7)
+        with fastpath.forced_backend("vector"):
+            TraceSimulator(warmup_branches=0).run(model, trace)
+        after = _state_objects(model)
+        if flushing:
+            assert model.flush_count > 0
+        assert after.keys() == before.keys()
+        assert [path for path, value in before.items()
+                if after[path] is not value] == []
 
 
 class TestBackendSwitch:

@@ -40,7 +40,8 @@ def _scenario(name, seed, **overrides):
 
 
 def _serve(store=None, **kwargs):
-    # Not `store or MemoryStore()`: an empty MemoryStore is falsy (__len__).
+    # `is not None`, not `store or ...`: a store passed in is used whatever
+    # its truthiness.
     instance = make_server(port=0,
                            store=store if store is not None else MemoryStore(),
                            **kwargs)

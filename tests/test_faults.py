@@ -106,7 +106,7 @@ class TestFaultyStore:
         with pytest.raises(OSError, match="injected"):
             store.get("envelope", FP)
         assert store.injector.counters()["injected_errors"] == 2
-        assert len(store.inner) == 0
+        assert store.inner.stats()["entries"] == 0
 
     def test_certain_corruption_mangles_hits_only(self):
         store = FaultyStore(MemoryStore(), parse_fault_spec("corrupt=1"))
