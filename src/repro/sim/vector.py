@@ -380,16 +380,6 @@ def _fold_values(parity: np.ndarray, pad: int, carried: int, count: int,
     return values
 
 
-def _fold_register_value(ghist: list, history_length: int, width: int) -> int:
-    """The same closed form for one register over a final history list."""
-    value = 0
-    length = len(ghist)
-    for k in range(min(history_length, length)):
-        if ghist[length - 1 - k]:
-            value ^= 1 << (k % width)
-    return value
-
-
 def _ghr_commit(seed: int, executed_bits, bits: int) -> int:
     """GHR register value after pushing ``executed_bits`` onto ``seed``."""
     mask = (1 << bits) - 1
@@ -513,7 +503,10 @@ class _TAGEStepper:
     statistical-corrector indices — are precomputed with array kernels; a
     slim per-conditional closure then applies the scalar predict/update
     algorithm in exact order to the predictor's own columns, in place.  The
-    hit bits read zero-copy views of the valid and tag columns.
+    hit bits read zero-copy views of the valid and tag columns.  The same
+    closed form gives each fold register's value after the span's executed
+    prefix, which ``commit_span`` stores, so the registers stay exact without
+    being carried bit by bit.
 
     The speculative piece is the hit-bit precompute: it assumes span-start
     tag-store contents, but a TAGE allocation rewrites a tag mid-span.  An
@@ -523,7 +516,7 @@ class _TAGEStepper:
     my entry", patch precisely where that guard fails.
     """
 
-    __slots__ = ("direction", "maps", "config", "_pad", "valid", "tags")
+    __slots__ = ("direction", "maps", "config", "_pad", "valid", "tags", "folds")
 
     guarded = True
 
@@ -543,15 +536,7 @@ class _TAGEStepper:
                      for column in direction._tags]
 
     def finish(self) -> None:
-        self.valid = self.tags = None
-        # The incremental fold registers equal the closed form over the final
-        # history (the same identity the span kernels use), so they are
-        # recomputed once here instead of being carried bit by bit.
-        direction = self.direction
-        ghist = direction._ghist
-        for fold in (*direction._index_folds, *direction._tag_folds):
-            fold.value = _fold_register_value(
-                ghist, fold.history_length, fold.folded_bits)
+        self.valid = self.tags = self.folds = None
 
     def commit_span(self, cond_takens, executed_cond: int) -> None:
         direction = self.direction
@@ -561,6 +546,9 @@ class _TAGEStepper:
                 direction._ghist,
                 cond_takens[:executed_cond].astype(np.int64).tolist(),
                 direction._max_history, slack=64)
+            for fold, values in zip(
+                    (*direction._index_folds, *direction._tag_folds), self.folds):
+                fold.value = int(values[executed_cond])
 
     # ------------------------------------------------------------------- spans
 
@@ -620,12 +608,16 @@ class _TAGEStepper:
                                             (position + 1) * ncond]
             return out
 
-        fold_idx = [_fold_values(parity(index_widths[t]), pad, carried, ncond,
+        # One value past the span: the registers after its last outcome.
+        fold_idx = [_fold_values(parity(index_widths[t]), pad, carried, ncond + 1,
                                  history_lengths[t], index_widths[t])
                     for t in range(table_count)]
-        fold_tag = [_fold_values(parity(tag_widths[t]), pad, carried, ncond,
+        fold_tag = [_fold_values(parity(tag_widths[t]), pad, carried, ncond + 1,
                                  history_lengths[t], tag_widths[t])
                     for t in range(table_count)]
+        self.folds = fold_idx + fold_tag
+        fold_idx = [values[:ncond] for values in fold_idx]
+        fold_tag = [values[:ncond] for values in fold_tag]
         idx_list = batched_maps(maps.tage_indices, fold_idx, index_widths)
         tag_list = batched_maps(maps.tage_tags, fold_tag, tag_widths)
 

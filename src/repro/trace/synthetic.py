@@ -26,17 +26,27 @@ sharing is invisible to consumers, while the default figure3 traces hold a
 sixth of the objects (and cost the garbage collector a sixth of the walks)
 that one record per branch would.
 
-Integer draws go through :func:`_randbelow`, which mirrors CPython's
-``Random._randbelow_with_getrandbits``, the routine that ``randrange``,
-``randint``, ``choice`` and ``shuffle`` all reduce to.  Called on the same
-``getrandbits``, it consumes the same words and returns the same integers as
-those methods, in one Python frame instead of three.  A stdlib whose draws
-differ fails the property test that pins the helper to ``random.Random``.
+Program images are flat columns (:class:`_ProgramImage`), one list per
+field of each site kind, and a loop is a tuple of ints that tag a site's
+index with its kind.  A chrome-* generator's 77K static user sites leave
+about a hundred objects for the garbage collector to track, not one or more
+per site.  Nothing is built lazily: the draws are what an image
+costs, and none can be skipped, because rejection sampling makes the words
+each site consumes known only by drawing them, and every later site's draws
+depend on where they stop.
+
+Integer draws are made as CPython's ``Random._randbelow_with_getrandbits``
+makes them, the routine that ``randrange``, ``randint``, ``choice`` and
+``shuffle`` all reduce to: a ``getrandbits(n.bit_length())`` word, drawn
+again while it is ``n`` or more.  The image build writes that loop inline,
+and the emitters call :func:`_randbelow`, the same loop in one Python frame
+instead of three.  Both consume the same words and return the same integers
+as the stdlib methods; a stdlib whose draws differ fails the property test
+that pins the helper to ``random.Random``, and the golden trace digests.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -65,6 +75,26 @@ _DIRECT_CALL = BRANCH_TYPE_CODES[BranchType.DIRECT_CALL]
 _INDIRECT_JUMP = BRANCH_TYPE_CODES[BranchType.INDIRECT_JUMP]
 _INDIRECT_CALL = BRANCH_TYPE_CODES[BranchType.INDIRECT_CALL]
 _RETURN = BRANCH_TYPE_CODES[BranchType.RETURN]
+
+#: Site kinds: the low two bits of a loop's tagged sites.
+_CONDITIONAL_SITE, _INDIRECT_SITE, _CALL_SITE, _DIRECT_SITE = range(4)
+#: Conditional direction models (``_ProgramImage.cond_kinds``).
+_BIASED, _PATTERNED, _MARKOV = range(3)
+
+#: Bounds ``n`` of the image build's integer draws, each drawn inline as
+#: ``randrange(n)`` draws it.  A site's successor lies ``1 +
+#: randrange(_GAP_SLOTS)`` strides further on; the other bounds count target
+#: distances in strides (past a fixed minimum), pattern and call-body
+#: lengths (past 2) and loop sizes (past 4).
+_GAP_SLOTS = 24
+_CONDITIONAL_REACH = 3_999
+_PATTERN_LENGTHS = 7
+_INDIRECT_REACH = 5_993
+_CALL_REACH = 7_985
+_BODY_LENGTHS = 5
+_DIRECT_REACH = 1_997
+_BACK_EDGE_REACH = 505
+_LOOP_SIZES = 13
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -104,94 +134,48 @@ class _RecordMemo(dict):
         return record
 
 
-class _ConditionalSite:
-    """One conditional branch site and the model generating its directions.
-
-    Three site classes model the spectrum seen in real code:
-
-    * ``biased`` — almost always taken or almost always not taken,
-    * ``patterned`` — a short repeating pattern (loop trip counts,
-      alternations) that history-based predictors learn, and
-    * ``markov`` — data-dependent branches whose outcome tends to persist in
-      runs; their per-transition persistence sets how predictable they are
-      (this replaces an i.i.d. coin flip, which would make the global history
-      unrealistically noisy).
-    """
-
-    BIASED = "biased"
-    PATTERNED = "patterned"
-    MARKOV = "markov"
-
-    __slots__ = ("ip", "taken_target", "fall_through", "kind", "taken_probability",
-                 "pattern", "position", "persistence", "state")
-
-    def __init__(
-        self,
-        ip: int,
-        taken_target: int,
-        kind: str,
-        taken_probability: float,
-        pattern: tuple[bool, ...] = (),
-        persistence: float = 0.5,
-    ):
-        self.ip = ip
-        self.taken_target = taken_target
-        #: The not-taken target, masked like every record address.
-        self.fall_through = (ip + 4) & VIRTUAL_ADDRESS_MASK
-        self.kind = kind
-        self.taken_probability = taken_probability
-        self.pattern = pattern
-        self.position = 0
-        self.persistence = persistence
-        self.state = True
-
-
-@dataclass(slots=True)
-class _IndirectSite:
-    ip: int
-    targets: tuple[int, ...]
-    is_call: bool
-    history_correlated: bool
-
-
-@dataclass(slots=True)
-class _CallSite:
-    ip: int
-    target: int
-    #: Conditional sites forming the callee's body (fixed per call site, the
-    #: way a real function's branches are).
-    body_sites: tuple = ()
-
-
-@dataclass(slots=True)
-class _DirectSite:
-    ip: int
-    target: int
-
-
-@dataclass(slots=True)
-class _Loop:
-    """An ordered sequence of sites revisited ``iterations`` times per visit.
-
-    Every loop has a dedicated back-edge conditional branch which is taken on
-    all iterations except the last — the highly predictable loop-control
-    branches that dominate real programs' dynamic branch mix.
-    """
-
-    sites: list[object]
-    mean_iterations: float
-    back_edge: _ConditionalSite | None = None
-
-
 @dataclass(slots=True)
 class _ProgramImage:
-    """The static code of one program: all branch sites grouped into loops."""
+    """The static code of one program as flat columns, one list per field.
 
-    loops: list[_Loop]
-    conditionals: list[_ConditionalSite]
-    indirects: list[_IndirectSite]
-    calls: list[_CallSite]
-    directs: list[_DirectSite]
+    Conditional ``i`` branches from ``cond_ips[i]`` to ``cond_targets[i]``
+    when taken, and its direction model is ``cond_kinds[i]``: ``_BIASED``
+    (``cond_params[i]`` is the taken probability), ``_PATTERNED`` (a tuple
+    of outcomes, replayed from position ``cond_steps[i]``) or ``_MARKOV``
+    (a persistence; ``cond_steps[i]`` is the current outcome).  The loop
+    back-edges follow the regular conditionals in ``cond_ips`` and
+    ``cond_targets`` only, since their loops decide their directions, so
+    call bodies, which hold conditional indices, name only regular ones.
+    Indirect ``i`` picks among ``ind_targets[i]`` (a tuple) and is a call if
+    ``ind_calls[i]``; call ``i`` jumps to ``call_targets[i]`` and runs the
+    conditionals in ``call_bodies[i]``, fixed per call site the way a real
+    function's branches are.
+
+    Loop ``j`` runs the sites in ``loops[j]``, each an int tagged with its
+    kind, ``index << 2 | kind``, and then its back-edge, conditional
+    ``loop_back_edges[j]``, which is taken on every iteration but the last,
+    like the loop-control branches that dominate real programs' dynamic
+    branch mix.  A visit iterates the loop about ``loop_means[j]`` times.
+    """
+
+    cond_ips: list[int]
+    cond_targets: list[int]
+    cond_kinds: list[int]
+    cond_params: list
+    cond_steps: list
+    ind_ips: list[int]
+    ind_targets: list[tuple[int, ...]]
+    ind_calls: list[bool]
+    #: Whether an indirect's target follows recent history (else random).
+    ind_correlated: bool
+    call_ips: list[int]
+    call_targets: list[int]
+    call_bodies: list[tuple[int, ...]]
+    direct_ips: list[int]
+    direct_targets: list[int]
+    loops: list[tuple[int, ...]]
+    loop_means: list[float]
+    loop_back_edges: list[int]
 
 
 @dataclass(slots=True)
@@ -235,13 +219,11 @@ class SyntheticTraceGenerator:
         #: ``append`` of the item list :meth:`generate` is filling.
         self._append = None
         self._max_call_depth = max(2, int(profile.call_depth_mean * 1.5))
-        self._kernel_image = self._build_image(
-            base=_KERNEL_CODE_BASE,
-            conditional_sites=max(64, profile.static_conditional_sites // 8),
-            indirect_sites=max(8, profile.static_indirect_sites // 8),
-            call_sites=max(8, profile.static_call_sites // 8),
-            direct_sites=max(8, profile.static_direct_sites // 8),
-        )
+        #: Static conditional, indirect, call and direct sites (kind order).
+        self._site_counts = (profile.static_conditional_sites, profile.static_indirect_sites,
+                             profile.static_call_sites, profile.static_direct_sites)
+        self._kernel_image = self._build_image(_KERNEL_CODE_BASE, tuple(
+            max(floor, count // 8) for floor, count in zip((64, 8, 8, 8), self._site_counts)))
         self._contexts = self._build_contexts()
         self._kernel_state = _ContextState(
             context_id=-1, image=self._kernel_image, rng=random.Random(self._rng.random()),
@@ -253,26 +235,12 @@ class SyntheticTraceGenerator:
     def _build_contexts(self) -> list[_ContextState]:
         profile = self.profile
         contexts: list[_ContextState] = []
-        shared_image: _ProgramImage | None = None
+        image: _ProgramImage | None = None
         for index in range(profile.co_resident_contexts):
-            if profile.shared_program_image:
-                if shared_image is None:
-                    shared_image = self._build_image(
-                        base=_USER_CODE_BASE,
-                        conditional_sites=profile.static_conditional_sites,
-                        indirect_sites=profile.static_indirect_sites,
-                        call_sites=profile.static_call_sites,
-                        direct_sites=profile.static_direct_sites,
-                    )
-                image = shared_image
-            else:
+            # Shared-image contexts all run the first context's image.
+            if image is None or not profile.shared_program_image:
                 image = self._build_image(
-                    base=_USER_CODE_BASE + index * _CONTEXT_IMAGE_STRIDE,
-                    conditional_sites=profile.static_conditional_sites,
-                    indirect_sites=profile.static_indirect_sites,
-                    call_sites=profile.static_call_sites,
-                    direct_sites=profile.static_direct_sites,
-                )
+                    _USER_CODE_BASE + index * _CONTEXT_IMAGE_STRIDE, self._site_counts)
             contexts.append(
                 _ContextState(
                     context_id=index,
@@ -282,154 +250,185 @@ class SyntheticTraceGenerator:
             )
         return contexts
 
-    def _build_image(
-        self,
-        *,
-        base: int,
-        conditional_sites: int,
-        indirect_sites: int,
-        call_sites: int,
-        direct_sites: int,
-    ) -> _ProgramImage:
+    def _build_image(self, base: int, site_counts: tuple[int, int, int, int]) -> _ProgramImage:
+        """Lay out ``site_counts`` sites of each kind from ``base`` on."""
         profile = self.profile
+        conditional_sites, indirect_sites, call_sites, direct_sites = site_counts
         rng = random.Random(self._rng.getrandbits(64))
         bits = rng.getrandbits
-        next_address = base
+        random_draw = rng.random
+        mask = VIRTUAL_ADDRESS_MASK
+        stride = _INSTRUCTION_STRIDE
+        # Sites are laid out in order, but real code is not laid out
+        # uniformly: each one is followed by a random small gap.
+        address = base
+        gap_bits = _GAP_SLOTS.bit_length()
 
-        def allocate() -> int:
-            nonlocal next_address
-            address = next_address
-            # Real code is not laid out uniformly; skip a random small gap.
-            next_address += _INSTRUCTION_STRIDE * (1 + _randbelow(bits, 24))
-            return address & VIRTUAL_ADDRESS_MASK
-
-        conditionals: list[_ConditionalSite] = []
+        cond_ips: list[int] = []
+        cond_targets: list[int] = []
+        cond_kinds: list[int] = []
+        cond_params: list = []
+        cond_steps: list = []
+        reach_bits = _CONDITIONAL_REACH.bit_length()
+        length_bits = _PATTERN_LENGTHS.bit_length()
+        biased = profile.biased_site_fraction
+        patterned = biased + profile.patterned_site_fraction
+        # "Hard" sites: data-dependent branches whose outcomes come in runs.
+        # The workload entropy parameter controls the run persistence — low
+        # entropy (e.g. 505.mcf) gives short, hard to predict runs, high
+        # entropy gives long predictable ones.
+        persistence = 0.55 + profile.random_site_entropy
         for _ in range(conditional_sites):
-            ip = allocate()
-            taken_target = (
-                ip + _INSTRUCTION_STRIDE * (2 + _randbelow(bits, 3_999))
-            ) & VIRTUAL_ADDRESS_MASK
-            roll = rng.random()
-            if roll < profile.biased_site_fraction:
-                probability = 0.97 if rng.random() < 0.6 else 0.03
-                site = _ConditionalSite(ip, taken_target, _ConditionalSite.BIASED, probability)
-            elif roll < profile.biased_site_fraction + profile.patterned_site_fraction:
-                length = 2 + _randbelow(bits, 7)
-                pattern = tuple(rng.random() < 0.5 for _ in range(length))
+            ip = address & mask
+            while (gap := bits(gap_bits)) >= _GAP_SLOTS:
+                pass
+            address += stride * (1 + gap)
+            while (reach := bits(reach_bits)) >= _CONDITIONAL_REACH:
+                pass
+            cond_ips.append(ip)
+            cond_targets.append((ip + stride * (2 + reach)) & mask)
+            roll = random_draw()
+            if roll < biased:
+                cond_kinds.append(_BIASED)
+                cond_params.append(0.97 if random_draw() < 0.6 else 0.03)
+                cond_steps.append(0)
+            elif roll < patterned:
+                while (length := bits(length_bits)) >= _PATTERN_LENGTHS:
+                    pass
+                pattern = tuple([random_draw() < 0.5 for _ in range(2 + length)])
                 # Guarantee the pattern is not constant so it is genuinely periodic.
                 if all(pattern) or not any(pattern):
                     pattern = pattern[:-1] + (not pattern[-1],)
-                site = _ConditionalSite(ip, taken_target, _ConditionalSite.PATTERNED, 0.5, pattern)
+                cond_kinds.append(_PATTERNED)
+                cond_params.append(pattern)
+                cond_steps.append(0)
             else:
-                # "Hard" sites: data-dependent branches whose outcomes come in
-                # runs.  The workload entropy parameter controls the run
-                # persistence — low entropy (e.g. 505.mcf) gives short, hard
-                # to predict runs, high entropy gives long predictable ones.
-                persistence = min(0.97, 0.55 + profile.random_site_entropy
-                                  + rng.uniform(0.0, 0.2))
-                site = _ConditionalSite(
-                    ip, taken_target, _ConditionalSite.MARKOV, 0.5, persistence=persistence
-                )
-            conditionals.append(site)
+                cond_kinds.append(_MARKOV)
+                # ``rng.uniform(0.0, 0.2)`` is ``0.2 * rng.random()``.
+                cond_params.append(min(0.97, persistence + 0.2 * random_draw()))
+                cond_steps.append(True)
+        regular = len(cond_ips)
 
-        indirects: list[_IndirectSite] = []
+        ind_ips: list[int] = []
+        ind_targets: list[tuple[int, ...]] = []
+        ind_calls: list[bool] = []
+        reach_bits = _INDIRECT_REACH.bit_length()
         for _ in range(indirect_sites):
-            ip = allocate()
+            ip = address & mask
+            while (gap := bits(gap_bits)) >= _GAP_SLOTS:
+                pass
+            address += stride * (1 + gap)
             count = max(1, int(rng.expovariate(1.0 / profile.indirect_targets_mean)) + 1)
-            count = min(count, 16)
-            targets = tuple(
-                (ip + _INSTRUCTION_STRIDE * (8 + _randbelow(bits, 5_993))) & VIRTUAL_ADDRESS_MASK
-                for _ in range(count)
-            )
-            indirects.append(
-                _IndirectSite(
-                    ip=ip,
-                    targets=targets,
-                    is_call=rng.random() < 0.4,
-                    history_correlated=profile.indirect_history_correlated,
-                )
-            )
+            targets = []
+            for _ in range(min(count, 16)):
+                while (reach := bits(reach_bits)) >= _INDIRECT_REACH:
+                    pass
+                targets.append((ip + stride * (8 + reach)) & mask)
+            ind_ips.append(ip)
+            ind_targets.append(tuple(targets))
+            ind_calls.append(random_draw() < 0.4)
 
-        calls: list[_CallSite] = []
+        call_ips: list[int] = []
+        call_targets: list[int] = []
+        call_bodies: list[tuple[int, ...]] = []
+        reach_bits = _CALL_REACH.bit_length()
+        length_bits = _BODY_LENGTHS.bit_length()
+        start_bits = regular.bit_length()
+        # The regular conditionals' indices, continued past the end, so a
+        # body that wraps around is one slice.
+        wrapped = (tuple(index % regular for index in range(regular + 1 + _BODY_LENGTHS))
+                   if regular else ())
         for _ in range(call_sites):
-            ip = allocate()
-            target = (
-                ip + _INSTRUCTION_STRIDE * (16 + _randbelow(bits, 7_985))
-            ) & VIRTUAL_ADDRESS_MASK
-            body_length = 2 + _randbelow(bits, 5)
-            if conditionals:
-                start = _randbelow(bits, len(conditionals))
-                body = tuple(
-                    conditionals[(start + position) % len(conditionals)]
-                    for position in range(body_length)
-                )
+            ip = address & mask
+            while (gap := bits(gap_bits)) >= _GAP_SLOTS:
+                pass
+            address += stride * (1 + gap)
+            while (reach := bits(reach_bits)) >= _CALL_REACH:
+                pass
+            while (length := bits(length_bits)) >= _BODY_LENGTHS:
+                pass
+            if regular:
+                while (start := bits(start_bits)) >= regular:
+                    pass
+                body = wrapped[start:start + 2 + length]
             else:
                 body = ()
-            calls.append(_CallSite(ip=ip, target=target, body_sites=body))
+            call_ips.append(ip)
+            call_targets.append((ip + stride * (16 + reach)) & mask)
+            call_bodies.append(body)
 
-        directs: list[_DirectSite] = []
+        direct_ips: list[int] = []
+        direct_targets: list[int] = []
+        reach_bits = _DIRECT_REACH.bit_length()
         for _ in range(direct_sites):
-            ip = allocate()
-            target = (
-                ip + _INSTRUCTION_STRIDE * (4 + _randbelow(bits, 1_997))
-            ) & VIRTUAL_ADDRESS_MASK
-            directs.append(_DirectSite(ip=ip, target=target))
+            ip = address & mask
+            while (gap := bits(gap_bits)) >= _GAP_SLOTS:
+                pass
+            address += stride * (1 + gap)
+            while (reach := bits(reach_bits)) >= _DIRECT_REACH:
+                pass
+            direct_ips.append(ip)
+            direct_targets.append((ip + stride * (4 + reach)) & mask)
 
-        # Dedicated loop back-edge branches (taken on every iteration but the last).
-        back_edges: list[_ConditionalSite] = []
-        for _ in range(max(4, len(conditionals) // 8)):
-            ip = allocate()
-            taken_target = (
-                ip - _INSTRUCTION_STRIDE * (8 + _randbelow(bits, 505))
-            ) & VIRTUAL_ADDRESS_MASK
-            back_edges.append(
-                _ConditionalSite(ip, taken_target, _ConditionalSite.BIASED, 1.0)
-            )
+        # Dedicated loop back-edge branches, after the regular conditionals.
+        back_edges = range(regular, regular + max(4, regular // 8))
+        reach_bits = _BACK_EDGE_REACH.bit_length()
+        for _ in back_edges:
+            ip = address & mask
+            while (gap := bits(gap_bits)) >= _GAP_SLOTS:
+                pass
+            address += stride * (1 + gap)
+            while (reach := bits(reach_bits)) >= _BACK_EDGE_REACH:
+                pass
+            cond_ips.append(ip)
+            cond_targets.append((ip - stride * (8 + reach)) & mask)
 
-        loops = self._group_into_loops(rng, conditionals, indirects, calls, directs, back_edges)
         return _ProgramImage(
-            loops=loops,
-            conditionals=conditionals,
-            indirects=indirects,
-            calls=calls,
-            directs=directs,
-        )
+            cond_ips, cond_targets, cond_kinds, cond_params, cond_steps,
+            ind_ips, ind_targets, ind_calls, profile.indirect_history_correlated,
+            call_ips, call_targets, call_bodies, direct_ips, direct_targets,
+            *self._group_into_loops(rng, site_counts, back_edges))
 
     def _group_into_loops(
         self,
         rng: random.Random,
-        conditionals: list[_ConditionalSite],
-        indirects: list[_IndirectSite],
-        calls: list[_CallSite],
-        directs: list[_DirectSite],
-        back_edges: list[_ConditionalSite],
-    ) -> list[_Loop]:
-        """Partition all sites into short loops with a hot/cold visit profile."""
-        bits = rng.getrandbits
-        site_pool: list[object] = []
-        site_pool.extend(conditionals)
-        site_pool.extend(indirects)
-        site_pool.extend(calls)
-        site_pool.extend(directs)
-        # rng.shuffle(site_pool), draw for draw.
-        for i in reversed(range(1, len(site_pool))):
-            j = _randbelow(bits, i + 1)
-            site_pool[i], site_pool[j] = site_pool[j], site_pool[i]
+        site_counts: tuple[int, int, int, int],
+        back_edges: range,
+    ) -> tuple[list[tuple[int, ...]], list[float], list[int]]:
+        """Partition all sites into short loops with a hot/cold visit profile.
 
-        loops: list[_Loop] = []
-        index = 0
-        while index < len(site_pool):
-            size = 4 + _randbelow(bits, 13)
-            body = site_pool[index:index + size]
-            index += size
-            mean_iterations = 8.0 + rng.expovariate(1.0 / 24.0)
-            back_edge = back_edges[len(loops) % len(back_edges)] if back_edges else None
-            loops.append(
-                _Loop(sites=body, mean_iterations=mean_iterations, back_edge=back_edge)
-            )
+        ``site_counts`` counts the conditional, indirect, call and direct
+        sites.  Returns the image's ``loops``, ``loop_means`` and
+        ``loop_back_edges`` columns.
+        """
+        bits = rng.getrandbits
+        sites: list[int] = []
+        for kind, count in enumerate(site_counts):  # in kind order
+            sites.extend(range(kind, count << 2, 4))
+        # rng.shuffle(sites), draw for draw.
+        for i in range(len(sites) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            while (j := bits(k)) > i:
+                pass
+            sites[i], sites[j] = sites[j], sites[i]
+
+        loops: list[tuple[int, ...]] = []
+        loop_means: list[float] = []
+        size_bits = _LOOP_SIZES.bit_length()
+        start = 0
+        while start < len(sites):
+            while (size := bits(size_bits)) >= _LOOP_SIZES:
+                pass
+            loops.append(tuple(sites[start:start + 4 + size]))
+            start += 4 + size
+            loop_means.append(8.0 + rng.expovariate(1.0 / 24.0))
         if not loops:
-            loops.append(_Loop(sites=list(site_pool), mean_iterations=8.0))
-        return loops
+            # An image without sites still has one (empty) loop.
+            loops.append(())
+            loop_means.append(8.0)
+        loop_back_edges = [back_edges[loop % len(back_edges)]
+                           for loop in range(len(loops))]
+        return loops, loop_means, loop_back_edges
 
     # --------------------------------------------------------------- generate
 
@@ -484,44 +483,43 @@ class SyntheticTraceGenerator:
     def _emit_loop_step(self, state: _ContextState) -> int:
         """Emit one site's worth of branches from the context's current loop."""
         image = state.image
-        if state.loop_remaining <= 0 or state.current_loop >= len(image.loops):
-            state.current_loop = self._pick_loop(state)
-            loop = image.loops[state.current_loop]
+        if state.loop_remaining <= 0:
+            loop = state.current_loop = self._pick_loop(state)
             state.loop_remaining = max(
-                1, int(state.rng.expovariate(1.0 / loop.mean_iterations))
+                1, int(state.rng.expovariate(1.0 / image.loop_means[loop]))
             )
             state.site_cursor = 0
 
-        loop = image.loops[state.current_loop]
-        site = loop.sites[state.site_cursor]
-        site_class = site.__class__
-        if site_class is _ConditionalSite:
-            self._emit_conditional(state, site)
+        sites = image.loops[state.current_loop]
+        site = sites[state.site_cursor]
+        kind = site & 3
+        index = site >> 2
+        if kind == _CONDITIONAL_SITE:
+            self._emit_conditional(state, image, index)
             produced = 1
-        elif site_class is _CallSite:
-            produced = self._emit_call(state, site)
-        elif site_class is _IndirectSite:
-            produced = self._emit_indirect(state, site)
-        elif site_class is _DirectSite:
+        elif kind == _CALL_SITE:
+            produced = self._emit_call(state, image, index)
+        elif kind == _INDIRECT_SITE:
+            produced = self._emit_indirect(state, image, index)
+        else:  # _DIRECT_SITE
             self._append(self._records[
-                site.ip, site.target, True, _DIRECT_JUMP, state.context_id, state.kernel])
+                image.direct_ips[index], image.direct_targets[index], True, _DIRECT_JUMP,
+                state.context_id, state.kernel])
             produced = 1
-        else:
-            raise TypeError(f"unknown site type: {site_class!r}")
 
         state.site_cursor += 1
-        if state.site_cursor >= len(loop.sites):
+        if state.site_cursor >= len(sites):
             state.site_cursor = 0
             state.loop_remaining -= 1
-            back_edge = loop.back_edge
-            if back_edge is not None:
-                # Loop-control branch: taken while more iterations remain.
-                taken = state.loop_remaining > 0
-                target = back_edge.taken_target if taken else back_edge.fall_through
-                self._append(self._records[
-                    back_edge.ip, target, taken, _CONDITIONAL, state.context_id, state.kernel])
-                state.recent_history = ((state.recent_history << 1) | taken) & 0xFFFF
-                produced += 1
+            # Loop-control branch: taken while more iterations remain.
+            back_edge = image.loop_back_edges[state.current_loop]
+            ip = image.cond_ips[back_edge]
+            taken = state.loop_remaining > 0
+            target = image.cond_targets[back_edge] if taken else (ip + 4) & VIRTUAL_ADDRESS_MASK
+            self._append(self._records[
+                ip, target, taken, _CONDITIONAL, state.context_id, state.kernel])
+            state.recent_history = ((state.recent_history << 1) | taken) & 0xFFFF
+            produced += 1
         return produced
 
     def _pick_loop(self, state: _ContextState) -> int:
@@ -543,62 +541,69 @@ class SyntheticTraceGenerator:
             return _randbelow(rng.getrandbits, warm_count)
         return _randbelow(rng.getrandbits, loop_count)
 
-    def _emit_conditional(self, state: _ContextState, site: _ConditionalSite) -> None:
-        kind = site.kind
-        if kind == _ConditionalSite.PATTERNED:
-            pattern = site.pattern
-            taken = pattern[site.position % len(pattern)]
-            site.position += 1
-        elif kind == _ConditionalSite.MARKOV:
-            if state.rng.random() >= site.persistence:
-                site.state = not site.state
-            taken = site.state
+    def _emit_conditional(self, state: _ContextState, image: _ProgramImage, index: int) -> None:
+        kind = image.cond_kinds[index]
+        if kind == _PATTERNED:
+            pattern = image.cond_params[index]
+            steps = image.cond_steps
+            position = steps[index]
+            taken = pattern[position % len(pattern)]
+            steps[index] = position + 1
+        elif kind == _MARKOV:
+            steps = image.cond_steps
+            if state.rng.random() >= image.cond_params[index]:
+                steps[index] = not steps[index]
+            taken = steps[index]
         else:
-            taken = state.rng.random() < site.taken_probability
-        target = site.taken_target if taken else site.fall_through
+            taken = state.rng.random() < image.cond_params[index]
+        ip = image.cond_ips[index]
+        target = image.cond_targets[index] if taken else (ip + 4) & VIRTUAL_ADDRESS_MASK
         self._append(self._records[
-            site.ip, target, taken, _CONDITIONAL, state.context_id, state.kernel])
+            ip, target, taken, _CONDITIONAL, state.context_id, state.kernel])
         state.recent_history = ((state.recent_history << 1) | taken) & 0xFFFF
 
-    def _emit_indirect(self, state: _ContextState, site: _IndirectSite) -> int:
-        targets = site.targets
+    def _emit_indirect(self, state: _ContextState, image: _ProgramImage, index: int) -> int:
+        targets = image.ind_targets[index]
         if len(targets) == 1:
-            index = 0
-        elif site.history_correlated:
+            choice = 0
+        elif image.ind_correlated:
             # Most dynamic executions of a polymorphic indirect branch hit its
             # dominant target; the minority of switches is a deterministic
             # function of recent history, so history-based predictors can
             # learn it (as they do for real virtual-call sites).
             if state.rng.random() < 0.85:
-                index = 0
+                choice = 0
             else:
-                index = 1 + (state.recent_history % (len(targets) - 1))
+                choice = 1 + (state.recent_history % (len(targets) - 1))
         else:
-            index = _randbelow(state.rng.getrandbits, len(targets))
-        type_code = _INDIRECT_CALL if site.is_call else _INDIRECT_JUMP
+            choice = _randbelow(state.rng.getrandbits, len(targets))
+        ip = image.ind_ips[index]
+        is_call = image.ind_calls[index]
+        type_code = _INDIRECT_CALL if is_call else _INDIRECT_JUMP
         self._append(self._records[
-            site.ip, targets[index], True, type_code, state.context_id, state.kernel])
-        if site.is_call:
-            state.call_stack.append((site.ip + 4) & VIRTUAL_ADDRESS_MASK)
+            ip, targets[choice], True, type_code, state.context_id, state.kernel])
+        if is_call:
+            state.call_stack.append((ip + 4) & VIRTUAL_ADDRESS_MASK)
             return 1 + self._emit_returns(state, probability=0.9)
         return 1
 
-    def _emit_call(self, state: _ContextState, site: _CallSite) -> int:
+    def _emit_call(self, state: _ContextState, image: _ProgramImage, index: int) -> int:
+        ip = image.call_ips[index]
         self._append(self._records[
-            site.ip, site.target, True, _DIRECT_CALL, state.context_id, state.kernel])
-        state.call_stack.append((site.ip + 4) & VIRTUAL_ADDRESS_MASK)
+            ip, image.call_targets[index], True, _DIRECT_CALL, state.context_id, state.kernel])
+        state.call_stack.append((ip + 4) & VIRTUAL_ADDRESS_MASK)
 
         # Execute the callee's (fixed) body of conditional branches.
-        for body_site in site.body_sites:
-            self._emit_conditional(state, body_site)
-        produced = 1 + len(site.body_sites)
+        body = image.call_bodies[index]
+        for conditional in body:
+            self._emit_conditional(state, image, conditional)
+        produced = 1 + len(body)
 
         # Occasionally nest deeper before unwinding, so the RSB can underflow.
-        calls = state.image.calls
-        if len(state.call_stack) < self._max_call_depth and state.rng.random() < 0.35 and calls:
-            nested = calls[_randbelow(state.rng.getrandbits, len(calls))]
-            if nested.ip != site.ip:
-                produced += self._emit_call(state, nested)
+        if len(state.call_stack) < self._max_call_depth and state.rng.random() < 0.35:
+            nested = _randbelow(state.rng.getrandbits, len(image.call_ips))
+            if nested != index:
+                produced += self._emit_call(state, image, nested)
 
         return produced + self._emit_returns(state, probability=0.95)
 

@@ -176,6 +176,17 @@ def _replay_total(counter: str, model: str, kind: str) -> float:
     return 0.0
 
 
+def _fold_register_value(ghist: list, history_length: int, width: int) -> int:
+    """A TAGE fold register's value over a history list, bit by bit: the
+    reference for the closed form the TAGE stepper computes in bulk."""
+    value = 0
+    length = len(ghist)
+    for k in range(min(history_length, length)):
+        if ghist[length - 1 - k]:
+            value ^= 1 << (k % width)
+    return value
+
+
 def _tage_state(direction):
     """Complete TAGE-SC-L predictor state, every column and register."""
     return (
@@ -721,12 +732,13 @@ class TestVectorKernels:
         extended[pad:pad + len(carried)] = carried
         extended[pad + len(carried):] = span
         parity = vector._strided_parity(extended, width)
-        values = vector._fold_values(parity, pad, len(carried), count,
+        values = vector._fold_values(parity, pad, len(carried), count + 1,
                                      history, width)
-        for position in range(count):
+        for position in range(count + 1):
             # The register the scalar fold holds when predicting span
-            # outcome `position`: everything earlier has been absorbed.
-            expected = vector._fold_register_value(
+            # outcome `position` (after the span, at `count`): everything
+            # earlier has been absorbed.
+            expected = _fold_register_value(
                 carried + span[:position], history, width)
             assert int(values[position]) == expected, position
 

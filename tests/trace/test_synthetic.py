@@ -1,5 +1,7 @@
 """Tests for the synthetic trace generator."""
 
+import dataclasses
+import gc
 import hashlib
 import random
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.trace.branch import BranchRecord, BranchType, EventKind, PrivilegeMode
 from repro.trace.synthetic import SyntheticTraceGenerator, _randbelow, generate_trace
-from repro.trace.workloads import list_workloads
+from repro.trace.workloads import get_workload, list_workloads
 
 #: First 16 hex digits of :func:`_trace_digest` per ``(workload, seed,
 #: branch_count)``, as drawn through the stdlib ``random`` calls the
@@ -59,6 +61,29 @@ GOLDEN_DIGESTS = {
     ("chrome-1jetstream", 7, 20_000): "38c5f671df2cd6c1",
     ("chrome-1jetstream", 12345, 1): "c799b49621c16c7d",
 }
+
+#: Generator branches no built-in workload reaches, pinned like
+#: :data:`GOLDEN_DIGESTS` at seed 7 and 2,000 branches.  Each recipe is a
+#: built-in profile renamed to the recipe (which re-seeds it) with the
+#: changed fields: random indirect targets, empty call bodies, no OS events.
+RECIPES = {
+    "uncorrelated": ("523.xalancbmk", {"indirect_history_correlated": False}),
+    "no-conditionals": ("505.mcf", {"static_conditional_sites": 0}),
+    "quiet": ("apache2_prefork_c32", {"context_switch_interval": 0,
+                                      "syscall_interval": 0,
+                                      "interrupt_interval": 0}),
+}
+RECIPE_DIGESTS = {
+    "uncorrelated": "9b00d2d2f91f29eb",
+    "no-conditionals": "62f702c968154301",
+    "quiet": "01712d4b8119830f",
+}
+
+
+def _recipe_trace(recipe: str):
+    workload, changes = RECIPES[recipe]
+    profile = dataclasses.replace(get_workload(workload), name=recipe, **changes)
+    return generate_trace(profile, seed=7, branch_count=2_000)
 
 
 def _trace_digest(trace) -> str:
@@ -168,6 +193,48 @@ class TestGoldenTraces:
         pinned = {workload for workload, seed, count in GOLDEN_DIGESTS
                   if (seed, count) == (7, 2_000)}
         assert pinned == set(list_workloads())
+
+    @pytest.mark.parametrize("recipe", list(RECIPE_DIGESTS))
+    def test_recipe_matches_golden_digest(self, recipe):
+        assert _trace_digest(_recipe_trace(recipe)) == RECIPE_DIGESTS[recipe]
+
+    def test_recipes_reach_their_branches(self):
+        quiet = _recipe_trace("quiet")
+        assert not list(quiet.events())
+        assert {b.mode for b in quiet.branches()} == {PrivilegeMode.USER}
+        # Call bodies are empty: the only user conditionals are the image's
+        # four loop back-edges.
+        user = [b for b in _recipe_trace("no-conditionals").branches()
+                if b.mode is PrivilegeMode.USER]
+        assert any(b.branch_type is BranchType.DIRECT_CALL for b in user)
+        assert 0 < len({b.ip for b in user if b.branch_type.is_conditional}) <= 4
+        indirect = [b for b in _recipe_trace("uncorrelated").branches()
+                    if b.branch_type is BranchType.INDIRECT_JUMP]
+        per_site: dict[int, set[int]] = {}
+        for branch in indirect:
+            per_site.setdefault(branch.ip, set()).add(branch.target)
+        assert max(map(len, per_site.values())) > 1
+
+
+def test_generator_holds_few_tracked_objects():
+    """A program image is flat columns: building a generator leaves far fewer
+    objects for the garbage collector to walk than it has static sites."""
+    profile = get_workload("chrome-1jetstream")
+    assert not profile.shared_program_image
+    static_sites = profile.co_resident_contexts * (
+        profile.static_conditional_sites + profile.static_indirect_sites
+        + profile.static_call_sites + profile.static_direct_sites)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        generator = SyntheticTraceGenerator(profile, seed=7)
+        gc.collect()
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert generator.profile is profile
+    assert tracked < static_sites // 4, (tracked, static_sites)
 
 
 #: Bounds for the draw helper: any size, plus 1 and powers of two +/- 1,
