@@ -209,8 +209,8 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     store, injector = wrap_store(store if store is not None else MemoryStore(),
                                  plan)
     serve_forever(host=args.host, port=args.port, store=store,
-                  workers=args.workers, engine_workers=args.engine_workers,
-                  queue_depth=args.queue_depth, job_timeout=args.job_timeout,
+                  workers=args.workers, queue_depth=args.queue_depth,
+                  job_timeout=args.job_timeout,
                   max_attempts=args.max_attempts, injector=injector)
 
 
@@ -233,9 +233,8 @@ def _add_runtime_options(parser: argparse.ArgumentParser,
     parser.add_argument("--backend", choices=list(fastpath.BACKENDS),
                         default=None,
                         help="replay backend (default: "
-                             f"{fastpath.DEFAULT_BACKEND}, or "
-                             "$REPRO_SIM_BACKEND); results are identical "
-                             "across backends")
+                             f"{fastpath.DEFAULT_BACKEND}); results are "
+                             "identical across backends")
     parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
                         default=progress_default,
                         help="stream per-job completions to stderr")
@@ -307,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="bind port (default: 8765; 0 = ephemeral)")
     serve_parser.add_argument("--workers", type=int, default=2,
                               help="concurrent job workers (default: 2)")
-    serve_parser.add_argument("--engine-workers", type=int, default=1,
-                              help="engine worker processes per job")
     serve_parser.add_argument("--queue-depth", type=int, default=16,
                               help="bounded job queue depth; a full queue "
                                    "answers 429 + Retry-After (default: 16)")

@@ -33,8 +33,8 @@ from repro.store.jobs import TERMINAL_STATES
 
 logger = logging.getLogger(__name__)
 
-#: HTTP statuses worth retrying: the request may succeed on a healthier
-#: replica or after the transient condition clears.
+#: HTTP statuses worth retrying: the request may succeed once the
+#: transient condition (a full queue, a store fault) clears.
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
 

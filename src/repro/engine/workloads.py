@@ -53,8 +53,8 @@ class TraceCache:
 
     Thread-safe: every read and update of the entries and counters holds
     ``_lock``.  A forked child gets a fresh lock (see
-    :func:`_reset_locks_after_fork`), because a pool worker may fork while
-    another job thread holds it.
+    :func:`_reset_locks_after_fork`), because a run may fork its pool while
+    another thread holds it.
     """
 
     def __init__(self, capacity: int = TRACE_CACHE_CAPACITY):

@@ -83,8 +83,10 @@ class AblationResult:
         raise KeyError(variant)
 
 
-def ablation_jobs(scale: ExperimentScale, workload: str) -> list[Job]:
+def ablation_jobs(scale: ExperimentScale | None = None,
+                  workload: str = "505.mcf") -> list[Job]:
     """Accuracy grid plus attack jobs for every design variant."""
+    scale = scale if scale is not None else ExperimentScale()
     specs = [_variant_spec(label, flags) for label, flags in ABLATION_VARIANTS]
     accuracy_grid = SimulationGrid(
         kind="trace", models=specs, workloads=[workload], scale=scale
@@ -130,8 +132,6 @@ def run_ablation(scale: ExperimentScale | None = None,
                  workload: str = "505.mcf",
                  workers: int = 1) -> AblationResult:
     """Measure accuracy and attack resistance for each design variant."""
-    scale = scale if scale is not None else ExperimentScale(branch_count=8_000,
-                                                            warmup_branches=800)
     frame = EngineRunner(workers=workers).run_jobs(ablation_jobs(scale, workload))
     return collect_ablation(frame, workload)
 
@@ -160,11 +160,3 @@ register_experiment(ExperimentSpec(
     post_process=lambda frame, params: collect_ablation(frame, params["workload"]),
     formatter=format_ablation,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_ablation(run_ablation()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

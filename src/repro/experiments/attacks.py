@@ -145,11 +145,3 @@ register_experiment(ExperimentSpec(
     formatter=format_attack_matrix,
     serializer=lambda result: result.frame.to_dict(),
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_attack_matrix(run_attack_matrix()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -144,11 +144,3 @@ register_experiment(ExperimentSpec(
     post_process=lambda frame, params: collect_figure2(frame),
     formatter=format_figure2,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_figure2(run_figure2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

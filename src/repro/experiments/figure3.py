@@ -132,12 +132,3 @@ register_experiment(ExperimentSpec(
     post_process=lambda frame, params: collect_figure3(frame),
     formatter=format_figure3,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run_figure3(ExperimentScale(branch_count=30_000, workload_limit=None))
-    print(format_figure3(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

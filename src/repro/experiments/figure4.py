@@ -178,11 +178,3 @@ register_experiment(ExperimentSpec(
         frame, params["predictors"] or None),
     formatter=format_figure4,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_figure4(run_figure4(ExperimentScale(branch_count=15_000))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

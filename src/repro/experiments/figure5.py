@@ -141,12 +141,3 @@ register_experiment(ExperimentSpec(
         frame, params["predictors"] or None),
     formatter=format_figure5,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    scale = ExperimentScale(branch_count=12_000, workload_limit=8)
-    print(format_figure5(run_figure5(scale)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -73,7 +73,7 @@ def figure6_grid(
 ) -> SimulationGrid:
     """The declarative grid behind Figure 6: baseline + one ST model per r."""
     scale = scale if scale is not None else ExperimentScale(
-        branch_count=10_000, workload_limit=FIGURE6_DEFAULT_PAIR_LIMIT)
+        workload_limit=FIGURE6_DEFAULT_PAIR_LIMIT)
     workload_pairs = list(pairs if pairs is not None else GEM5_SMT_PAIRS)
     models: list[ModelSpec | str] = [_BASELINE_MODEL]
     models.extend(
@@ -195,11 +195,3 @@ register_experiment(ExperimentSpec(
     note=_figure6_note,
     formatter=format_figure6,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_figure6(run_figure6()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

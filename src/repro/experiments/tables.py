@@ -192,11 +192,3 @@ register_experiment(ExperimentSpec(
     post_process=lambda frame, params: collect_tables(frame),
     formatter=format_tables,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_thresholds(run_thresholds()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,8 +11,7 @@ Three subcommands:
   every stored trace: total seconds per span name plus the slowest traces.
 
 Store access goes through the normal store protocol (``obstrace``
-namespace), so any replica sharing the store can answer for work it did
-not execute.
+namespace), so a trace outlives the server process that ran its job.
 """
 
 from __future__ import annotations

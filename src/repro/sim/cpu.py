@@ -47,35 +47,37 @@ class CycleApproximateCPU:
         self._trace_simulator = TraceSimulator(warmup_branches=self.lengths.warmup_branches)
 
     def run(self, model: BranchPredictorModel, trace: Trace) -> CPUSimulationResult:
-        """Simulate ``trace`` on a core whose front end uses ``model``.
-
-        Cycle accounting: the instructions between branches issue at the
-        core's ideal IPC; each effective misprediction adds the full squash
-        penalty; each taken branch that missed in the BTB adds the
-        fetch-redirect bubble.
-        """
-        config = self.config
-        simulation = self._trace_simulator.run(model, trace)
-        stats = simulation.stats
-
-        instructions = stats.branches * config.instructions_per_branch
-        base_cycles = instructions / config.ideal_ipc
-        squash_cycles = stats.mispredictions * config.misprediction_penalty_cycles
-        redirect_cycles = (
-            max(0, stats.target_predictions - stats.target_correct - stats.mispredictions)
-            * config.btb_miss_penalty_cycles
-        )
-        cycles = base_cycles + squash_cycles + redirect_cycles
-
-        performance = PerformanceReport(
-            model=model.name,
-            workload=trace.name,
-            instructions=instructions,
-            cycles=cycles,
-            direction_accuracy=stats.direction_accuracy,
-            target_accuracy=stats.target_accuracy,
-        )
+        """Simulate ``trace`` on a core whose front end uses ``model``."""
+        stats = self._trace_simulator.run(model, trace).stats
+        performance = performance_report(model.name, trace.name, stats,
+                                         self.config, self.config.ideal_ipc)
         return CPUSimulationResult(performance=performance, stats=stats)
+
+
+def performance_report(model_name: str, workload: str, stats: PredictorStats,
+                       config: CPUConfig, ideal_ipc: float) -> PerformanceReport:
+    """Cycle accounting of one thread's branch outcomes.
+
+    The instructions between branches issue at ``ideal_ipc`` (the core's, or
+    an SMT thread's share of it); each effective misprediction adds the full
+    squash penalty; each taken branch that missed in the BTB adds the
+    fetch-redirect bubble.
+    """
+    instructions = stats.branches * config.instructions_per_branch
+    base_cycles = instructions / ideal_ipc
+    squash_cycles = stats.mispredictions * config.misprediction_penalty_cycles
+    redirect_cycles = (
+        max(0, stats.target_predictions - stats.target_correct - stats.mispredictions)
+        * config.btb_miss_penalty_cycles
+    )
+    return PerformanceReport(
+        model=model_name,
+        workload=workload,
+        instructions=instructions,
+        cycles=base_cycles + squash_cycles + redirect_cycles,
+        direction_accuracy=stats.direction_accuracy,
+        target_accuracy=stats.target_accuracy,
+    )
 
 
 def run_single_workload(

@@ -11,14 +11,13 @@ The simulators keep two equivalent replay implementations:
   loop and the decline is counted in ``repro_replay_declines_total``.
 
 Both produce byte-identical result frames — the parity tests pin that — so
-the switch only ever changes wall-clock time.  The process-wide default can
-be set with the ``REPRO_SIM_BACKEND`` environment variable, programmatically
-with :func:`set_backend`, or per run with the CLI's ``--backend`` option.
+the switch only ever changes wall-clock time.  The process-wide backend is
+``vector`` until changed programmatically with :func:`set_backend` (or
+:func:`forced_backend`), or per run with the CLI's ``--backend`` option.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -27,23 +26,7 @@ BACKENDS = ("reference", "vector")
 
 DEFAULT_BACKEND = "vector"
 
-
-def _initial_backend() -> str:
-    name = os.environ.get("REPRO_SIM_BACKEND", DEFAULT_BACKEND)
-    if name not in BACKENDS:
-        import warnings
-
-        warnings.warn(
-            f"ignoring unknown REPRO_SIM_BACKEND={name!r}; expected one of "
-            f"{BACKENDS} — using {DEFAULT_BACKEND!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_BACKEND
-    return name
-
-
-_BACKEND = _initial_backend()
+_BACKEND = DEFAULT_BACKEND
 
 
 def backend() -> str:

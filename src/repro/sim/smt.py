@@ -29,6 +29,7 @@ from repro.bpu.common import BranchPredictorModel, PredictorStats
 from repro.sim import fastpath
 from repro.sim.bpu_sim import dispatch_event
 from repro.sim.config import CPUConfig, SimulationLengths, TABLE_IV_CONFIG
+from repro.sim.cpu import performance_report
 from repro.sim.metrics import PerformanceReport, harmonic_mean
 from repro.trace.branch import (
     BranchRecord,
@@ -135,32 +136,15 @@ class SMTSimulator:
             self._coreplay_items(model, merged_items, thread_offset,
                                  per_thread_stats)
 
+        # Each SMT thread gets roughly half the core's ideal throughput.
+        ideal_ipc = self.config.ideal_ipc / 2.0
         reports = tuple(
-            self._performance(model.name, trace.name, stats)
+            performance_report(model.name, trace.name, stats, self.config,
+                               ideal_ipc)
             for trace, stats in zip((trace_a, trace_b), per_thread_stats)
         )
         return SMTSimulationResult(
             thread_performance=reports,
             thread_stats=per_thread_stats,
             protection=model.protection_stats(),
-        )
-
-    def _performance(self, model_name: str, workload: str,
-                     stats: PredictorStats) -> PerformanceReport:
-        config = self.config
-        instructions = stats.branches * config.instructions_per_branch
-        # Each SMT thread gets roughly half the core's ideal throughput.
-        base_cycles = instructions / (config.ideal_ipc / 2.0)
-        squash_cycles = stats.mispredictions * config.misprediction_penalty_cycles
-        redirect_cycles = (
-            max(0, stats.target_predictions - stats.target_correct - stats.mispredictions)
-            * config.btb_miss_penalty_cycles
-        )
-        return PerformanceReport(
-            model=model_name,
-            workload=workload,
-            instructions=instructions,
-            cycles=base_cycles + squash_cycles + redirect_cycles,
-            direction_accuracy=stats.direction_accuracy,
-            target_accuracy=stats.target_accuracy,
         )

@@ -28,7 +28,6 @@ import os
 from repro.store.base import (
     ENVELOPE_NAMESPACE,
     JOB_NAMESPACE,
-    JOB_STATE_NAMESPACE,
     ResultStore,
     StoreCounters,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "CACHEABLE_KINDS",
     "ENVELOPE_NAMESPACE",
     "JOB_NAMESPACE",
-    "JOB_STATE_NAMESPACE",
     "RECORD_SCHEMA",
     "RESULT_SCHEMA_VERSION",
     "STORE_ENV",

@@ -27,13 +27,8 @@ JOB_NAMESPACE = "job"
 #: Namespace of cached whole-experiment envelopes (``repro serve``).
 ENVELOPE_NAMESPACE = "envelope"
 
-#: Namespace of persisted job state records (``repro.store.jobs``) — written
-#: on every state transition so any replica sharing the store can answer a
-#: ``GET /v1/jobs/<fp>`` for work it did not execute itself.
-JOB_STATE_NAMESPACE = "jobstate"
-
 #: Namespace of persisted span trees (``repro.obs.spans``) — one per
-#: completed job, so ``GET /v1/jobs/<fp>/trace`` works from any replica.
+#: completed job, read by ``GET /v1/jobs/<fp>/trace`` and ``repro obs``.
 OBSTRACE_NAMESPACE = "obstrace"
 
 _HEX_DIGITS = frozenset("0123456789abcdef")

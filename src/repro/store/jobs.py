@@ -7,16 +7,15 @@ replaces the lock with a supervised job pipeline:
 * a **bounded FIFO queue** (:class:`QueueFull` carries a ``Retry-After`` hint
   when depth is exceeded),
 * a **job state machine** ``queued → running → done | failed | timeout |
-  cancelled``, persisted as content-addressed records (namespace
-  ``jobstate``) so any replica sharing the store can answer any GET,
-* **worker threads** running each attempt on a fresh incremental
-  :class:`~repro.engine.runner.EngineRunner` (with ``engine_workers > 1``
-  it forks one process pool per attempt),
+  cancelled``, held in the manager's in-memory job table only: a job this
+  process does not hold (never submitted here, or pruned) is unknown,
+* **worker threads** running each attempt in-thread on a fresh incremental
+  :class:`~repro.engine.runner.EngineRunner`,
 * a **watchdog** enforcing per-job deadlines (a wedged job is recorded
   ``timeout``, its worker abandoned and replaced so throughput survives),
-* **bounded exponential-backoff retry** for transient failures (broken
-  pools, store I/O) — jitter comes from a :class:`random.Random` seeded by
-  the job's fingerprint, so chaos runs stay reproducible,
+* **bounded exponential-backoff retry** for transient failures (store
+  I/O) — jitter comes from a :class:`random.Random` seeded by the job's
+  fingerprint, so chaos runs stay reproducible,
 * **single-flight dedup**: concurrent submits of one scenario fingerprint
   share a single execution; nothing holds a lock across execution.
 
@@ -24,8 +23,8 @@ Execution is cooperative: the runner's ``abort_check`` hook raises between
 streamed records once the deadline passes or the watchdog fires, so workers
 come back promptly even from injected hangs (:mod:`repro.faults`).
 
-Job *state* transitions are persisted; progress ticks are kept in memory
-only (the SSE stream reads them live) to avoid one store write per cell.
+A finished job's envelope and span tree are written to the store (namespaces
+``envelope`` and ``obstrace``); job state and progress never are.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import random
 import threading
 import time
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Iterator
 
 from repro.engine.results import ResultFrame
@@ -50,7 +48,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.spans import OBSTRACE_SCHEMA, SpanTracer
 from repro.store.base import (
     ENVELOPE_NAMESPACE,
-    JOB_STATE_NAMESPACE,
     OBSTRACE_NAMESPACE,
     ResultStore,
 )
@@ -58,7 +55,7 @@ from repro.store.keys import canonical_json, scenario_fingerprint
 
 logger = logging.getLogger(__name__)
 
-#: Versioned schema tag of persisted job state records.
+#: Versioned schema tag of job payloads.
 JOBS_SCHEMA = "repro.job/v1"
 
 QUEUED = "queued"
@@ -72,11 +69,11 @@ CANCELLED = "cancelled"
 TERMINAL_STATES = frozenset({DONE, FAILED, TIMEOUT, CANCELLED})
 
 #: Exception types worth a retry: the failure is in the machinery (store
-#: I/O, a crashed worker pool), not in the scenario itself.
-TRANSIENT_ERRORS = (OSError, BrokenProcessPool)
+#: I/O), not in the scenario itself.
+TRANSIENT_ERRORS = (OSError,)
 
-#: Terminal job entries kept in memory for fast GETs before pruning (their
-#: persisted ``jobstate`` records outlive the pruning).
+#: Terminal jobs kept in memory; older ones are forgotten (their envelopes
+#: and span trees stay in the store).
 _TERMINAL_KEEP = 256
 
 
@@ -155,11 +152,11 @@ class JobManager:
     """
 
     def __init__(self, store: ResultStore, workers: int = 2,
-                 engine_workers: int = 1, queue_depth: int = 16,
-                 job_timeout: float = 300.0, max_attempts: int = 3,
-                 backoff_base: float = 0.1, backoff_cap: float = 30.0,
-                 retry_after: float = 1.0, tick: float = 0.05,
-                 abandon_grace: float = 1.0, injector: Any | None = None):
+                 queue_depth: int = 16, job_timeout: float = 300.0,
+                 max_attempts: int = 3, backoff_base: float = 0.1,
+                 backoff_cap: float = 30.0, retry_after: float = 1.0,
+                 tick: float = 0.05, abandon_grace: float = 1.0,
+                 injector: Any | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_depth < 1:
@@ -170,7 +167,6 @@ class JobManager:
             raise ValueError("job_timeout must be > 0")
         self.store = store
         self.workers = workers
-        self.engine_workers = engine_workers
         self.queue_depth = queue_depth
         self.job_timeout = job_timeout
         self.max_attempts = max_attempts
@@ -221,28 +217,18 @@ class JobManager:
                        self.max_attempts)
             self._jobs[fingerprint] = job
             self._queue.append(fingerprint)
+            _count_transition(job)
             self._lock.notify_all()
-            snapshot = self._payload(job)
+            payload = self._payload(job)
         obs_metrics.inc("repro_jobs_submitted_total")
-        self._persist(snapshot)
-        return snapshot, True
+        return payload, True
 
     def get(self, fingerprint: str) -> dict[str, Any] | None:
-        """The job payload — live from memory, else the persisted record
-        (so any replica sharing the store can answer for any job)."""
+        """The job payload, or ``None`` for a job this manager does not
+        hold (never submitted here, or pruned)."""
         with self._lock:
             job = self._jobs.get(fingerprint)
-            if job is not None:
-                return self._payload(job)
-        try:
-            payload = self.store.get(JOB_STATE_NAMESPACE, fingerprint)
-        except OSError:
-            logger.warning("job state read failed for %s", fingerprint[:16],
-                           exc_info=True)
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != JOBS_SCHEMA:
-            return None
-        return payload
+            return None if job is None else self._payload(job)
 
     def cancel(self, fingerprint: str) -> dict[str, Any]:
         """Cancel a *queued* job; running/terminal jobs raise
@@ -263,21 +249,21 @@ class JobManager:
             if fingerprint in self._delayed:
                 self._delayed.remove(fingerprint)
             self._remember_terminal(job)
+            _count_transition(job)
             self._lock.notify_all()
-            snapshot = self._payload(job)
-        self._persist(snapshot)
-        return snapshot
+            return self._payload(job)
 
     def wait(self, fingerprint: str,
              timeout: float | None = None) -> dict[str, Any] | None:
         """Block until the job reaches a terminal state (or ``timeout``
-        elapses); returns the latest payload either way."""
+        elapses); returns the latest payload either way, or ``None`` for a
+        job this manager does not hold."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
                 job = self._jobs.get(fingerprint)
                 if job is None:
-                    break
+                    return None
                 if job.state in TERMINAL_STATES:
                     return self._payload(job)
                 remaining = self.tick * 10
@@ -286,7 +272,6 @@ class JobManager:
                     if remaining <= 0:
                         return self._payload(job)
                 self._lock.wait(remaining)
-        return self.get(fingerprint)
 
     def events(self, fingerprint: str, heartbeat: float = 1.0,
                yield_heartbeats: bool = False,
@@ -336,8 +321,8 @@ class JobManager:
 
     def trace_for(self, fingerprint: str) -> dict[str, Any] | None:
         """The completed job's span tree — live from memory, else the
-        persisted ``obstrace`` record (so any replica sharing the store can
-        answer ``GET /v1/jobs/<fp>/trace`` for work it did not execute)."""
+        ``obstrace`` record in the store (which outlives the job entry and
+        the process that ran it)."""
         with self._lock:
             job = self._jobs.get(fingerprint)
             if job is not None and job.trace is not None:
@@ -426,14 +411,12 @@ class JobManager:
                     job.deadline = time.monotonic() + job.timeout
                     job.abort.clear()
                     job.version += 1
+                    _count_transition(job)
                     handle.fingerprint = fingerprint
                     self._lock.notify_all()
-                    snapshot = self._payload(job)
-                self._persist(snapshot)
                 outcome = self._run_job(job)
                 self._finish(handle, job, outcome)
         finally:
-            snapshot = None
             respawn = False
             with self._lock:
                 if not handle.retired and not self._shutdown \
@@ -441,25 +424,11 @@ class JobManager:
                     # Dying with work still assigned means the thread crashed
                     # out of execution (clean exits cleared the assignment):
                     # apply the retry policy and replace ourselves.
-                    crashed = self._jobs.get(handle.fingerprint)
+                    self._crashed(handle.fingerprint, time.monotonic())
                     respawn = True
-                    if crashed is not None and crashed.state == RUNNING:
-                        crashed.error = "worker crashed mid-job"
-                        if crashed.attempts < crashed.max_attempts:
-                            crashed.state = QUEUED
-                            crashed.not_before = (time.monotonic()
-                                                  + self._backoff_delay(crashed))
-                            self._delayed.append(crashed.fingerprint)
-                        else:
-                            crashed.state = FAILED
-                            self._remember_terminal(crashed)
-                        crashed.version += 1
-                        snapshot = self._payload(crashed)
                 handle.fingerprint = None
                 handle.retired = True
                 self._lock.notify_all()
-            if snapshot is not None:
-                self._persist(snapshot)
             if respawn:
                 self._spawn_worker()
 
@@ -473,7 +442,7 @@ class JobManager:
                     should_abort=lambda: job.abort.is_set()
                     or time.monotonic() >= job.deadline)
             self._check_deadline(job)
-            runner = EngineRunner(workers=self.engine_workers, store=self.store)
+            runner = EngineRunner(store=self.store)
             # Span identity comes from the scenario fingerprint plus
             # structural attributes only — attempts, timestamps and worker
             # identity stay out, so a retried or replayed job produces the
@@ -568,11 +537,10 @@ class JobManager:
             if job.state in TERMINAL_STATES:
                 self._remember_terminal(job)
             job.version += 1
+            _count_transition(job)
             self._lock.notify_all()
-            snapshot = self._payload(job)
-        obs_metrics.observe("repro_jobs_seconds", elapsed,
-                            state=snapshot["state"])
-        self._persist(snapshot)
+            obs_metrics.observe("repro_jobs_seconds", elapsed,
+                                state=job.state)
 
     def _backoff_delay(self, job: _Job) -> float:
         """Exponential backoff, jittered by the job's fingerprint-seeded RNG
@@ -585,24 +553,21 @@ class JobManager:
 
     def _watchdog_loop(self) -> None:
         while True:
-            snapshots = self._watchdog_pass()
-            for snapshot in snapshots:
-                self._persist(snapshot)
+            self._watchdog_pass()
             with self._lock:
                 if self._shutdown:
                     return
             time.sleep(self.tick)
 
-    def _watchdog_pass(self) -> list[dict[str, Any]]:
+    def _watchdog_pass(self) -> None:
         """One supervision sweep: fire deadlines, replace dead or abandoned
-        workers, release backoff-expired retries.  Returns state snapshots
-        to persist (outside the lock)."""
+        workers, release backoff-expired retries."""
         spawn = 0
         with self._lock:
             if self._shutdown:
-                return []
+                return
             now = time.monotonic()
-            snapshots: list[dict[str, Any]] = []
+            changed = False
             for handle in self._handles:
                 if handle.retired:
                     continue
@@ -614,9 +579,10 @@ class JobManager:
                     job.error = f"deadline of {job.timeout:g}s exceeded"
                     job.abort.set()
                     job.version += 1
+                    _count_transition(job)
                     self._remember_terminal(job)
                     handle.abandoned_at = now
-                    snapshots.append(self._payload(job))
+                    changed = True
                 dead = handle.thread is not None and not handle.thread.is_alive()
                 stuck = (handle.abandoned_at is not None
                          and now - handle.abandoned_at >= self.abandon_grace)
@@ -624,20 +590,8 @@ class JobManager:
                     handle.retired = True
                     spawn += 1
                     if dead and handle.fingerprint:
-                        crashed = self._jobs.get(handle.fingerprint)
+                        changed |= self._crashed(handle.fingerprint, now)
                         handle.fingerprint = None
-                        if crashed is not None and crashed.state == RUNNING:
-                            crashed.error = "worker crashed mid-job"
-                            if crashed.attempts < crashed.max_attempts:
-                                crashed.state = QUEUED
-                                crashed.not_before = (
-                                    now + self._backoff_delay(crashed))
-                                self._delayed.append(crashed.fingerprint)
-                            else:
-                                crashed.state = FAILED
-                                self._remember_terminal(crashed)
-                            crashed.version += 1
-                            snapshots.append(self._payload(crashed))
             self._handles[:] = [
                 handle for handle in self._handles
                 if not handle.retired or handle.thread is None
@@ -652,11 +606,31 @@ class JobManager:
                     self._delayed.remove(fingerprint)
                     self._queue.append(fingerprint)
                     released = True
-            if released or snapshots:
+            if released or changed:
                 self._lock.notify_all()
         for _ in range(spawn):
             self._spawn_worker()
-        return snapshots
+
+    def _crashed(self, fingerprint: str, now: float) -> bool:
+        """Apply the retry policy to a job whose worker thread died
+        mid-attempt: re-queue it with backoff, or fail it once its attempts
+        are spent.  Returns whether the job changed.  Callers hold the lock
+        already; re-acquiring the RLock under them is free."""
+        with self._lock:
+            job = self._jobs.get(fingerprint)
+            if job is None or job.state != RUNNING:
+                return False
+            job.error = "worker crashed mid-job"
+            if job.attempts < job.max_attempts:
+                job.state = QUEUED
+                job.not_before = now + self._backoff_delay(job)
+                self._delayed.append(fingerprint)
+            else:
+                job.state = FAILED
+                self._remember_terminal(job)
+            job.version += 1
+            _count_transition(job)
+            return True
 
     # -------------------------------------------------------------- helpers
 
@@ -678,10 +652,9 @@ class JobManager:
         }
 
     def _remember_terminal(self, job: _Job) -> None:
-        """Bound the in-memory registry: keep the most recent terminal jobs,
-        prune the rest — their persisted records keep answering GETs.  The
-        Condition wraps an RLock, so re-acquiring under a holding caller is
-        free."""
+        """Bound the in-memory registry: keep the most recent terminal jobs
+        and forget the rest.  The Condition wraps an RLock, so re-acquiring
+        under a holding caller is free."""
         with self._lock:
             self._terminal.append(job.fingerprint)
             while len(self._terminal) > _TERMINAL_KEEP:
@@ -690,20 +663,11 @@ class JobManager:
                 if old is not None and old.state in TERMINAL_STATES:
                     del self._jobs[stale]
 
-    def _persist(self, snapshot: dict[str, Any]) -> None:
-        """Write one job state record (no lock held — store I/O may be slow
-        or faulty; a failed write only costs cross-replica visibility)."""
-        # Every persisted snapshot is a state transition (progress ticks are
-        # never persisted), so this is the one bridge point for the
-        # transition counters; a re-queue with attempts on the clock is by
-        # definition a retry.
-        obs_metrics.inc("repro_jobs_transitions_total",
-                        state=snapshot["state"])
-        if snapshot["state"] == QUEUED and snapshot["attempts"] > 0:
-            obs_metrics.inc("repro_jobs_retries_total")
-        try:
-            self.store.put(JOB_STATE_NAMESPACE, snapshot["fingerprint"],
-                           snapshot)
-        except OSError:
-            logger.warning("job state write failed for %s",
-                           snapshot["fingerprint"][:16], exc_info=True)
+
+def _count_transition(job: _Job) -> None:
+    """Count the state ``job`` just entered (the registry lock is a leaf, so
+    callers holding the manager's lock may call this); a re-queue with
+    attempts on the clock is by definition a retry."""
+    obs_metrics.inc("repro_jobs_transitions_total", state=job.state)
+    if job.state == QUEUED and job.attempts > 0:
+        obs_metrics.inc("repro_jobs_retries_total")

@@ -20,7 +20,8 @@ Endpoints (all JSON)::
                                   202 + job envelope otherwise
                                   (?wait=1[&timeout=s] blocks synchronously)
     GET    /v1/experiments/<fp>   cached envelope by fingerprint; ETag/304
-    GET    /v1/jobs/<fp>          job state (any replica sharing the store)
+    GET    /v1/jobs/<fp>          job state; 404 for a job this process
+                                  does not hold (never ran it, or pruned it)
     DELETE /v1/jobs/<fp>          cancel a queued job (running → 409)
     GET    /v1/jobs/<fp>/events   SSE-style chunked progress stream
     GET    /v1/jobs/<fp>/trace    completed job's span tree (obstrace)
@@ -98,22 +99,23 @@ def _valid_envelope(payload: Any) -> bool:
 
 
 class ExperimentService:
-    """The store-backed serving core the HTTP handler delegates to.
+    """The store-backed serving core: envelopes, gauges and service info.
 
     Thread-safe and lock-free at this layer: envelope lookups hit the store
-    concurrently and execution is owned by the :class:`JobManager`'s worker
-    pool — no request ever holds a lock across a simulation.
+    concurrently and execution is owned by :attr:`manager` (the
+    :class:`JobManager`, which the HTTP handler calls directly for job
+    routes) — no request ever holds a lock across a simulation.
     """
 
     def __init__(self, store: ResultStore | None = None, workers: int = 2,
-                 engine_workers: int = 1, queue_depth: int = 16,
-                 job_timeout: float = 300.0, max_attempts: int = 3,
-                 injector: Any | None = None, tick: float = 0.05):
+                 queue_depth: int = 16, job_timeout: float = 300.0,
+                 max_attempts: int = 3, injector: Any | None = None,
+                 tick: float = 0.05):
         self.store = store if store is not None else MemoryStore()
         self.manager = JobManager(
-            store=self.store, workers=workers, engine_workers=engine_workers,
-            queue_depth=queue_depth, job_timeout=job_timeout,
-            max_attempts=max_attempts, tick=tick, injector=injector)
+            store=self.store, workers=workers, queue_depth=queue_depth,
+            job_timeout=job_timeout, max_attempts=max_attempts, tick=tick,
+            injector=injector)
 
     def close(self) -> None:
         """Wind down the job manager (service lifetime, not per request)."""
@@ -130,7 +132,6 @@ class ExperimentService:
         """The envelope for ``fingerprint`` — from the store if it holds a
         valid one, else the job manager's in-memory copy (covers degraded
         envelope writes), else ``None``."""
-        validate_key(ENVELOPE_NAMESPACE, fingerprint)
         try:
             payload = self.store.get(ENVELOPE_NAMESPACE, fingerprint)
         except OSError:
@@ -147,36 +148,6 @@ class ExperimentService:
         if payload is not None:
             return payload
         return self.manager.envelope_for(fingerprint)
-
-    # ----------------------------------------------------------------- jobs
-
-    def submit_async(self, scenario: Scenario,
-                     fingerprint: str) -> tuple[dict[str, Any], bool]:
-        """Enqueue (single-flight); raises :class:`QueueFull` at depth."""
-        return self.manager.submit(scenario, fingerprint)
-
-    def wait(self, fingerprint: str,
-             timeout: float | None = None) -> dict[str, Any] | None:
-        return self.manager.wait(fingerprint, timeout=timeout)
-
-    def job(self, fingerprint: str) -> dict[str, Any] | None:
-        validate_key(ENVELOPE_NAMESPACE, fingerprint)
-        return self.manager.get(fingerprint)
-
-    def cancel(self, fingerprint: str) -> dict[str, Any]:
-        validate_key(ENVELOPE_NAMESPACE, fingerprint)
-        return self.manager.cancel(fingerprint)
-
-    def events(self, fingerprint: str):
-        # Heartbeats on: the SSE writer turns them into comment frames so a
-        # dead client socket is detected within one heartbeat interval even
-        # when the job emits no progress.
-        return self.manager.events(fingerprint, yield_heartbeats=True)
-
-    def trace(self, fingerprint: str) -> dict[str, Any] | None:
-        """The completed job's span tree, or ``None`` when unavailable."""
-        validate_key(ENVELOPE_NAMESPACE, fingerprint)
-        return self.manager.trace_for(fingerprint)
 
     # ---------------------------------------------------------------- meta
 
@@ -247,7 +218,6 @@ class ExperimentService:
             },
             "config": {
                 "workers": self.manager.workers,
-                "engine_workers": self.manager.engine_workers,
                 "queue_depth": self.manager.queue_depth,
                 "job_timeout": self.manager.job_timeout,
                 "max_attempts": self.manager.max_attempts,
@@ -385,6 +355,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _query(self) -> dict[str, list[str]]:
         return parse_qs(urlparse(self.path).query)
 
+    def _valid_fingerprint(self, fingerprint: str) -> bool:
+        """Whether a path's fingerprint is well formed; a malformed one is
+        answered 400 here."""
+        try:
+            validate_key(ENVELOPE_NAMESPACE, fingerprint)
+        except ValueError as error:
+            self._send_error_json(400, str(error))
+            return False
+        return True
+
     # -------------------------------------------------------------- routing
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -420,11 +400,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(body)
         elif path.startswith("/v1/experiments/"):
             fingerprint = path[len("/v1/experiments/"):]
-            try:
-                envelope = self.service.cached_envelope(fingerprint)
-            except ValueError as error:
-                self._send_error_json(400, str(error))
+            if not self._valid_fingerprint(fingerprint):
                 return
+            envelope = self.service.cached_envelope(fingerprint)
             if envelope is None:
                 self._send_error_json(
                     404, f"no cached envelope for fingerprint {fingerprint!r}")
@@ -436,11 +414,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._stream_events(fingerprint)
         elif path.startswith("/v1/jobs/") and path.endswith("/trace"):
             fingerprint = path[len("/v1/jobs/"):-len("/trace")]
-            try:
-                payload = self.service.trace(fingerprint)
-            except ValueError as error:
-                self._send_error_json(400, str(error))
+            if not self._valid_fingerprint(fingerprint):
                 return
+            payload = self.service.manager.trace_for(fingerprint)
             if payload is None:
                 self._send_error_json(
                     404, f"no trace for job {fingerprint!r}")
@@ -449,11 +425,9 @@ class _Handler(BaseHTTPRequestHandler):
                             {"X-Repro-Fingerprint": fingerprint})
         elif path.startswith("/v1/jobs/"):
             fingerprint = path[len("/v1/jobs/"):]
-            try:
-                payload = self.service.job(fingerprint)
-            except ValueError as error:
-                self._send_error_json(400, str(error))
+            if not self._valid_fingerprint(fingerprint):
                 return
+            payload = self.service.manager.get(fingerprint)
             if payload is None:
                 self._send_error_json(404, f"unknown job {fingerprint!r}")
                 return
@@ -479,10 +453,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(404, f"unknown path {path!r}")
             return
         fingerprint = path[len("/v1/jobs/"):]
+        if not self._valid_fingerprint(fingerprint):
+            return
         try:
-            payload = self.service.cancel(fingerprint)
-        except ValueError as error:
-            self._send_error_json(400, str(error))
+            payload = self.service.manager.cancel(fingerprint)
         except KeyError:
             self._send_error_json(404, f"unknown job {fingerprint!r}")
         except JobConflict as error:
@@ -491,12 +465,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_job(200, payload)
 
     def _stream_events(self, fingerprint: str) -> None:
-        try:
-            known = self.service.job(fingerprint) is not None
-        except ValueError as error:
-            self._send_error_json(400, str(error))
+        if not self._valid_fingerprint(fingerprint):
             return
-        if not known:
+        manager = self.service.manager
+        if manager.get(fingerprint) is None:
             self._send_error_json(404, f"unknown job {fingerprint!r}")
             return
         self.send_response(200)
@@ -508,7 +480,7 @@ class _Handler(BaseHTTPRequestHandler):
         # desynced keep-alive if the client stops reading mid-stream.
         self.close_connection = True
         try:
-            for payload in self.service.events(fingerprint):
+            for payload in manager.events(fingerprint, yield_heartbeats=True):
                 if payload is None:
                     # Heartbeat: an SSE comment frame.  Clients ignore it;
                     # writing it raises OSError once the client is gone, so
@@ -585,7 +557,8 @@ class _Handler(BaseHTTPRequestHandler):
             })
             return
         try:
-            payload, _created = self.service.submit_async(scenario, fingerprint)
+            payload, _created = self.service.manager.submit(scenario,
+                                                            fingerprint)
         except QueueFull as error:
             self._send_error_json(429, str(error), {
                 "Retry-After": f"{max(1, round(error.retry_after))}",
@@ -601,7 +574,8 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             self._send_error_json(400, "timeout must be a number of seconds")
             return
-        payload = self.service.wait(fingerprint, timeout=wait_timeout) or payload
+        payload = self.service.manager.wait(
+            fingerprint, timeout=wait_timeout) or payload
         state = payload["state"]
         if state == DONE:
             envelope = self.service.cached_envelope(fingerprint)
@@ -627,8 +601,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(host: str = "127.0.0.1", port: int = 8765,
-                store: ResultStore | None = None,
-                workers: int = 2, engine_workers: int = 1,
+                store: ResultStore | None = None, workers: int = 2,
                 queue_depth: int = 16, job_timeout: float = 300.0,
                 max_attempts: int = 3,
                 injector: Any | None = None) -> ThreadingHTTPServer:
@@ -640,27 +613,25 @@ def make_server(host: str = "127.0.0.1", port: int = 8765,
     server = ThreadingHTTPServer((host, port), _Handler)
     server.daemon_threads = True
     server.service = ExperimentService(  # type: ignore[attr-defined]
-        store=store, workers=workers, engine_workers=engine_workers,
-        queue_depth=queue_depth, job_timeout=job_timeout,
-        max_attempts=max_attempts, injector=injector)
+        store=store, workers=workers, queue_depth=queue_depth,
+        job_timeout=job_timeout, max_attempts=max_attempts, injector=injector)
     return server
 
 
 def serve_forever(host: str = "127.0.0.1", port: int = 8765,
                   store: ResultStore | None = None, workers: int = 2,
-                  engine_workers: int = 1, queue_depth: int = 16,
-                  job_timeout: float = 300.0, max_attempts: int = 3,
+                  queue_depth: int = 16, job_timeout: float = 300.0,
+                  max_attempts: int = 3,
                   injector: Any | None = None) -> None:
     """Run the server until interrupted (the ``repro serve`` entry point)."""
     server = make_server(host=host, port=port, store=store, workers=workers,
-                         engine_workers=engine_workers,
                          queue_depth=queue_depth, job_timeout=job_timeout,
                          max_attempts=max_attempts, injector=injector)
     bound_host, bound_port = server.server_address[:2]
     backend = server.service.store.stats().get("backend")  # type: ignore[attr-defined]
     print(f"repro serve {__version__} listening on "
           f"http://{bound_host}:{bound_port} (store backend: {backend}, "
-          f"workers: {workers}x{engine_workers}, queue: {queue_depth}, "
+          f"workers: {workers}, queue: {queue_depth}, "
           f"job timeout: {job_timeout:g}s)")
     try:
         server.serve_forever()

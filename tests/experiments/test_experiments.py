@@ -2,6 +2,15 @@
 
 import pytest
 
+from repro.engine.spec import experiment_spec
+from repro.experiments.ablation import ablation_jobs
+from repro.experiments.attacks import attack_matrix_jobs
+from repro.experiments.figure2 import figure2_jobs
+from repro.experiments.figure3 import figure3_grid
+from repro.experiments.figure4 import figure4_grid
+from repro.experiments.figure5 import figure5_grid
+from repro.experiments.figure6 import figure6_grid
+from repro.experiments.tables import tables_jobs
 from repro.experiments import (
     ExperimentScale,
     format_figure3,
@@ -111,3 +120,23 @@ class TestFigure6:
                 >= relaxed.rerandomizations_per_kilo_branch)
         assert aggressive.normalized_direction_accuracy <= relaxed.normalized_direction_accuracy + 0.02
         assert "hmean ipc" in format_figure6(result)
+
+
+_DRIVER_DEFAULTS = {
+    "figure2": figure2_jobs,
+    "figure3": lambda: figure3_grid().jobs(),
+    "figure4": lambda: figure4_grid().jobs(),
+    "figure5": lambda: figure5_grid().jobs(),
+    "figure6": lambda: figure6_grid().jobs(),
+    "ablation": ablation_jobs,
+    "attacks": attack_matrix_jobs,
+    "tables": tables_jobs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRIVER_DEFAULTS))
+def test_driver_defaults_build_the_cli_jobs(name):
+    # A driver called without arguments builds exactly the jobs that
+    # `repro <name>` runs with no options.
+    spec = experiment_spec(name)
+    assert _DRIVER_DEFAULTS[name]() == spec.build_jobs(spec.merged_params({}))

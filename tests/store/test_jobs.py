@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.store.jobs`: queue bounds, the job state machine,
-retry/backoff, watchdog supervision and persisted job-state records."""
+retry/backoff, watchdog supervision and the in-memory job table."""
 
+import os
 import threading
 import time
 
@@ -9,8 +10,8 @@ import pytest
 import repro.store.jobs as jobs_module
 from repro.engine.scenario import parse_scenario
 from repro.faults import FaultInjector, parse_fault_spec
-from repro.store import JOB_STATE_NAMESPACE, MemoryStore
-from repro.store.keys import canonical_json
+from repro.obs import metrics as obs_metrics
+from repro.store import DiskStore, MemoryStore
 from repro.store.jobs import (
     CANCELLED,
     DONE,
@@ -38,17 +39,6 @@ def _scenario(name, seed=1):
     })
 
 
-def _grid_scenario(name, workloads):
-    return parse_scenario({
-        "schema": "repro.scenario/v1",
-        "name": name,
-        "kind": "trace",
-        "models": ["baseline", "ST_SKLCond"],
-        "workloads": list(workloads),
-        "scale": {"branch_count": 600, "warmup_branches": 60, "seed": 3},
-    })
-
-
 def _manager(**kwargs):
     kwargs.setdefault("store", MemoryStore())
     kwargs.setdefault("workers", 2)
@@ -60,6 +50,13 @@ def _manager(**kwargs):
 
 def _wedge_injector():
     return FaultInjector(parse_fault_spec("hang=wedge,hang_seconds=60"))
+
+
+def _counter(name, **labels):
+    """One sample of a process-wide counter (0 before its first touch)."""
+    family = obs_metrics.registry().snapshot().get(name, {"samples": []})
+    return sum(sample["value"] for sample in family["samples"]
+               if sample["labels"] == labels)
 
 
 class TestLifecycle:
@@ -76,10 +73,7 @@ class TestLifecycle:
             assert final["attempts"] == 1
             assert final["error"] is None
             assert final["progress"] == {"done": 1, "total": 1}
-            # The envelope and the job state record were both persisted.
             assert manager.store.get("envelope", fingerprint)["result"]
-            record = manager.store.get(JOB_STATE_NAMESPACE, fingerprint)
-            assert record["state"] == DONE
         finally:
             manager.close()
 
@@ -96,8 +90,7 @@ class TestLifecycle:
             manager.close()
 
     def test_payload_has_no_wallclock_fields(self):
-        # Persisted records must be content-addressable and replica-stable:
-        # a timestamp would make two replicas disagree byte-for-byte.
+        # No timestamps: two reads of an unchanged job are byte-identical.
         manager = _manager()
         try:
             payload, _ = manager.submit(_scenario("payload-shape"))
@@ -161,9 +154,6 @@ class TestCancel:
             assert info.value.state == CANCELLED
             with pytest.raises(KeyError):
                 manager.cancel("f" * 64)
-            # The cancellation was persisted for replicas.
-            record = manager.store.get(JOB_STATE_NAMESPACE, fingerprint)
-            assert record["state"] == CANCELLED
         finally:
             manager.close()
 
@@ -207,6 +197,10 @@ class TestRetry:
 
     def test_transient_failures_retry_until_success(self):
         manager = _manager(workers=1)
+        series = [("repro_jobs_transitions_total", {"state": state})
+                  for state in (QUEUED, RUNNING, DONE)]
+        series.append(("repro_jobs_retries_total", {}))
+        before = [_counter(name, **labels) for name, labels in series]
         try:
             calls = self._scripted_run(manager, [
                 ("transient", "OSError: injected"),
@@ -220,6 +214,11 @@ class TestRetry:
             assert len(calls) == 3
         finally:
             manager.close()
+        # Queued three times (submit, two retries), running three times,
+        # done once; each re-queue with attempts on the clock is a retry.
+        after = [_counter(name, **labels) for name, labels in series]
+        deltas = [late - early for early, late in zip(before, after)]
+        assert deltas == [3, 3, 1, 2]
 
     def test_transient_exhaustion_fails(self):
         manager = _manager(workers=1, max_attempts=2)
@@ -303,30 +302,6 @@ class TestRetry:
             other.close()
 
 
-class TestEngineWorkers:
-    def test_parallel_engine_envelopes_match_serial(self):
-        # One job worker runs two multi-cell scenarios back to back, each
-        # forking its own engine pool; the envelopes must match a serial
-        # engine byte for byte.
-        scenarios = [_grid_scenario("pool-a", ["505.mcf", "541.leela"]),
-                     _grid_scenario("pool-b", ["519.lbm", "531.deepsjeng"])]
-        envelopes = {}
-        for engine_workers in (1, 2):
-            manager = _manager(workers=1, engine_workers=engine_workers)
-            try:
-                fingerprints = [manager.submit(scenario)[0]["fingerprint"]
-                                for scenario in scenarios]
-                for fingerprint in fingerprints:
-                    final = manager.wait(fingerprint, timeout=60)
-                    assert final["state"] == DONE, final["error"]
-                envelopes[engine_workers] = [
-                    canonical_json(manager.envelope_for(fingerprint))
-                    for fingerprint in fingerprints]
-            finally:
-                manager.close()
-        assert envelopes[2] == envelopes[1]
-
-
 class TestWatchdog:
     def test_deadline_fires_and_pool_recovers(self):
         manager = _manager(workers=1, injector=_wedge_injector(),
@@ -356,29 +331,43 @@ class TestWatchdog:
             manager.close()
 
 
-class TestReplication:
-    def test_any_replica_answers_for_a_persisted_job(self):
+class TestJobTable:
+    def test_another_managers_job_is_unknown(self):
+        # Job state lives only in the manager that ran the job: a second
+        # manager over the same store does not know it, and wait returns
+        # at once instead of blocking.
         store = MemoryStore()
         writer = _manager(store=store)
         try:
-            payload, _ = writer.submit(_scenario("replicated"))
+            payload, _ = writer.submit(_scenario("elsewhere"))
             fingerprint = payload["fingerprint"]
             assert writer.wait(fingerprint, timeout=30)["state"] == DONE
         finally:
             writer.close()
-        replica = _manager(store=store)
+        other = _manager(store=store)
         try:
-            seen = replica.get(fingerprint)
-            assert seen is not None
-            assert seen["state"] == DONE
-            assert seen["schema"] == JOBS_SCHEMA
-            # Garbage in the jobstate namespace is not a job.
-            store.put(JOB_STATE_NAMESPACE, "e" * 64, {"schema": "other/v1"})
-            assert replica.get("e" * 64) is None
+            assert other.get(fingerprint) is None
+            started = time.monotonic()
+            assert other.wait(fingerprint, timeout=5) is None
+            assert time.monotonic() - started < 1
+            assert store.get("envelope", fingerprint)["result"]
         finally:
-            replica.close()
+            other.close()
 
-    def test_terminal_jobs_are_pruned_but_stay_readable(self, monkeypatch):
+    def test_completed_job_writes_no_job_state(self, tmp_path):
+        store = DiskStore(str(tmp_path))
+        manager = _manager(store=store, workers=1)
+        try:
+            payload, _ = manager.submit(_scenario("namespaces"))
+            assert manager.wait(payload["fingerprint"],
+                                timeout=30)["state"] == DONE
+        finally:
+            manager.close()
+        assert sorted(os.listdir(tmp_path / "objects")) == [
+            "envelope", "job", "obstrace"]
+
+    def test_pruned_jobs_are_forgotten_but_envelopes_still_serve(
+            self, monkeypatch):
         monkeypatch.setattr(jobs_module, "_TERMINAL_KEEP", 2)
         manager = _manager(workers=1)
         try:
@@ -390,10 +379,15 @@ class TestReplication:
                                     timeout=30)["state"] == DONE
             with manager._lock:
                 in_memory = set(manager._jobs)
-            assert len(in_memory) <= 2
-            # Pruned jobs still answer via their persisted records.
+            assert in_memory == set(fingerprints[2:])
+            for fingerprint in fingerprints[:2]:
+                assert manager.get(fingerprint) is None
+                assert manager.wait(fingerprint, timeout=5) is None
+            # Envelopes and span trees outlive the job entries.
             for fingerprint in fingerprints:
-                assert manager.get(fingerprint)["state"] == DONE
+                assert manager.store.get("envelope", fingerprint)["result"]
+                assert manager.trace_for(fingerprint)["fingerprint"] \
+                    == fingerprint
         finally:
             manager.close()
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.engine.scenario import parse_scenario
 from repro.faults import FaultInjector, FaultyStore, parse_fault_spec
-from repro.store import MemoryStore, scenario_fingerprint
+from repro.store import DiskStore, MemoryStore, scenario_fingerprint
 from repro.store.serve import (
     MAX_BODY_BYTES,
     SERVE_SCHEMA,
@@ -270,6 +270,33 @@ class TestEndpoints:
         status, _, body = _request(base_url, "GET", "/v1/jobs/" + "1" * 64)
         assert status == 404
         assert "unknown job" in json.loads(body)["error"]
+
+    def test_restarted_server_forgets_jobs_but_serves_envelopes(
+            self, tmp_path):
+        # Job state lives only in the serving process: a new server over
+        # the same store directory does not know the old server's job, but
+        # the envelope it stored still serves.
+        scenario = _scenario("restart", 170)
+        first, url = _serve(store=DiskStore(str(tmp_path)))
+        try:
+            status, headers, body = _request(
+                url, "POST", "/v1/experiments?wait=1", scenario)
+            assert status == 200
+            fingerprint = headers["X-Repro-Fingerprint"]
+        finally:
+            _shutdown(first)
+        second, url = _serve(store=DiskStore(str(tmp_path)))
+        try:
+            for path in (f"/v1/jobs/{fingerprint}",
+                         f"/v1/jobs/{fingerprint}/events"):
+                status, _, raw = _request(url, "GET", path)
+                assert status == 404
+                assert "unknown job" in json.loads(raw)["error"]
+            status, _, raw = _request(
+                url, "GET", f"/v1/experiments/{fingerprint}")
+            assert status == 200 and raw == body
+        finally:
+            _shutdown(second)
 
     def test_invalid_fingerprint_is_400(self, base_url):
         for path in ("/v1/experiments/not-hex!", "/v1/jobs/not-hex!",
@@ -675,13 +702,13 @@ class TestService:
         service = ExperimentService(store=MemoryStore(), tick=0.02)
         try:
             scenario, fingerprint = service.prepare(SCENARIO)
-            service.submit_async(scenario, fingerprint)
-            assert service.wait(fingerprint, timeout=30)["state"] == "done"
+            service.manager.submit(scenario, fingerprint)
+            assert service.manager.wait(fingerprint, timeout=30)["state"] == "done"
             wider = dict(SCENARIO, name="serve-test-wider",
                          models=["baseline", "ST_SKLCond"])
             scenario2, fingerprint2 = service.prepare(wider)
-            service.submit_async(scenario2, fingerprint2)
-            assert service.wait(fingerprint2, timeout=30)["state"] == "done"
+            service.manager.submit(scenario2, fingerprint2)
+            assert service.manager.wait(fingerprint2, timeout=30)["state"] == "done"
             envelope = service.cached_envelope(fingerprint2)
             assert len(envelope["result"]["records"]) == 2
             # The baseline cell was merged from the job-record cache.
@@ -716,8 +743,8 @@ class TestService:
         try:
             scenario, fingerprint = service.prepare(
                 dict(SCENARIO, name="degraded-write"))
-            service.submit_async(scenario, fingerprint)
-            assert service.wait(fingerprint, timeout=30)["state"] == "done"
+            service.manager.submit(scenario, fingerprint)
+            assert service.manager.wait(fingerprint, timeout=30)["state"] == "done"
             envelope = service.cached_envelope(fingerprint)
             assert envelope is not None and envelope["result"]["records"]
             assert service.store.get("envelope", fingerprint) is None
