@@ -10,8 +10,13 @@ The cache is a capped LRU: grids expand workload-major, so consecutive jobs
 reuse the hot entry while million-job scenario sweeps can no longer grow
 memory without bound.  Hit/miss counters are exposed for the bench report
 (:func:`trace_cache_stats`).  ``repro serve`` runs several job-worker threads
-through the one cache, so its dict and counters change only under a lock,
-held around dict operations and never across synthesis.
+through the one cache, so its dict and counters change only under a lock
+held around dict operations.  A second lock, the synthesis lock, is held
+across synthesis: a lookup of a key being synthesized waits for it instead
+of synthesizing it again, and two keys never synthesize at the same time.
+Synthesis is pure Python and holds the GIL, so serializing it costs the
+job workers no parallelism, and it halves the transient peak memory of two
+workers synthesizing large traces at once.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.trace.branch import Trace
@@ -52,9 +57,10 @@ class TraceCache:
     """LRU-bounded memoisation of synthetic traces with hit/miss counters.
 
     Thread-safe: every read and update of the entries and counters holds
-    ``_lock``.  A forked child gets a fresh lock (see
+    ``_lock``, and :meth:`get_or_create` holds ``_synthesis_lock`` across
+    creating a missing entry.  A forked child gets fresh locks (see
     :func:`_reset_locks_after_fork`), because a run may fork its pool while
-    another thread holds it.
+    another thread holds one.
     """
 
     def __init__(self, capacity: int = TRACE_CACHE_CAPACITY):
@@ -66,17 +72,45 @@ class TraceCache:
         self.evictions = 0
         self._entries: OrderedDict[TraceKey, Trace] = OrderedDict()
         self._lock = threading.Lock()
+        self._synthesis_lock = threading.Lock()
         _CACHES.add(self)
 
-    def get(self, key: TraceKey) -> Trace | None:
+    def _lookup(self, key: TraceKey) -> Trace | None:
+        """The entry for ``key``, refreshed and counted as a hit, or
+        ``None`` (not counted)."""
         with self._lock:
             trace = self._entries.get(key)
-            if trace is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            if trace is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
             return trace
+
+    def get(self, key: TraceKey) -> Trace | None:
+        trace = self._lookup(key)
+        if trace is None:
+            with self._lock:
+                self.misses += 1
+        return trace
+
+    def get_or_create(self, key: TraceKey,
+                      create: Callable[[], Trace]) -> Trace:
+        """The entry for ``key``, calling ``create()`` to fill a miss.
+
+        Single-flight, one creation at a time: a miss looks again under
+        ``_synthesis_lock``, so a lookup of a key another thread is creating
+        waits for that creation and counts as a hit, and two creations never
+        overlap.  Only a call that creates counts a miss.
+        """
+        trace = self._lookup(key)
+        if trace is None:
+            with self._synthesis_lock:
+                trace = self._lookup(key)
+                if trace is None:
+                    with self._lock:
+                        self.misses += 1
+                    trace = create()
+                    self.put(key, trace)
+        return trace
 
     def put(self, key: TraceKey, trace: Trace) -> None:
         with self._lock:
@@ -110,13 +144,14 @@ _CACHES: weakref.WeakSet[TraceCache] = weakref.WeakSet()
 
 
 def _reset_locks_after_fork() -> None:
-    """Give each cache a fresh lock in a forked child.
+    """Give each cache fresh locks in a forked child.
 
     ``fork`` copies only the forking thread, so a lock another thread held
     at that moment would stay held in the child forever.
     """
     for cache in _CACHES:
         cache._lock = threading.Lock()
+        cache._synthesis_lock = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_reset_locks_after_fork)
@@ -144,13 +179,15 @@ def trace_for(name: str, branch_count: int, seed: int) -> Trace:
 
     A cache miss runs the deterministic generator, so a worker process that
     did not inherit the parent's cache regenerates the identical trace.
+    Synthesis holds the cache's synthesis lock: a thread asking for a trace
+    another thread is synthesizing waits for it, and a process synthesizes
+    one trace at a time.  Synthesis is pure Python and holds the GIL, so
+    ``repro serve``'s job workers lose no parallelism to the lock, while two
+    concurrent chrome syntheses would double the transient peak memory.
     """
-    key = (name, branch_count, seed)
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = generate_trace(name, seed=seed, branch_count=branch_count)
-        _TRACE_CACHE.put(key, trace)
-    return trace
+    return _TRACE_CACHE.get_or_create(
+        (name, branch_count, seed),
+        lambda: generate_trace(name, seed=seed, branch_count=branch_count))
 
 
 def trace_cache_stats() -> dict[str, int]:

@@ -366,12 +366,16 @@ class JobManager:
             }
 
     def close(self, join_timeout: float = 2.0) -> None:
-        """Stop accepting work and wind the threads down (best effort —
-        workers and watchdog are daemons, a wedged worker cannot block exit)."""
+        """Stop accepting work, abort running jobs and wind the threads down
+        (best effort — workers and watchdog are daemons, a wedged worker
+        cannot block exit)."""
         with self._lock:
             if self._shutdown:
                 return
             self._shutdown = True
+            for job in self._jobs.values():
+                if job.state == RUNNING:
+                    job.abort.set()
             self._lock.notify_all()
             threads = [handle.thread for handle in self._handles
                        if handle.thread is not None]

@@ -33,6 +33,12 @@ canonical GET URL) and the same ``ETag`` the GET would return.  Job
 responses carry ``Location: /v1/jobs/<fp>`` and ``X-Repro-Job-State``.
 A full queue answers 429 with a ``Retry-After`` hint.  Every error response
 is a JSON document with an ``error`` field.
+
+Every accepted connection sets ``TCP_NODELAY``.  :mod:`http.server` writes
+a reply's status line and headers in one send and its body in a second;
+with Nagle's algorithm on, the body waits for the ACK of the headers, and a
+keep-alive client that has nothing to send delays that ACK by about 40 ms.
+Every reply with a body (envelope, JSON, metrics, SSE chunk) would pay it.
 """
 
 from __future__ import annotations
@@ -252,6 +258,9 @@ def _route_template(path: str) -> str:
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a body sent after its headers must not wait for a
+    # delayed ACK (see the module docstring).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ExperimentService:

@@ -3,6 +3,7 @@ bounded LRU trace cache."""
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.engine.workloads as workloads_module
 from repro.engine import (
     EngineRunner,
     ExperimentScale,
@@ -232,3 +234,84 @@ class TestTraceCacheLRU:
         after = trace_cache_stats()
         assert after["hits"] == before["hits"] + 1
         assert after["capacity"] >= 1
+
+    @pytest.fixture
+    def synth(self, monkeypatch):
+        """A slow fake generator on a fresh module cache; records every call
+        and the most calls ever inside it at once."""
+        calls: list[tuple] = []
+        inside = [0, 0]  # now, most
+        lock = threading.Lock()
+
+        def generate_trace(name, seed, branch_count):
+            with lock:
+                calls.append((name, branch_count, seed))
+                inside[0] += 1
+                inside[1] = max(inside)
+            time.sleep(0.05)
+            with lock:
+                inside[0] -= 1
+            return object()
+
+        monkeypatch.setattr(workloads_module, "generate_trace", generate_trace)
+        monkeypatch.setattr(workloads_module, "_TRACE_CACHE", TraceCache())
+        return calls, inside
+
+    @staticmethod
+    def _trace_for_at_once(keys):
+        """``trace_for`` of each key on its own thread, all started together."""
+        results = [None] * len(keys)
+        barrier = threading.Barrier(len(keys))
+
+        def run(slot):
+            barrier.wait()
+            results[slot] = trace_for(*keys[slot])
+
+        threads = [threading.Thread(target=run, args=(slot,))
+                   for slot in range(len(keys))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    def test_waiters_share_one_synthesis(self, synth):
+        calls, _ = synth
+        traces = self._trace_for_at_once([("505.mcf", 600, 9)] * 4)
+        assert calls == [("505.mcf", 600, 9)]
+        assert traces[0] is not None
+        assert all(trace is traces[0] for trace in traces)
+        # A lookup that waited for another thread's synthesis is a hit, so
+        # the miss counter is the number of syntheses.
+        stats = trace_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 3)
+
+    def test_different_keys_never_synthesize_at_once(self, synth):
+        calls, inside = synth
+        traces = self._trace_for_at_once([("505.mcf", 600, 1),
+                                          ("541.leela", 600, 2)])
+        assert sorted(calls) == [("505.mcf", 600, 1), ("541.leela", 600, 2)]
+        assert traces[0] is not traces[1]
+        assert inside[1] == 1
+        stats = trace_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (2, 0)
+
+    def test_forked_child_gets_a_free_synthesis_lock(self):
+        # fork copies only the forking thread: a synthesis lock some thread
+        # holds at that moment must not stay held in the child.  A child
+        # that blocks on it is killed by the alarm.
+        cache = TraceCache()
+        with cache._synthesis_lock:
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(10)
+                created = cache.get_or_create(("k", 1, 0), lambda: "trace")
+                os._exit(0 if created == "trace" else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

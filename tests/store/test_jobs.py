@@ -125,6 +125,30 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="shut down"):
             manager.submit(_scenario("too-late"))
 
+    def test_close_aborts_running_jobs(self):
+        # A worker inside a job must not outlive close(): close aborts the
+        # running job, so a wedged worker returns at its next poll instead of
+        # holding close for its join timeout and running on afterwards.
+        before = set(threading.enumerate())
+        manager = _manager(workers=1, injector=_wedge_injector(),
+                           job_timeout=60)
+        payload, _ = manager.submit(_scenario("wedge-close"))
+        deadline = time.monotonic() + 5
+        while manager.get(payload["fingerprint"])["state"] != RUNNING:
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.01)
+        workers = [thread for thread in threading.enumerate()
+                   if thread not in before
+                   and thread.name.startswith("repro-job-worker-")]
+        assert workers
+        started = time.monotonic()
+        manager.close()
+        closed = time.monotonic()
+        assert closed - started < 1.0
+        for thread in workers:
+            thread.join(timeout=max(0.0, closed + 1.0 - time.monotonic()))
+        assert not any(thread.is_alive() for thread in workers)
+
     def test_constructor_validation(self):
         store = MemoryStore()
         with pytest.raises(ValueError, match="workers"):

@@ -776,3 +776,34 @@ class TestKeepAlive:
             assert json.loads(response.read())["status"] == "ok"
         finally:
             connection.close()
+
+    def test_replies_do_not_wait_for_a_delayed_ack(self, base_url, server):
+        # A reply's body goes out in a second send after its headers.  With
+        # Nagle's algorithm on the server socket, that send waits for the
+        # ACK of the headers, which a keep-alive client delays by about
+        # 40 ms: ten replies would take about 0.44 s instead of a few ms.
+        import http.client
+
+        scenario = _scenario("keep-alive", seed=41)
+        status, _, _ = _request(base_url, "POST", "/v1/experiments?wait=1",
+                                scenario)
+        assert status == 200
+        body = json.dumps(scenario)
+        headers = {"Content-Type": "application/json"}
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for method, path, payload in (
+                    ("GET", "/healthz", None),
+                    ("POST", "/v1/experiments?wait=1", body)):
+                started = time.perf_counter()
+                for _ in range(10):
+                    connection.request(method, path, body=payload,
+                                       headers=headers)
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == 200
+                elapsed = time.perf_counter() - started
+                assert elapsed < 0.2, f"10 x {method} {path}: {elapsed:.3f}s"
+        finally:
+            connection.close()
