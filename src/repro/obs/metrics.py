@@ -70,6 +70,13 @@ HELP_TEXT: dict[str, str] = {
         "Vector-backend spans replayed, by model and job kind.",
     "repro_replay_branches_total":
         "Branches the vector backend replayed, by model and job kind.",
+    "repro_replay_prepared_branches_total":
+        "Branches whose span inputs the vector backend prepared, by model "
+        "and job kind; prepared minus replayed is work discarded at "
+        "re-randomizations.",
+    "repro_replay_loop_branches_total":
+        "Branches the vector backend replayed in its per-branch loop, by "
+        "model and job kind.",
     "repro_faults_injected_total": "Injected store faults, by kind.",
     "repro_http_requests_total": "Serve HTTP requests, by method/route/status.",
     "repro_http_request_seconds": "Serve HTTP request latency, by route.",

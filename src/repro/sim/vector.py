@@ -98,7 +98,7 @@ from repro.trace.branch import (
 # Branch-type codes, mirroring repro.trace.branch.BRANCH_TYPE_CODES.
 _COND, _DJ, _DC, _IJ, _IC, _RET = 0, 1, 2, 3, 4, 5
 
-# Structural-loop opcodes.
+# Structural opcodes of a span's BTB/RSB participants.
 _OP_LOOKUP1 = 0   # conditional predicted-taken, or direct: mode-1 lookup (+update if taken)
 _OP_UPDATE1 = 1   # conditional predicted not-taken but taken: mode-1 update only
 _OP_INDIRECT = 2  # mode-2 lookup, mode-1 fallback, mode-2 update if taken
@@ -314,6 +314,10 @@ def _extend_outcomes(outcomes: list, appended, max_outcomes: int, *,
     outcomes[:] = combined[len(combined) - final_length:]
 
 
+#: A monitored span after a fire covers at least this many branches
+#: (``_STBPUKernel._run_monitored``).
+_MONITOR_CAP_FLOOR = 128
+
 #: Upper bound on one guarded stepper's span (``_CompositeEngine.run_span``):
 #: the TAGE allocation guard repairs same-index accesses of the current span,
 #: so bounded spans bound the repair walks and the speculative fold / window
@@ -390,6 +394,491 @@ def _ghr_commit(seed: int, executed_bits, bits: int) -> int:
     if len(executed_bits) >= bits:
         return packed & mask
     return ((seed << len(executed_bits)) | packed) & mask
+
+
+# ------------------------------------------------------- BTB / RSB kernel
+
+#: ``nxt`` value of a reference whose key is not referenced again.
+_NO_NEXT = np.iinfo(np.int64).max
+
+
+def _rsb_replay(stack: list, capacity: int, items: list, segments: list,
+                ) -> tuple[list, int]:
+    """Replay RSB pushes and pops on ``stack`` in place.
+
+    ``items`` holds each call's encoded return address (``>= 0``) and ``-1``
+    for each return, in order; a flush clears the stack before item
+    ``segments[e]``.  Returns each pop's value (``-1``: underflow) and the
+    overflow count.
+    """
+    popped = []
+    record = popped.append
+    pop = stack.pop
+    push = stack.append
+    overflows = 0
+    begin = 0
+    for epoch, end in enumerate((*segments, len(items))):
+        if epoch:
+            stack.clear()
+        for value in items[begin:end]:
+            if value < 0:
+                record(pop() if stack else -1)
+            else:
+                if len(stack) >= capacity:
+                    del stack[0]
+                    overflows += 1
+                push(value)
+        begin = end
+    return popped, overflows
+
+
+def _lru_reach(nxt: np.ndarray, tops: np.ndarray, floors: np.ndarray,
+               ways: int) -> np.ndarray:
+    """Position of the ``ways``-th distinct key back from each top, or -1.
+
+    ``nxt`` is a set-ordered reference stream's next-same-key positions.
+    Scanning from ``tops[q] - 1`` down to ``floors[q] + 1``, a reference
+    counts when it is its key's last before ``tops[q]`` (``nxt >= top``);
+    the ``ways``-th counted one is the set's LRU key at ``tops[q]`` (the
+    stack property: an LRU set holds exactly its ``ways`` most recently
+    referenced keys).  -1 means fewer than ``ways`` distinct keys lie in the
+    window.  Queries scan column chunks that double until each settles.
+    """
+    found = np.full(tops.shape[0], -1, dtype=np.int64)
+    seen = np.zeros(tops.shape[0], dtype=np.int64)
+    pending = np.arange(tops.shape[0])
+    start = 0
+    width = max(16, 2 * ways)
+    while pending.shape[0]:
+        top = tops[pending]
+        positions = (top - 1)[:, None] - np.arange(start, start + width)
+        inside = positions > floors[pending][:, None]
+        counted = inside & (nxt[np.maximum(positions, 0)] >= top[:, None])
+        run = np.cumsum(counted, axis=1)
+        run += seen[pending][:, None]
+        reached = run[:, -1] >= ways
+        if reached.any():
+            rows = np.flatnonzero(reached)
+            first = np.argmax(run[rows] >= ways, axis=1)
+            found[pending[rows]] = positions[rows, first]
+        seen[pending] = run[:, -1]
+        pending = pending[~reached & inside[:, -1]]
+        start += width
+        width *= 2
+    return found
+
+
+def _from_group_end(groups: np.ndarray) -> np.ndarray:
+    """Each element's distance from the last element of its run in the
+    sorted array ``groups`` (0 for the last)."""
+    ends = np.flatnonzero(np.append(groups[1:] != groups[:-1], True))
+    return (np.repeat(ends, np.diff(ends, prepend=-1))
+            - np.arange(groups.shape[0]))
+
+
+def _first_due(events: np.ndarray, remaining: int, count: int) -> int:
+    """Position of the event that drives a down-counter at ``remaining`` to
+    zero (``count``: none does)."""
+    positions = np.flatnonzero(events)
+    due = max(remaining, 1) - 1
+    return int(positions[due]) if due < positions.shape[0] else count
+
+
+def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
+                       high_ok, fall_ok, calls, pushes, dir_ok, monitor,
+                       clears):
+    """Replay one span's BTB and RSB accesses with array kernels.
+
+    The inputs are per-participant arrays, in order: the structural op
+    (``_OP_*``), the resolved direction, the mode-1 and mode-2 BTB index
+    keys, the encoded target, the ``high_ok`` / ``fall_ok`` target checks,
+    the call flag and encoded return address, and the direction verdict; a
+    flush lands before each participant in ``clears`` (sorted, unique, in
+    ``[0, count]``).  Returns ``(target_ok, hits, evicts, unders,
+    stopped_at)`` exactly as a per-participant walk of
+    :meth:`~repro.bpu.btb.BranchTargetBuffer.lookup` / ``update`` and the
+    RSB would, stopping after the access that fires ``monitor``
+    (``stopped_at`` -1: none fired), and commits the executed prefix to
+    ``btb``, ``rsb`` and ``monitor``.
+
+    Each set's references form a stream: its valid entries first, in LRU
+    order, then every update and every lookup that finds its key.  A key is present iff fewer than
+    ``ways`` distinct keys were referenced in its set since its own last
+    reference in the same flush epoch (the stack property).  An untaken
+    lookup and a mode-1 fallback touch only a present key, so whether they
+    join the stream depends on earlier references; a fixpoint starting
+    from "none joins" settles them, because each pass fixes at least the
+    first reference on which the previous pass was wrong.
+    """
+    ways = btb.way_count
+    slot_count = btb.entry_count
+    count = ops.shape[0]
+    epochs = clears.shape[0]
+    period = epochs + 1
+    is_return = ops == _OP_RETURN
+    indirect = ops == _OP_INDIRECT
+
+    # ------------------------------------------------------------- RSB
+    rsb_rel = np.flatnonzero(is_return | calls)
+    items = np.where(calls[rsb_rel], pushes[rsb_rel], -1).tolist()
+    segments = np.searchsorted(rsb_rel, clears).tolist()
+    carried_stack = list(rsb._stack)
+    stack = list(carried_stack)
+    popped, overflows = _rsb_replay(stack, rsb.capacity, items, segments)
+    ret_rel = np.flatnonzero(is_return)
+    popped = np.asarray(popped, dtype=np.int64)
+    unders = np.zeros(count, dtype=bool)
+    unders[ret_rel] = popped < 0
+    rsb_ok = np.zeros(count, dtype=bool)
+    rsb_ok[ret_rel] = (popped == encoded[ret_rel]) & high_ok[ret_rel]
+
+    # ------------------------------------------------- candidate references
+    # Participant j may reference a key at time 2j (an indirect branch's
+    # mode-1 fallback) and at 2j + 1 (its own key: an update when taken, a
+    # lookup otherwise).  The same times order each set's stream.
+    has_own = takens | (ops == _OP_LOOKUP1) | indirect | unders
+    paired = np.empty(2 * count, dtype=np.int64)
+    paired[0::2] = entry1
+    paired[1::2] = np.where(ops <= _OP_UPDATE1, entry1, entry2)
+    exists = np.empty(2 * count, dtype=bool)
+    exists[0::2] = indirect
+    exists[1::2] = has_own
+    times = np.flatnonzero(exists)
+    cand_entries = paired[times]
+    owner = times >> 1
+    own = (times & 1).astype(bool)
+    updates = own & takens[owner]
+    if epochs:
+        epoch_of = np.searchsorted(clears, owner, side="right")
+        cand_ident = cand_entries * period + epoch_of
+    else:
+        cand_ident = cand_entries
+    cand_sets = (cand_entries % slot_count) // ways
+    ncand = times.shape[0]
+
+    # The ways of each referenced set, oldest first: the invalid ones,
+    # then the valid entries in LRU order (``BranchTargetBuffer.update``
+    # takes the first lowest rank).
+    referenced = np.zeros(btb.set_count, dtype=bool)
+    referenced[cand_sets] = True
+    touched = np.flatnonzero(referenced)
+    rows = touched.shape[0]
+    set_slots = (touched[:, None] * ways + np.arange(ways)).ravel()
+    # A span touching few sets reads (and writes) only their ways.
+    partial = 2 * set_slots.shape[0] < slot_count and not epochs
+    if partial:
+        slot_ranks = np.array([btb._ranks[slot] for slot in set_slots.tolist()],
+                              dtype=np.int64).reshape(rows, ways)
+    else:
+        all_ranks = np.array(btb._ranks, dtype=np.int64)
+        slot_ranks = all_ranks[set_slots].reshape(rows, ways)
+    way_order = np.argsort(slot_ranks, axis=1, kind="stable")
+    set_ways = touched[:, None] * ways + way_order
+    way_ranks = np.take_along_axis(slot_ranks, way_order, axis=1)
+    way_valid = way_ranks >= VALID
+    invalid_ways = ways - np.count_nonzero(way_valid, axis=1)
+    # Carried references: the valid entries.
+    carried_slots = set_ways[way_valid]
+    carried_ranks = way_ranks[way_valid]
+    ncarried = carried_slots.shape[0]
+    if partial:
+        valid_list = carried_slots.tolist()
+        carried_keys = np.array([btb._keys[slot] for slot in valid_list],
+                                dtype=np.int64)
+        carried_targets = np.array([btb._targets[slot] for slot in valid_list],
+                                   dtype=np.int64)
+    else:
+        all_keys = np.array(btb._keys, dtype=np.int64)
+        all_targets = np.array(btb._targets, dtype=np.int64)
+        carried_keys = all_keys[carried_slots]
+        carried_targets = all_targets[carried_slots]
+    carried_entries = (carried_keys * slot_count
+                       + carried_slots - carried_slots % ways)
+
+    # References: the carried ones, then the candidates in time order.  The
+    # set order lays out each set's stream; the key order groups each key's
+    # references, oldest first.
+    ref_ident = np.concatenate((carried_entries * period, cand_ident))
+    ref_sets = np.concatenate((carried_slots // ways, cand_sets))
+    refs = ref_ident.shape[0]
+    ref_range = np.arange(refs)
+    set_order = _stable_order(ref_sets)
+    set_rank = np.empty(refs, dtype=np.int64)
+    set_rank[set_order] = ref_range
+    # Key order: the set order, stably sorted by each key's tag and epoch
+    # within its set.
+    id_order = set_order[_stable_order(
+        (ref_ident // (slot_count * period) * period
+         + ref_ident % period)[set_order])]
+    id_rank = np.empty(refs, dtype=np.int64)
+    id_rank[id_order] = ref_range
+    # A lookup at participant j sees the references made before it: in
+    # either order, everything before its own reference at 2j + 1 except
+    # its fallback at 2j when that shares the set (or the key).
+    paired_fallback = np.zeros(ncand, dtype=bool)
+    paired_fallback[1:] = own[1:] & ~own[:-1] & (owner[1:] == owner[:-1])
+    query_set_at = set_rank[ncarried:].copy()
+    query_set_at[1:] -= paired_fallback[1:] & (cand_sets[1:] == cand_sets[:-1])
+    query_id_at = id_rank[ncarried:].copy()
+    query_id_at[1:] -= paired_fallback[1:] & (cand_ident[1:] == cand_ident[:-1])
+
+    # Each reference's key as a group number in key order.
+    ordered_keys = ref_ident[id_order]
+    group = np.zeros(refs, dtype=np.int64)
+    np.cumsum(ordered_keys[1:] != ordered_keys[:-1], out=group[1:])
+    query_group = group[id_rank[ncarried:]]
+
+    fallback = np.flatnonzero(~own)
+    maybe_own = np.flatnonzero(own & ~updates)
+    conditional = ncarried + np.concatenate((fallback, maybe_own))
+    active = np.ones(refs, dtype=bool)
+    active[conditional] = False
+    while True:
+        in_stream = active[set_order]
+        stream = set_order[in_stream]
+        position = np.empty(refs, dtype=np.int64)
+        position[stream] = np.arange(stream.shape[0])
+        before = np.concatenate(([0], np.cumsum(in_stream)))
+        # Stream positions in key order (-1: not in the stream).
+        in_ids = active[id_order]
+        id_stream = id_order[in_ids]
+        stream_at = np.full(refs, -1, dtype=np.int64)
+        stream_at[in_ids] = position[id_stream]
+        active_at = stream_at[in_ids]
+        active_groups = group[in_ids]
+        same = active_groups[1:] == active_groups[:-1]
+        nxt = np.full(stream.shape[0], _NO_NEXT, dtype=np.int64)
+        nxt[active_at[:-1][same]] = active_at[1:][same]
+        # Each lookup's stream position and its key's last reference.
+        tops = before[query_set_at]
+        last_in_ids = np.maximum.accumulate(np.where(in_ids, ref_range, -1))
+        last = np.where(query_id_at > 0, last_in_ids[query_id_at - 1], -1)
+        seen_before = (last >= 0) & (group[last] == query_group)
+        previous_at = stream_at[last]
+        present = seen_before & (tops - previous_at - 1 < ways)
+        unsure = np.flatnonzero(seen_before & ~present)
+        if unsure.shape[0]:
+            present[unsure] = _lru_reach(nxt, tops[unsure], previous_at[unsure],
+                                         ways) < 0
+        joins = np.concatenate((present[fallback] & ~present[fallback + 1],
+                                present[maybe_own]))
+        if np.array_equal(joins, active[conditional]):
+            break
+        active[conditional] = joins
+
+    # ---------------------------------------------------------- flags
+    own_at = np.flatnonzero(own)
+    own_present = np.zeros(count, dtype=bool)
+    own_present[owner[own_at]] = present[own_at]
+    fallback_present = np.zeros(count, dtype=bool)
+    fallback_present[owner[fallback]] = present[fallback]
+    lookup1 = ops == _OP_LOOKUP1
+    hits = np.where(indirect, own_present | fallback_present,
+                    (lookup1 | unders) & own_present)
+    # The reference each hit reads its stored target from.
+    source = np.full(count, -1, dtype=np.int64)
+    source[owner[own_at]] = own_at
+    missed_own = ~present[fallback + 1]
+    source[owner[fallback][missed_own]] = fallback[missed_own]
+    hit_rel = np.flatnonzero(hits)
+    hit_source = source[hit_rel]
+
+    # A present key's stored target is its last update's, or its carried
+    # entry's: the last write at or before its lookup in key order.
+    writes = np.concatenate((np.ones(ncarried, dtype=bool), updates))
+    target_of = np.concatenate((carried_targets, encoded[owner]))
+    last_write = id_order[np.maximum.accumulate(
+        np.where(writes[id_order], ref_range, 0))]
+
+    stored = target_of[last_write[query_id_at[hit_source] - 1]]
+    btb_ok = np.zeros(count, dtype=bool)
+    btb_ok[hit_rel] = (stored == encoded[hit_rel]) & high_ok[hit_rel]
+    correct = np.where(ops == _OP_UPDATE1, fall_ok,
+                       np.where(is_return & ~unders, rsb_ok, btb_ok))
+    target_ok = correct | ~takens
+
+    # An install evicts when its set (in this flush epoch) already holds
+    # ``ways`` distinct keys.
+    installs = np.flatnonzero(updates & ~present)
+    install_at = position[ncarried + installs]
+    id_first = np.ones(stream.shape[0], dtype=bool)
+    id_first[active_at[1:][same]] = False
+    distinct = np.concatenate(([0], np.cumsum(id_first)))
+    # Each set's stream, split at its flush epochs.
+    stream_sets = ref_sets[stream]
+    boundary = np.ones(stream.shape[0], dtype=bool)
+    boundary[1:] = stream_sets[1:] != stream_sets[:-1]
+    if epochs:
+        stream_epochs = np.concatenate(
+            (np.zeros(ncarried, dtype=np.int64), epoch_of))[stream]
+        boundary[1:] |= stream_epochs[1:] != stream_epochs[:-1]
+    segment_at = np.maximum.accumulate(
+        np.where(boundary, np.arange(stream.shape[0]), 0))[install_at]
+    evicting = distinct[install_at] - distinct[segment_at] >= ways
+    evicts = np.zeros(count, dtype=bool)
+    evicts[owner[installs[evicting]]] = True
+    # --------------------------------------------------------- monitor
+    stopped_at = -1
+    done = count
+    if monitor is not None:
+        config = monitor.config
+        counters = monitor.counters
+        mispredicted = ~(dir_ok & target_ok)
+        if config.direction_misprediction_threshold is not None:
+            direction = mispredicted & ~dir_ok
+            main = mispredicted & dir_ok
+        else:
+            direction = np.zeros(count, dtype=bool)
+            main = mispredicted
+        due = min(_first_due(evicts, counters.evictions_remaining, count),
+                  _first_due(main, counters.mispredictions_remaining, count),
+                  _first_due(direction, counters.direction_remaining, count))
+        if due < count:
+            stopped_at = due
+            done = due + 1
+        monitor.observed_mispredictions += int(np.count_nonzero(
+            mispredicted[:done]))
+        monitor.observed_evictions += int(np.count_nonzero(evicts[:done]))
+        if stopped_at >= 0:
+            monitor.fired_count += 1
+            monitor.reload()
+        else:
+            counters.evictions_remaining -= int(np.count_nonzero(evicts))
+            counters.mispredictions_remaining -= int(np.count_nonzero(main))
+            counters.direction_remaining -= int(np.count_nonzero(direction))
+
+    # ------------------------------------------------ commit: the RSB
+    if stopped_at < 0:
+        flushed = epochs
+        rsb._stack[:] = stack
+    else:
+        flushed = int(np.searchsorted(clears, stopped_at, side="right"))
+        executed_items = int(np.searchsorted(rsb_rel, done))
+        rsb._stack[:] = carried_stack
+        _, overflows = _rsb_replay(rsb._stack, rsb.capacity,
+                                   items[:executed_items],
+                                   segments[:flushed])
+    rsb.overflow_count += overflows
+    rsb.underflow_count += int(np.count_nonzero(unders[:done]))
+
+    # ------------------------------------------------ commit: the BTB
+    # Clock ticks per participant: a mode-1 lookup 1, an indirect branch's
+    # mode-2 lookup 1 and its fallback 1, an underflowed return's lookup 1,
+    # and the update of a taken branch 1.
+    ticks = (lookup1.astype(np.int64) + indirect + (indirect & ~own_present)
+             + unders + takens)
+    clock_after = btb._access_clock + np.cumsum(ticks)
+    executed = int(np.searchsorted(times, 2 * done))
+    in_prefix = stream < ncarried + executed
+    stamps = np.concatenate((
+        carried_ranks - VALID,
+        np.where(own, clock_after[owner],
+                 clock_after[owner] - ticks[owner] + 2)))
+    # A key's residency runs from its install (or carried entry) to its
+    # eviction.  An install takes its set's oldest invalid way while one is
+    # left; after that it evicts, and LRU evicts residencies in the order
+    # of their last references, so a set's k-th evicting install in the
+    # prefix takes the way of the k-th residency to end there.  The set
+    # keeps its ``ways`` most recent keys, unused invalid ways included.
+    size = stream.shape[0]
+    is_install = np.zeros(size, dtype=bool)
+    is_install[install_at[installs < executed]] = True
+    install_at = np.flatnonzero(is_install)
+    row_of_set = np.cumsum(referenced) - 1
+    install_rows = row_of_set[stream_sets[install_at]]
+    row_installs = np.bincount(install_rows, minlength=rows)
+    following = np.minimum(nxt, size - 1)
+    continued = (nxt != _NO_NEXT) & in_prefix[following]
+    last = in_prefix & ~continued
+    final_at = np.flatnonzero(last)
+    final_rows = row_of_set[stream_sets[final_at]]
+    kept = _from_group_end(final_rows) < (
+        ways - np.maximum(invalid_ways - row_installs, 0))[final_rows]
+    ends = last | (continued & is_install[following])
+    ends[final_at[kept]] = False
+    evicted_at = np.flatnonzero(ends)
+    # Each reference's residency start, then each install's way: an
+    # invalid one, or that of the residency it evicts, through chains of
+    # installs into one way.
+    starts_ids = (id_stream < ncarried) | is_install[active_at]
+    start_of = np.empty(size, dtype=np.int64)
+    start_of[active_at] = active_at[np.maximum.accumulate(
+        np.where(starts_ids, np.arange(size), -1))]
+    install_index = np.full(size, -1, dtype=np.int64)
+    install_index[install_at] = np.arange(install_at.shape[0])
+    nth = np.arange(install_at.shape[0]) - np.repeat(
+        np.cumsum(row_installs) - row_installs, row_installs)
+    into_invalid = nth < invalid_ways[install_rows]
+    install_slots = np.full(install_at.shape[0], -1, dtype=np.int64)
+    install_slots[into_invalid] = set_ways[install_rows[into_invalid],
+                                          nth[into_invalid]]
+    evicting = np.flatnonzero(~into_invalid)
+    row_evicted = np.bincount(row_of_set[stream_sets[evicted_at]],
+                              minlength=rows)
+    victim_rows = install_rows[evicting]
+    victims = start_of[evicted_at[(np.cumsum(row_evicted) - row_evicted)[
+        victim_rows] + nth[evicting] - invalid_ways[victim_rows]]]
+    link = np.full(install_at.shape[0], -1, dtype=np.int64)
+    link[evicting] = install_index[victims]
+    from_carried = link[evicting] < 0
+    install_slots[evicting[from_carried]] = carried_slots[
+        stream[victims[from_carried]]]
+    while True:
+        pending = np.flatnonzero(install_slots < 0)
+        if not pending.shape[0]:
+            break
+        install_slots[pending] = install_slots[link[pending]]
+        link[pending] = link[link[pending]]
+    final_at = final_at[kept]
+    final_refs = stream[final_at]
+    final_ident = ref_ident[final_refs]
+    final_start = start_of[final_at]
+    final_install = install_index[final_start]
+    carried_start = final_install < 0
+    final_slots = np.empty(final_at.shape[0], dtype=np.int64)
+    final_slots[carried_start] = carried_slots[
+        stream[final_start[carried_start]]]
+    final_slots[~carried_start] = install_slots[final_install[~carried_start]]
+    final_entries = final_ident // period
+    final_valid = final_ident % period == flushed
+    final_keys = final_entries // slot_count
+    final_ranks = stamps[final_refs] + np.where(final_valid, VALID, 0)
+    final_targets = target_of[last_write[id_rank[final_refs]]]
+    if partial:
+        keys, ranks, targets = btb._keys, btb._ranks, btb._targets
+        for slot, key, rank, target in zip(
+                final_slots.tolist(), final_keys.tolist(),
+                final_ranks.tolist(), final_targets.tolist()):
+            keys[slot] = key
+            ranks[slot] = rank
+            targets[slot] = target
+    else:
+        if flushed:
+            all_ranks[all_ranks >= VALID] -= VALID
+        all_keys[final_slots] = final_keys
+        all_ranks[final_slots] = final_ranks
+        all_targets[final_slots] = final_targets
+        btb._keys[:] = all_keys.tolist()
+        btb._ranks[:] = all_ranks.tolist()
+        btb._targets[:] = all_targets.tolist()
+    index = btb._slots
+    if flushed:
+        index.clear()
+        changed = final_valid
+    else:
+        # Evicted carried entries leave the index; keys installed in the
+        # span (re-installed ones included) enter it at their new ways.
+        evicted_refs = stream[start_of[evicted_at]]
+        evicted_refs = evicted_refs[evicted_refs < ncarried]
+        for entry in carried_entries[evicted_refs].tolist():
+            del index[entry]
+        changed = final_valid & (final_install >= 0)
+    index.update(zip(final_entries[changed].tolist(),
+                     final_slots[changed].tolist()))
+    if done:
+        btb._access_clock = int(clock_after[done - 1])
+    btb.eviction_count += int(np.count_nonzero(evicts[:done]))
+    return target_ok, hits, evicts, unders, stopped_at
 
 
 #: The span-stepper protocol: every direction stepper class must implement
@@ -1039,7 +1528,7 @@ class _CompositeEngine:
         "is_ind_or_ret", "bhb_updates", "mixed", "fallthrough_ok", "high_ok",
         "base_opcode", "dir_ok", "target_ok", "btb_hit", "btb_evict",
         "rsb_under", "map_contexts", "phi_table", "cond_epochs", "epochs",
-        "spans",
+        "spans", "prepared", "loop_branches",
     )
 
     def __init__(self, composite, pht_maps, btb_maps, codec, stepper):
@@ -1073,8 +1562,12 @@ class _CompositeEngine:
         #: (``None``: the span has no flush) and the span's flush count.
         self.cond_epochs = None
         self.epochs = 0
-        #: :meth:`run_span` calls in this replay.
+        #: :meth:`run_span` calls in this replay, the branches they
+        #: prepared (a fired span's discarded tail included) and the
+        #: branches :meth:`_structural_loop` replayed.
         self.spans = 0
+        self.prepared = 0
+        self.loop_branches = 0
         ips = arrays.ips
         targets = arrays.targets
         types = arrays.types
@@ -1131,14 +1624,20 @@ class _CompositeEngine:
         """Replay branches ``[lo, hi)``; return ``(executed_to, fired)``.
 
         The stepper supplies the span's direction predictions, the prelude
-        computes its histories and BTB keys in array kernels, and the
-        structural loop replays the BTB/RSB accesses.  With ``monitor`` set
-        (STBPU), the loop also feeds the re-randomization counters and stops
-        right after the access that exhausts one; only the executed prefix
-        is committed, so the caller re-keys and resumes from
-        ``executed_to``.  A guarded stepper's span is capped at
+        computes its histories and BTB keys in array kernels, and
+        :func:`_replay_structures` replays the BTB/RSB accesses.  With
+        ``monitor`` set (STBPU), the replay also feeds the re-randomization
+        counters and stops right after the access that exhausts one; only
+        the executed prefix is committed, so the caller re-keys and resumes
+        from ``executed_to``.  A guarded stepper's span is capped at
         ``_STEPPER_SPAN_LIMIT`` branches, so ``executed_to`` may fall short
         of ``hi`` without a fire as well.
+
+        A guarded stepper steps all of a span's conditionals before the
+        structures replay (a step reads no BTB or RSB state), except under
+        a monitor: a step cannot be taken back past a re-randomization, so
+        those spans replay in :meth:`_structural_loop`, one branch at a
+        time, stepping each conditional where it falls.
 
         ``flushes`` (sorted positions in ``[lo, hi]``, each flushing the
         predictor before that branch) split an unguarded stepper's span into
@@ -1150,9 +1649,11 @@ class _CompositeEngine:
         guarded = stepper.guarded
         if guarded:
             hi = min(hi, lo + _STEPPER_SPAN_LIMIT)
+        looped = guarded and monitor is not None
         arrays = self.arrays
         span = slice(lo, hi)
         length = hi - lo
+        self.prepared += length
         ips = arrays.ips[span]
         takens = arrays.takens[span]
         contexts = self.map_contexts[span]
@@ -1192,56 +1693,53 @@ class _CompositeEngine:
 
         # ---------------------------------------------------------- BTB keys
         mode1 = self._btb_entries(*self.btb_maps.btb1(ips, contexts))
-        encoded = self._encode(arrays.targets[span], span)
+        encoded = self._encode(arrays.targets[span], span).astype(np.int64)
         push_values = self._encode(
-            (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span)
+            (ips + _U64(4)) & _U64(VIRTUAL_ADDRESS_MASK), span).astype(np.int64)
         mode2 = np.zeros(length, dtype=np.int64)
         if ind_ret_rel.shape[0]:
             mode2[ind_ret_rel] = self._btb_entries(*self.btb_maps.btb2(
                 ips[ind_ret_rel], bhb_at, contexts[ind_ret_rel]))
 
         # ------------------------------------------------------- participants
-        if guarded:
+        # A guarded stepper under a monitor steps in the loop: a step cannot
+        # be taken back past a fire.
+        looped = guarded and monitor is not None
+        if looped:
             # Every branch enters the loop; conditionals resolve there
             # through the step closure, which fills ``dir_ok``.
             part = slice(None)
             ops = self.base_opcode[span]
-            dir_ok = dir_flags = [True] * length
-            conds = is_cond.tolist()
-            step = prediction
+            dir_flags = [True] * length
         else:
+            if guarded:
+                prediction = np.fromiter(map(prediction, range(cond_rel.shape[0])),
+                                         dtype=bool, count=cond_rel.shape[0])
             # A conditional predicted and resolved not-taken touches no
-            # structure and feeds the monitor nothing, so it skips the loop.
+            # structure and feeds the monitor nothing, so it does not
+            # participate.
             predicted = np.zeros(length, dtype=bool)
             predicted[cond_rel] = prediction
             ops = self.base_opcode[span].copy()
             ops[cond_rel] = np.where(prediction, np.uint8(_OP_LOOKUP1),
                                      np.uint8(_OP_UPDATE1))
             part = np.flatnonzero(~is_cond | predicted | takens)
-            # Stored from the array: scattering a Python list costs far more.
             dir_flags = (~is_cond | (predicted == takens))[part]
-            dir_ok = dir_flags.tolist()
-            conds = step = None
-        # The participants each flush lands before (the loop's length when it
-        # lands after the last one).
-        clears = ([] if flush_rel is None
-                  else np.unique(np.searchsorted(part, flush_rel)).tolist())
-        target_ok, hits, evicts, unders, stopped_at = self._structural_loop(
-            ops[part].tolist(),
-            takens[part].tolist(),
-            mode1[part].tolist(),
-            mode2[part].tolist(),
-            encoded[part].tolist(),
-            self.high_ok[span][part].tolist(),
-            self.fallthrough_ok[span][part].tolist(),
-            self.is_call[span][part].tolist(),
-            push_values[part].tolist(),
-            dir_ok,
-            monitor,
-            conds,
-            step,
-            clears,
-        )
+        columns = (ops[part], takens[part], mode1[part], mode2[part],
+                   encoded[part], self.high_ok[span][part],
+                   self.fallthrough_ok[span][part], self.is_call[span][part],
+                   push_values[part])
+        if looped:
+            target_ok, hits, evicts, unders, stopped_at = self._structural_loop(
+                *(column.tolist() for column in columns), dir_flags, monitor,
+                is_cond.tolist(), prediction)
+        else:
+            # The participants each flush lands before (the participant
+            # count when it lands after the last one).
+            clears = (np.empty(0, dtype=np.int64) if flush_rel is None
+                      else np.unique(np.searchsorted(part, flush_rel)))
+            target_ok, hits, evicts, unders, stopped_at = _replay_structures(
+                self.btb, self.rsb, *columns, dir_flags, monitor, clears)
         flags = (dir_flags, target_ok, hits, evicts, unders)
         fired = stopped_at >= 0
         executed_rel = length
@@ -1249,13 +1747,15 @@ class _CompositeEngine:
             # Store and commit only the executed prefix; the resumed span
             # replays the rest.
             done = stopped_at + 1
-            if guarded:
+            if looped:
                 executed_rel, part = done, slice(0, done)
             else:
                 executed_rel, part = int(part[stopped_at]) + 1, part[:done]
             flags = [values[:done] for values in flags]
+        if looped:
+            self.loop_branches += executed_rel
 
-        # Loop-skipped conditionals keep the defaults.
+        # Non-participating conditionals keep the defaults.
         for column, values, default in zip(
                 (self.dir_ok, self.target_ok, self.btb_hit, self.btb_evict,
                  self.rsb_under), flags, (True, True, False, False, False)):
@@ -1287,8 +1787,14 @@ class _CompositeEngine:
     # --------------------------------------------------------- structural loop
 
     def _structural_loop(self, ops, takens, entry1, entry2, encoded, high_ok,
-                         fall_ok, calls, pushes, dir_ok, monitor, conds, step,
-                         clears):
+                         fall_ok, calls, pushes, dir_ok, monitor, conds, step):
+        """Replay a guarded span under a monitor one branch at a time.
+
+        Each conditional (``conds``) is stepped where it falls, so a fire
+        stops the stepper too; the BTB and RSB are replayed on their own
+        lists in place.  Returns the flags :func:`_replay_structures`
+        returns.
+        """
         btb = self.btb
         keys = btb._keys
         ranks = btb._ranks
@@ -1311,169 +1817,154 @@ class _CompositeEngine:
         stopped_at = -1
         ordinal = 0
 
-        watching = monitor is not None
-        if watching:
-            # The per-branch loop works on local copies of the monitor's
-            # thresholds and counters (attribute reads cost per access) and
-            # writes the counters back on exit.
-            config = monitor.config
-            counters = monitor.counters
-            mis_threshold = config.misprediction_threshold
-            ev_threshold = config.eviction_threshold
-            has_direction = config.direction_misprediction_threshold is not None
-            dir_threshold = (config.direction_misprediction_threshold
-                             if has_direction else mis_threshold)
-            mis_remaining = counters.mispredictions_remaining
-            ev_remaining = counters.evictions_remaining
-            dir_remaining = counters.direction_remaining
-            observed_mis = monitor.observed_mispredictions
-            observed_ev = monitor.observed_evictions
-            fired_count = monitor.fired_count
+        # The loop works on local copies of the monitor's thresholds and
+        # counters (attribute reads cost per access) and writes the
+        # counters back on exit.
+        config = monitor.config
+        counters = monitor.counters
+        mis_threshold = config.misprediction_threshold
+        ev_threshold = config.eviction_threshold
+        has_direction = config.direction_misprediction_threshold is not None
+        dir_threshold = (config.direction_misprediction_threshold
+                         if has_direction else mis_threshold)
+        mis_remaining = counters.mispredictions_remaining
+        ev_remaining = counters.evictions_remaining
+        dir_remaining = counters.direction_remaining
+        observed_mis = monitor.observed_mispredictions
+        observed_ev = monitor.observed_evictions
+        fired_count = monitor.fired_count
 
-        begin = 0
-        for epoch, end in enumerate((*clears, count)):
-            if epoch:
-                # A flush lands before participant ``begin``: it drops
-                # every BTB entry and the RSB.
-                btb.flush()
-                rsb.clear()
-            for j in range(begin, end):
-                taken = takens[j]
-                if conds is not None and conds[j]:
-                    # Guarded stepper: resolve the direction prediction in
-                    # place.
-                    predicted = step(ordinal)
-                    ordinal += 1
-                    dir_ok[j] = predicted == taken
-                    if predicted:
-                        op = 0
-                    elif taken:
-                        op = 1
-                    else:
-                        # Predicted and resolved not-taken: the fall-through
-                        # target is implicitly correct, no structure is
-                        # touched, and the monitor sees neither misprediction
-                        # nor eviction.
-                        continue
+        for j in range(count):
+            taken = takens[j]
+            if conds[j]:
+                # Resolve the direction prediction in place.
+                predicted = step(ordinal)
+                ordinal += 1
+                dir_ok[j] = predicted == taken
+                if predicted:
+                    op = 0
+                elif taken:
+                    op = 1
                 else:
-                    op = ops[j]
-                hit = False
-                correct = False
-                evicted = False
-                # ``slot`` ends as the update entry's slot (``None``: absent).
-                if op == 0:  # mode-1 lookup (cond. predicted-taken / direct)
-                    clock += 1
-                    entry = entry1[j]
-                    slot = probe(entry)
-                    if slot is not None:
-                        ranks[slot] = VALID + clock
-                        hit = True
-                        if stored[slot] == encoded[j] and high_ok[j]:
-                            correct = True
-                elif op == 1:  # cond. predicted not-taken, resolved taken
-                    entry = entry1[j]
-                    slot = probe(entry)
-                    correct = fall_ok[j]
-                elif op == 2:  # indirect: mode-2 lookup, mode-1 fallback
-                    clock += 1
-                    entry = entry2[j]
-                    slot = probe(entry)
-                    if slot is not None:
-                        ranks[slot] = VALID + clock
-                        hit = True
-                        if stored[slot] == encoded[j] and high_ok[j]:
-                            correct = True
-                    else:
-                        clock += 1
-                        fallback = probe(entry1[j])
-                        if fallback is not None:
-                            ranks[fallback] = VALID + clock
-                            hit = True
-                            if stored[fallback] == encoded[j] and high_ok[j]:
-                                correct = True
-                else:  # return: RSB pop, mode-2 lookup on underflow
-                    entry = entry2[j]
-                    slot = probe(entry)
-                    if rsb:
-                        popped = rsb.pop()
-                        if popped == encoded[j] and high_ok[j]:
-                            correct = True
-                    else:
-                        underflows += 1
-                        unders[j] = True
-                        clock += 1
-                        if slot is not None:
-                            ranks[slot] = VALID + clock
-                            hit = True
-                            if stored[slot] == encoded[j] and high_ok[j]:
-                                correct = True
-
-                if taken:
-                    target_ok[j] = correct
-                    # --------------------------------------------- BTB update
-                    clock += 1
-                    if slot is None:
-                        base = entry % slot_count
-                        set_ranks = ranks[base:base + ways]
-                        slot = base + set_ranks.index(min(set_ranks))
-                        if ranks[slot] >= VALID:
-                            evictions += 1
-                            evicted = True
-                            evicts[j] = True
-                            del index[keys[slot] * slot_count + base]
-                        keys[slot] = entry // slot_count
-                        index[entry] = slot
-                    stored[slot] = encoded[j]
+                    # Predicted and resolved not-taken: the fall-through
+                    # target is implicitly correct, no structure is
+                    # touched, and the monitor sees neither misprediction
+                    # nor eviction.
+                    continue
+            else:
+                op = ops[j]
+            hit = False
+            correct = False
+            evicted = False
+            # ``slot`` ends as the update entry's slot (``None``: absent).
+            if op == 0:  # mode-1 lookup (cond. predicted-taken / direct)
+                clock += 1
+                entry = entry1[j]
+                slot = probe(entry)
+                if slot is not None:
                     ranks[slot] = VALID + clock
-                hits[j] = hit
+                    hit = True
+                    if stored[slot] == encoded[j] and high_ok[j]:
+                        correct = True
+            elif op == 1:  # cond. predicted not-taken, resolved taken
+                entry = entry1[j]
+                slot = probe(entry)
+                correct = fall_ok[j]
+            elif op == 2:  # indirect: mode-2 lookup, mode-1 fallback
+                clock += 1
+                entry = entry2[j]
+                slot = probe(entry)
+                if slot is not None:
+                    ranks[slot] = VALID + clock
+                    hit = True
+                    if stored[slot] == encoded[j] and high_ok[j]:
+                        correct = True
+                else:
+                    clock += 1
+                    fallback = probe(entry1[j])
+                    if fallback is not None:
+                        ranks[fallback] = VALID + clock
+                        hit = True
+                        if stored[fallback] == encoded[j] and high_ok[j]:
+                            correct = True
+            else:  # return: RSB pop, mode-2 lookup on underflow
+                entry = entry2[j]
+                slot = probe(entry)
+                if rsb:
+                    popped = rsb.pop()
+                    if popped == encoded[j] and high_ok[j]:
+                        correct = True
+                else:
+                    underflows += 1
+                    unders[j] = True
+                    clock += 1
+                    if slot is not None:
+                        ranks[slot] = VALID + clock
+                        hit = True
+                        if stored[slot] == encoded[j] and high_ok[j]:
+                            correct = True
 
-                if calls[j]:
-                    if len(rsb) >= rsb_capacity:
-                        del rsb[0]
-                        overflows += 1
-                    rsb.append(pushes[j])
+            if taken:
+                target_ok[j] = correct
+                # ------------------------------------------------- BTB update
+                clock += 1
+                if slot is None:
+                    base = entry % slot_count
+                    set_ranks = ranks[base:base + ways]
+                    slot = base + set_ranks.index(min(set_ranks))
+                    if ranks[slot] >= VALID:
+                        evictions += 1
+                        evicted = True
+                        evicts[j] = True
+                        del index[keys[slot] * slot_count + base]
+                    keys[slot] = entry // slot_count
+                    index[entry] = slot
+                stored[slot] = encoded[j]
+                ranks[slot] = VALID + clock
+            hits[j] = hit
 
-                if watching:
-                    mispredicted = not (dir_ok[j] and (correct or not taken))
-                    if mispredicted or evicted:
-                        fire = False
-                        if evicted:
-                            observed_ev += 1
-                            ev_remaining -= 1
-                            if ev_remaining <= 0:
-                                fire = True
-                        if mispredicted:
-                            observed_mis += 1
-                            if has_direction and not dir_ok[j]:
-                                dir_remaining -= 1
-                                if dir_remaining <= 0:
-                                    fire = True
-                            else:
-                                mis_remaining -= 1
-                                if mis_remaining <= 0:
-                                    fire = True
-                        if fire:
-                            fired_count += 1
-                            mis_remaining = mis_threshold
-                            ev_remaining = ev_threshold
-                            dir_remaining = dir_threshold
-                            stopped_at = j
-                            break
-            if stopped_at >= 0:
-                break
-            begin = end
+            if calls[j]:
+                if len(rsb) >= rsb_capacity:
+                    del rsb[0]
+                    overflows += 1
+                rsb.append(pushes[j])
+
+            mispredicted = not (dir_ok[j] and (correct or not taken))
+            if mispredicted or evicted:
+                fire = False
+                if evicted:
+                    observed_ev += 1
+                    ev_remaining -= 1
+                    if ev_remaining <= 0:
+                        fire = True
+                if mispredicted:
+                    observed_mis += 1
+                    if has_direction and not dir_ok[j]:
+                        dir_remaining -= 1
+                        if dir_remaining <= 0:
+                            fire = True
+                    else:
+                        mis_remaining -= 1
+                        if mis_remaining <= 0:
+                            fire = True
+                if fire:
+                    fired_count += 1
+                    mis_remaining = mis_threshold
+                    ev_remaining = ev_threshold
+                    dir_remaining = dir_threshold
+                    stopped_at = j
+                    break
 
         btb._access_clock = clock
         btb.eviction_count = evictions
         self.rsb.overflow_count = overflows
         self.rsb.underflow_count = underflows
-        if watching:
-            counters.mispredictions_remaining = mis_remaining
-            counters.evictions_remaining = ev_remaining
-            counters.direction_remaining = dir_remaining
-            monitor.observed_mispredictions = observed_mis
-            monitor.observed_evictions = observed_ev
-            monitor.fired_count = fired_count
+        counters.mispredictions_remaining = mis_remaining
+        counters.evictions_remaining = ev_remaining
+        counters.direction_remaining = dir_remaining
+        monitor.observed_mispredictions = observed_mis
+        monitor.observed_evictions = observed_ev
+        monitor.fired_count = fired_count
         return target_ok, hits, evicts, unders, stopped_at
 
 
@@ -1728,15 +2219,26 @@ class _STBPUKernel(_KernelBase):
         model.codec.set_token(token)
 
     def _run_monitored(self, lo: int, hi: int, effective) -> None:
-        """Replay ``[lo, hi)``, re-randomizing where the monitor fires."""
+        """Replay ``[lo, hi)``, re-randomizing where the monitor fires.
+
+        A fire discards the prepared tail of its span, so spans adapt: after
+        a fire the next span covers ``max(_MONITOR_CAP_FLOOR, 2 ×
+        executed)`` branches, and a span that runs to its cap doubles it.
+        """
         model = self.model
         position = lo
+        cap = None
         while position < hi:
-            position, fired = self.engine.run_span(position, hi, model.monitor)
+            stop = hi if cap is None else min(hi, position + cap)
+            reached, fired = self.engine.run_span(position, stop, model.monitor)
             if fired:
-                model._current_context = int(effective[position - 1])
+                cap = max(_MONITOR_CAP_FLOOR, 2 * (reached - position))
+                model._current_context = int(effective[reached - 1])
                 model.rerandomize_current()
                 self._refresh()
+            elif cap is not None and reached == stop:
+                cap *= 2
+            position = reached
 
     def _refresh(self) -> None:
         """Re-read the slot tables from the model's per-context tokens."""
@@ -1877,6 +2379,10 @@ def _count_replay(model, kind: str, engine: _CompositeEngine) -> None:
               "kind": kind}
     obs_metrics.inc("repro_replay_spans_total", engine.spans, **labels)
     obs_metrics.inc("repro_replay_branches_total", engine.n, **labels)
+    obs_metrics.inc("repro_replay_prepared_branches_total", engine.prepared,
+                    **labels)
+    obs_metrics.inc("repro_replay_loop_branches_total", engine.loop_branches,
+                    **labels)
 
 
 def try_replay_trace(model, trace: Trace, warmup: int,
@@ -1886,7 +2392,10 @@ def try_replay_trace(model, trace: Trace, warmup: int,
     ``False`` means the model has no kernel; it is counted as a
     ``kind="trace"`` decline and the caller then runs the reference loop.
     An accepted replay adds its spans and branches to
-    ``repro_replay_spans_total`` and ``repro_replay_branches_total``.
+    ``repro_replay_spans_total`` and ``repro_replay_branches_total``, the
+    branches its spans prepared to ``repro_replay_prepared_branches_total``
+    and those the per-branch loop replayed to
+    ``repro_replay_loop_branches_total``.
     """
     kernel = kernel_for(model)
     if kernel is None:

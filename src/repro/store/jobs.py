@@ -101,6 +101,14 @@ class _Expired(Exception):
     """Internal control flow: the job's deadline passed (or it was aborted)."""
 
 
+class _ShutDown(_Expired):
+    """Internal control flow: :meth:`JobManager.close` aborted the job."""
+
+
+#: The terminal error of a job that :meth:`JobManager.close` aborted.
+SHUTDOWN_ERROR = "cancelled: the job manager shut down"
+
+
 class _Job:
     """Mutable job entry; every mutation happens under the manager's lock."""
 
@@ -368,7 +376,8 @@ class JobManager:
     def close(self, join_timeout: float = 2.0) -> None:
         """Stop accepting work, abort running jobs and wind the threads down
         (best effort — workers and watchdog are daemons, a wedged worker
-        cannot block exit)."""
+        cannot block exit).  An aborted job ends ``cancelled`` with
+        :data:`SHUTDOWN_ERROR` once its worker returns."""
         with self._lock:
             if self._shutdown:
                 return
@@ -470,6 +479,8 @@ class JobManager:
             self._publish_envelope(job.fingerprint, envelope)
             self._publish_trace(job.fingerprint, trace)
             return DONE, (envelope, trace)
+        except _ShutDown as error:
+            return CANCELLED, str(error)
         except _Expired as error:
             return TIMEOUT, str(error)
         except TRANSIENT_ERRORS as error:
@@ -480,6 +491,8 @@ class JobManager:
             return FAILED, message
 
     def _check_deadline(self, job: _Job) -> None:
+        if job.abort.is_set() and self._shutdown:
+            raise _ShutDown(SHUTDOWN_ERROR)
         if job.abort.is_set() or time.monotonic() >= job.deadline:
             raise _Expired(f"deadline of {job.timeout:g}s exceeded")
 
@@ -523,8 +536,8 @@ class JobManager:
                     job.error = None
                     job.envelope, job.trace = value
                     self._completed += 1
-                elif status == TIMEOUT:
-                    job.state = TIMEOUT
+                elif status in (TIMEOUT, CANCELLED):
+                    job.state = status
                     job.error = value
                 elif status == "transient" and job.attempts < job.max_attempts:
                     job.state = QUEUED

@@ -8,14 +8,16 @@ replays a single trace through every kernel class — plain, flushing and
 conservative SKL composites, TAGE and Perceptron composites bare and under
 flushing protection, a TAGE with 16- and 32-entry tables whose allocations
 collide, and the three STBPU factories — under random warm-ups
-(negative ones included), monitor thresholds, token-sharing groups and
-guarded-stepper span caps, on a small BTB of drawn geometry (2, 4 or 16
+(negative ones included), monitor thresholds, token-sharing groups,
+guarded-stepper span caps and floors of the adaptive cap that monitored
+spans take after a fire, on a small BTB of drawn geometry (2, 4 or 16
 sets of 1–3 ways) so evictions feed the monitors, then replays a second
 trace through the same models, so each kernel also adopts a populated BTB,
 BTB index and PHTs.
 Another co-runs trace pairs through the STBPU factories under random
 scheduling quanta, warm-ups, monitor thresholds (with and without the
-direction register) and token-sharing groups.  Both backends must agree on
+direction register), token-sharing groups and cap floors, on structure
+sizes drawn the same way (and an RSB of 1–4 entries, a PHT of 1000 or 1024).  Both backends must agree on
 the stats and protection stats and on the complete post-replay state:
 predictor tables, BTB, RSB and its overflow and underflow counts, histories
 and the token machinery.  A third property pins the columnar SMT merge to
@@ -208,10 +210,11 @@ def _diverged(replay):
        monitors=st.fixed_dictionaries({name: _monitors() for name in FACTORIES}),
        groups=st.fixed_dictionaries({name: _GROUPS for name in FACTORIES}),
        seed=st.integers(0, 7), span_limit=st.integers(1, 64),
+       cap_floor=st.integers(1, 64),
        btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3))
 def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
                                               groups, seed, span_limit,
-                                              btb_sets, btb_ways):
+                                              cap_floor, btb_sets, btb_ways):
     # A BTB small enough for the random traces to evict, and small PHTs.  A
     # 1-set BTB is not drawn: its mapping would fold to 0 index bits, which
     # ``fold_bits`` refuses.
@@ -229,7 +232,8 @@ def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
                 parts[name, part] = value
         return parts
 
-    with mock.patch.object(vector, "_STEPPER_SPAN_LIMIT", span_limit):
+    with mock.patch.object(vector, "_STEPPER_SPAN_LIMIT", span_limit), \
+            mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor):
         assert _diverged(replay) == []
 
 
@@ -248,19 +252,31 @@ def _shifted(trace, offset):
 @given(trace_a=_traces("a"), trace_b=_traces("b"),
        quantum=st.integers(1, 40), warmup=st.integers(-3, 30),
        monitor=_monitors(), groups=_GROUPS,
-       model_name=st.sampled_from(sorted(FACTORIES)), seed=st.integers(0, 7))
+       model_name=st.sampled_from(sorted(FACTORIES)), seed=st.integers(0, 7),
+       cap_floor=st.integers(1, 64),
+       btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3),
+       rsb_entries=st.integers(1, 4),
+       pht_entries=st.sampled_from([1000, 1024]))
 def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
-                                           monitor, groups, model_name, seed):
+                                           monitor, groups, model_name, seed,
+                                           cap_floor, btb_sets, btb_ways,
+                                           rsb_entries, pht_entries):
+    # Sizes drawn as in the single-trace property, so co-runs evict,
+    # overflow and underflow too.
+    sizes = StructureSizes(btb_sets=btb_sets, btb_ways=btb_ways,
+                           pht_entries=pht_entries, rsb_entries=rsb_entries)
+
     def replay():
-        model = FACTORIES[model_name](monitor_config=monitor, seed=seed,
-                                      shared_token_groups=groups)
+        model = FACTORIES[model_name](sizes=sizes, monitor_config=monitor,
+                                      seed=seed, shared_token_groups=groups)
         simulator = SMTSimulator(
             lengths=SimulationLengths(warmup_branches=warmup), quantum=quantum)
         result = simulator.run(model, trace_a, trace_b,
                                thread_offset=THREAD_OFFSET)
         return _snapshot(model, result.thread_stats)
 
-    assert _diverged(replay) == []
+    with mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor):
+        assert _diverged(replay) == []
 
 
 @settings(max_examples=30, deadline=None)

@@ -599,6 +599,45 @@ class TestSpanSchedule:
             == before["branches"] + 20_000
 
 
+class TestReplayWork:
+    """``repro_replay_prepared_branches_total`` and
+    ``repro_replay_loop_branches_total``: the work a replay prepared
+    (prepared − replayed is what fires discarded) and the branches only the
+    per-branch loop replayed."""
+
+    COUNTERS = ("spans", "branches", "prepared_branches", "loop_branches")
+
+    def _deltas(self, spec):
+        from repro.engine import trace_for
+        from repro.engine.registry import build_model
+
+        trace = trace_for("505.mcf", 4_000, 7)
+        model = build_model(spec, seed=7)
+        before = {counter: _replay_total(counter, model.name, "trace")
+                  for counter in self.COUNTERS}
+        TraceSimulator(warmup_branches=400).run(model, trace)
+        return ({counter: _replay_total(counter, model.name, "trace")
+                 - before[counter] for counter in self.COUNTERS},
+                model.protection_stats()["rerandomizations"])
+
+    def test_fired_skl_spans_prepare_more_than_they_replay(self):
+        # 33 fires: after each, the next span covers max(floor, 2 x
+        # executed) branches, so the discarded tails stay bounded; the SKL
+        # kernel replays every span, so the loop replays none.
+        deltas, fires = self._deltas(ModelSpec.of("ST_SKLCond", r=5e-05))
+        assert fires == 33
+        assert deltas == {"spans": 36, "branches": 4_006,
+                          "prepared_branches": 11_591, "loop_branches": 0}
+
+    def test_watched_tage_spans_replay_in_the_loop(self):
+        # A guarded stepper under a monitor steps branch by branch, fire or
+        # not: every branch goes through the loop.
+        deltas, fires = self._deltas(ModelSpec("ST_TAGE_SC_L_8KB"))
+        assert fires == 0
+        assert deltas == {"spans": 2, "branches": 4_006,
+                          "prepared_branches": 4_006, "loop_branches": 4_006}
+
+
 def _counter_scan_cases():
     """``(indices, entries, epoch)`` inputs for the counter-scan walk."""
     rng = np.random.default_rng(3)

@@ -19,6 +19,7 @@ from repro.store.jobs import (
     JOBS_SCHEMA,
     QUEUED,
     RUNNING,
+    SHUTDOWN_ERROR,
     TERMINAL_STATES,
     TIMEOUT,
     JobConflict,
@@ -148,6 +149,26 @@ class TestLifecycle:
         for thread in workers:
             thread.join(timeout=max(0.0, closed + 1.0 - time.monotonic()))
         assert not any(thread.is_alive() for thread in workers)
+
+    def test_close_cancels_a_running_job_without_a_deadline_error(self):
+        # A job close() aborts ends cancelled with an error that names the
+        # shutdown: its 60 s deadline never passed.
+        manager = _manager(workers=1, injector=_wedge_injector(),
+                           job_timeout=60)
+        payload, _ = manager.submit(_scenario("wedge-cancel"))
+        fingerprint = payload["fingerprint"]
+        deadline = time.monotonic() + 5
+        while manager.get(fingerprint)["state"] != RUNNING:
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.01)
+        before = _counter("repro_jobs_transitions_total", state=CANCELLED)
+        manager.close()
+        job = manager.get(fingerprint)
+        assert job["state"] == CANCELLED
+        assert job["error"] == SHUTDOWN_ERROR
+        assert "deadline" not in job["error"]
+        assert _counter("repro_jobs_transitions_total",
+                        state=CANCELLED) == before + 1
 
     def test_constructor_validation(self):
         store = MemoryStore()
