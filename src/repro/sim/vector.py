@@ -484,6 +484,71 @@ def _first_due(events: np.ndarray, remaining: int, count: int) -> int:
     return int(positions[due]) if due < positions.shape[0] else count
 
 
+def _settle_presence(ways, ncarried, set_order, id_order, group,
+                     query_set_at, query_id_at, query_group, fallback,
+                     maybe_own):
+    """Whether each candidate reference finds its key, by fixpoint.
+
+    ``set_order`` and ``id_order`` order the references by set and by key
+    (``group``: each key-order position's key number); candidate ``c`` is
+    reference ``ncarried + c``, its lookup sees the references before
+    positions ``query_set_at[c]`` and ``query_id_at[c]`` of those orders,
+    and ``query_group[c]`` is its key.  The ``fallback`` candidates (each
+    followed by its branch's own reference) and the untaken lookups
+    ``maybe_own`` join the streams only when they find their key; every
+    other reference always does.  Returns the presence of every candidate
+    and the settled set stream: its reference order, each reference's
+    position in it, the key-ordered references and their positions, which
+    of those share a key with their predecessor, and each position's next
+    reference to the same key (``_NO_NEXT``: none).
+    """
+    refs = set_order.shape[0]
+    ref_range = np.arange(refs)
+
+    def survey(active):
+        """One pass: each candidate's presence, given which references
+        join the streams, and the streams it used."""
+        in_stream = active[set_order]
+        stream = set_order[in_stream]
+        position = np.empty(refs, dtype=np.int64)
+        position[stream] = np.arange(stream.shape[0])
+        before = np.concatenate(([0], np.cumsum(in_stream)))
+        # Stream positions in key order (-1: not in the stream).
+        in_ids = active[id_order]
+        id_stream = id_order[in_ids]
+        stream_at = np.full(refs, -1, dtype=np.int64)
+        stream_at[in_ids] = position[id_stream]
+        active_at = stream_at[in_ids]
+        active_groups = group[in_ids]
+        same = active_groups[1:] == active_groups[:-1]
+        nxt = np.full(stream.shape[0], _NO_NEXT, dtype=np.int64)
+        nxt[active_at[:-1][same]] = active_at[1:][same]
+        # Each lookup's stream position and its key's last reference.
+        tops = before[query_set_at]
+        last_in_ids = np.maximum.accumulate(np.where(in_ids, ref_range, -1))
+        last = np.where(query_id_at > 0, last_in_ids[query_id_at - 1], -1)
+        seen_before = (last >= 0) & (group[last] == query_group)
+        previous_at = stream_at[last]
+        present = seen_before & (tops - previous_at - 1 < ways)
+        unsure = np.flatnonzero(seen_before & ~present)
+        if unsure.shape[0]:
+            present[unsure] = _lru_reach(nxt, tops[unsure], previous_at[unsure],
+                                         ways) < 0
+        return present, (stream, position, id_stream, active_at, same, nxt)
+
+    conditional = ncarried + np.concatenate((fallback, maybe_own))
+    active = np.ones(refs, dtype=bool)
+    active[conditional] = False
+    while True:
+        present, streams = survey(active)
+        joins = np.concatenate((present[fallback] & ~present[fallback + 1],
+                                present[maybe_own]))
+        if np.array_equal(joins, active[conditional]):
+            return (present, *streams)
+        del present, streams
+        active[conditional] = joins
+
+
 def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
                        high_ok, fall_ok, calls, pushes, dir_ok, monitor,
                        clears):
@@ -545,6 +610,7 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     exists[1::2] = has_own
     times = np.flatnonzero(exists)
     cand_entries = paired[times]
+    del paired, exists
     owner = times >> 1
     own = (times & 1).astype(bool)
     updates = own & takens[owner]
@@ -555,6 +621,7 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
         cand_ident = cand_entries
     cand_sets = (cand_entries % slot_count) // ways
     ncand = times.shape[0]
+    del cand_entries
 
     # The ways of each referenced set, oldest first: the invalid ones,
     # then the valid entries in LRU order (``BranchTargetBuffer.update``
@@ -621,50 +688,21 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     query_set_at[1:] -= paired_fallback[1:] & (cand_sets[1:] == cand_sets[:-1])
     query_id_at = id_rank[ncarried:].copy()
     query_id_at[1:] -= paired_fallback[1:] & (cand_ident[1:] == cand_ident[:-1])
+    del set_rank, paired_fallback
 
     # Each reference's key as a group number in key order.
     ordered_keys = ref_ident[id_order]
     group = np.zeros(refs, dtype=np.int64)
     np.cumsum(ordered_keys[1:] != ordered_keys[:-1], out=group[1:])
     query_group = group[id_rank[ncarried:]]
+    del ordered_keys
 
     fallback = np.flatnonzero(~own)
-    maybe_own = np.flatnonzero(own & ~updates)
-    conditional = ncarried + np.concatenate((fallback, maybe_own))
-    active = np.ones(refs, dtype=bool)
-    active[conditional] = False
-    while True:
-        in_stream = active[set_order]
-        stream = set_order[in_stream]
-        position = np.empty(refs, dtype=np.int64)
-        position[stream] = np.arange(stream.shape[0])
-        before = np.concatenate(([0], np.cumsum(in_stream)))
-        # Stream positions in key order (-1: not in the stream).
-        in_ids = active[id_order]
-        id_stream = id_order[in_ids]
-        stream_at = np.full(refs, -1, dtype=np.int64)
-        stream_at[in_ids] = position[id_stream]
-        active_at = stream_at[in_ids]
-        active_groups = group[in_ids]
-        same = active_groups[1:] == active_groups[:-1]
-        nxt = np.full(stream.shape[0], _NO_NEXT, dtype=np.int64)
-        nxt[active_at[:-1][same]] = active_at[1:][same]
-        # Each lookup's stream position and its key's last reference.
-        tops = before[query_set_at]
-        last_in_ids = np.maximum.accumulate(np.where(in_ids, ref_range, -1))
-        last = np.where(query_id_at > 0, last_in_ids[query_id_at - 1], -1)
-        seen_before = (last >= 0) & (group[last] == query_group)
-        previous_at = stream_at[last]
-        present = seen_before & (tops - previous_at - 1 < ways)
-        unsure = np.flatnonzero(seen_before & ~present)
-        if unsure.shape[0]:
-            present[unsure] = _lru_reach(nxt, tops[unsure], previous_at[unsure],
-                                         ways) < 0
-        joins = np.concatenate((present[fallback] & ~present[fallback + 1],
-                                present[maybe_own]))
-        if np.array_equal(joins, active[conditional]):
-            break
-        active[conditional] = joins
+    present, stream, position, id_stream, active_at, same, nxt = (
+        _settle_presence(ways, ncarried, set_order, id_order, group,
+                         query_set_at, query_id_at, query_group, fallback,
+                         np.flatnonzero(own & ~updates)))
+    del set_order, group, query_set_at, query_group
 
     # ---------------------------------------------------------- flags
     own_at = np.flatnonzero(own)
@@ -675,6 +713,7 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     lookup1 = ops == _OP_LOOKUP1
     hits = np.where(indirect, own_present | fallback_present,
                     (lookup1 | unders) & own_present)
+    del fallback_present
     # The reference each hit reads its stored target from.
     source = np.full(count, -1, dtype=np.int64)
     source[owner[own_at]] = own_at
@@ -689,6 +728,7 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     target_of = np.concatenate((carried_targets, encoded[owner]))
     last_write = id_order[np.maximum.accumulate(
         np.where(writes[id_order], ref_range, 0))]
+    del writes, ref_range, id_order
 
     stored = target_of[last_write[query_id_at[hit_source] - 1]]
     btb_ok = np.zeros(count, dtype=bool)
@@ -696,11 +736,13 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     correct = np.where(ops == _OP_UPDATE1, fall_ok,
                        np.where(is_return & ~unders, rsb_ok, btb_ok))
     target_ok = correct | ~takens
+    del source, hit_source, stored, btb_ok, correct, rsb_ok, query_id_at
 
     # An install evicts when its set (in this flush epoch) already holds
     # ``ways`` distinct keys.
     installs = np.flatnonzero(updates & ~present)
     install_at = position[ncarried + installs]
+    del position
     id_first = np.ones(stream.shape[0], dtype=bool)
     id_first[active_at[1:][same]] = False
     distinct = np.concatenate(([0], np.cumsum(id_first)))
@@ -714,9 +756,10 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
         boundary[1:] |= stream_epochs[1:] != stream_epochs[:-1]
     segment_at = np.maximum.accumulate(
         np.where(boundary, np.arange(stream.shape[0]), 0))[install_at]
-    evicting = distinct[install_at] - distinct[segment_at] >= ways
+    full_set = distinct[install_at] - distinct[segment_at] >= ways
     evicts = np.zeros(count, dtype=bool)
-    evicts[owner[installs[evicting]]] = True
+    evicts[owner[installs[full_set]]] = True
+    del id_first, distinct, boundary, segment_at, full_set
     # --------------------------------------------------------- monitor
     stopped_at = -1
     done = count
@@ -770,10 +813,6 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     clock_after = btb._access_clock + np.cumsum(ticks)
     executed = int(np.searchsorted(times, 2 * done))
     in_prefix = stream < ncarried + executed
-    stamps = np.concatenate((
-        carried_ranks - VALID,
-        np.where(own, clock_after[owner],
-                 clock_after[owner] - ticks[owner] + 2)))
     # A key's residency runs from its install (or carried entry) to its
     # eviction.  An install takes its set's oldest invalid way while one is
     # left; after that it evicts, and LRU evicts residencies in the order
@@ -842,7 +881,15 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     final_entries = final_ident // period
     final_valid = final_ident % period == flushed
     final_keys = final_entries // slot_count
-    final_ranks = stamps[final_refs] + np.where(final_valid, VALID, 0)
+    # A reference's stamp: its access's clock tick (a fallback's is the
+    # second of its branch's ticks, an own reference's the last).
+    final_ranks = np.where(final_valid, VALID, 0)
+    carried_final = final_refs < ncarried
+    final_ranks[carried_final] += carried_ranks[final_refs[carried_final]] - VALID
+    made = final_refs[~carried_final] - ncarried
+    final_ranks[~carried_final] += np.where(
+        own[made], clock_after[owner[made]],
+        clock_after[owner[made]] - ticks[owner[made]] + 2)
     final_targets = target_of[last_write[id_rank[final_refs]]]
     if partial:
         keys, ranks, targets = btb._keys, btb._ranks, btb._targets

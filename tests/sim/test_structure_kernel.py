@@ -31,7 +31,7 @@ from repro.trace.branch import VIRTUAL_ADDRESS_MASK, BranchRecord, BranchType
 #: Keys per set the accesses draw from: few enough that sets overflow.
 _TAGS = 5
 
-#: A branch's mode-2 key is its ip's key moved by its history value.
+#: The branch types each structural op replays.
 _OPS = {
     vector._OP_LOOKUP1: (BranchType.CONDITIONAL, BranchType.DIRECT_JUMP,
                          BranchType.DIRECT_CALL),
