@@ -314,6 +314,11 @@ def _extend_outcomes(outcomes: list, appended, max_outcomes: int, *,
     outcomes[:] = combined[len(combined) - final_length:]
 
 
+#: A replay of fewer branches replays every span's BTB and RSB in the
+#: per-branch loop (``_CompositeEngine.per_branch``): below it the kernel's
+#: fixed costs per span exceed what the loop spends per branch.
+_KERNEL_MIN_BRANCHES = 3000
+
 #: A monitored span after a fire covers at least this many branches
 #: (``_STBPUKernel._run_monitored``).
 _MONITOR_CAP_FLOOR = 128
@@ -1575,7 +1580,7 @@ class _CompositeEngine:
         "is_ind_or_ret", "bhb_updates", "mixed", "fallthrough_ok", "high_ok",
         "base_opcode", "dir_ok", "target_ok", "btb_hit", "btb_evict",
         "rsb_under", "map_contexts", "phi_table", "cond_epochs", "epochs",
-        "spans", "prepared", "loop_branches",
+        "spans", "prepared", "loop_branches", "per_branch",
     )
 
     def __init__(self, composite, pht_maps, btb_maps, codec, stepper):
@@ -1619,6 +1624,10 @@ class _CompositeEngine:
         targets = arrays.targets
         types = arrays.types
         self.n = ips.shape[0]
+        #: Whether every span replays its BTB and RSB in the per-branch
+        #: loop (a short replay); otherwise only guarded spans under a
+        #: monitor do.
+        self.per_branch = self.n < _KERNEL_MIN_BRANCHES
         self.is_cond = types == _COND
         self.is_direct = (types == _DJ) | (types == _DC)
         self.is_indirect = (types == _IJ) | (types == _IC)
@@ -1749,15 +1758,17 @@ class _CompositeEngine:
                 ips[ind_ret_rel], bhb_at, contexts[ind_ret_rel]))
 
         # ------------------------------------------------------- participants
-        # A guarded stepper under a monitor steps in the loop: a step cannot
-        # be taken back past a fire.
-        looped = guarded and monitor is not None
-        if looped:
+        # A guarded stepper under a monitor steps in the loop (a step cannot
+        # be taken back past a fire), and so does every span of a short
+        # replay.
+        looped = self.per_branch or (guarded and monitor is not None)
+        if looped and guarded:
             # Every branch enters the loop; conditionals resolve there
             # through the step closure, which fills ``dir_ok``.
             part = slice(None)
             ops = self.base_opcode[span]
             dir_flags = [True] * length
+            conds, step = is_cond.tolist(), prediction
         else:
             if guarded:
                 prediction = np.fromiter(map(prediction, range(cond_rel.shape[0])),
@@ -1772,14 +1783,17 @@ class _CompositeEngine:
                                      np.uint8(_OP_UPDATE1))
             part = np.flatnonzero(~is_cond | predicted | takens)
             dir_flags = (~is_cond | (predicted == takens))[part]
+            conds = step = None
         columns = (ops[part], takens[part], mode1[part], mode2[part],
                    encoded[part], self.high_ok[span][part],
                    self.fallthrough_ok[span][part], self.is_call[span][part],
                    push_values[part])
         if looped:
+            if conds is None:
+                dir_flags = dir_flags.tolist()
             target_ok, hits, evicts, unders, stopped_at = self._structural_loop(
                 *(column.tolist() for column in columns), dir_flags, monitor,
-                is_cond.tolist(), prediction)
+                conds, step)
         else:
             # The participants each flush lands before (the participant
             # count when it lands after the last one).
@@ -1794,7 +1808,7 @@ class _CompositeEngine:
             # Store and commit only the executed prefix; the resumed span
             # replays the rest.
             done = stopped_at + 1
-            if looped:
+            if conds is not None:
                 executed_rel, part = done, slice(0, done)
             else:
                 executed_rel, part = int(part[stopped_at]) + 1, part[:done]
@@ -1835,11 +1849,13 @@ class _CompositeEngine:
 
     def _structural_loop(self, ops, takens, entry1, entry2, encoded, high_ok,
                          fall_ok, calls, pushes, dir_ok, monitor, conds, step):
-        """Replay a guarded span under a monitor one branch at a time.
+        """Replay a span's participants one branch at a time.
 
-        Each conditional (``conds``) is stepped where it falls, so a fire
-        stops the stepper too; the BTB and RSB are replayed on their own
-        lists in place.  Returns the flags :func:`_replay_structures`
+        With ``conds`` set (a guarded stepper), every branch participates
+        and each conditional is stepped where it falls, so a fire stops the
+        stepper too; otherwise ``dir_ok`` holds the direction verdicts.
+        The BTB and RSB are replayed on their own lists in place, and the
+        span has no flush.  Returns the flags :func:`_replay_structures`
         returns.
         """
         btb = self.btb
@@ -1864,27 +1880,29 @@ class _CompositeEngine:
         stopped_at = -1
         ordinal = 0
 
-        # The loop works on local copies of the monitor's thresholds and
-        # counters (attribute reads cost per access) and writes the
-        # counters back on exit.
-        config = monitor.config
-        counters = monitor.counters
-        mis_threshold = config.misprediction_threshold
-        ev_threshold = config.eviction_threshold
-        has_direction = config.direction_misprediction_threshold is not None
-        dir_threshold = (config.direction_misprediction_threshold
-                         if has_direction else mis_threshold)
-        mis_remaining = counters.mispredictions_remaining
-        ev_remaining = counters.evictions_remaining
-        dir_remaining = counters.direction_remaining
-        observed_mis = monitor.observed_mispredictions
-        observed_ev = monitor.observed_evictions
-        fired_count = monitor.fired_count
+        watching = monitor is not None
+        if watching:
+            # The loop works on local copies of the monitor's thresholds
+            # and counters (attribute reads cost per access) and writes the
+            # counters back on exit.
+            config = monitor.config
+            counters = monitor.counters
+            mis_threshold = config.misprediction_threshold
+            ev_threshold = config.eviction_threshold
+            has_direction = config.direction_misprediction_threshold is not None
+            dir_threshold = (config.direction_misprediction_threshold
+                             if has_direction else mis_threshold)
+            mis_remaining = counters.mispredictions_remaining
+            ev_remaining = counters.evictions_remaining
+            dir_remaining = counters.direction_remaining
+            observed_mis = monitor.observed_mispredictions
+            observed_ev = monitor.observed_evictions
+            fired_count = monitor.fired_count
 
         for j in range(count):
             taken = takens[j]
-            if conds[j]:
-                # Resolve the direction prediction in place.
+            if conds is not None and conds[j]:
+                # Guarded stepper: resolve the direction prediction in place.
                 predicted = step(ordinal)
                 ordinal += 1
                 dir_ok[j] = predicted == taken
@@ -1976,42 +1994,44 @@ class _CompositeEngine:
                     overflows += 1
                 rsb.append(pushes[j])
 
-            mispredicted = not (dir_ok[j] and (correct or not taken))
-            if mispredicted or evicted:
-                fire = False
-                if evicted:
-                    observed_ev += 1
-                    ev_remaining -= 1
-                    if ev_remaining <= 0:
-                        fire = True
-                if mispredicted:
-                    observed_mis += 1
-                    if has_direction and not dir_ok[j]:
-                        dir_remaining -= 1
-                        if dir_remaining <= 0:
+            if watching:
+                mispredicted = not (dir_ok[j] and (correct or not taken))
+                if mispredicted or evicted:
+                    fire = False
+                    if evicted:
+                        observed_ev += 1
+                        ev_remaining -= 1
+                        if ev_remaining <= 0:
                             fire = True
-                    else:
-                        mis_remaining -= 1
-                        if mis_remaining <= 0:
-                            fire = True
-                if fire:
-                    fired_count += 1
-                    mis_remaining = mis_threshold
-                    ev_remaining = ev_threshold
-                    dir_remaining = dir_threshold
-                    stopped_at = j
-                    break
+                    if mispredicted:
+                        observed_mis += 1
+                        if has_direction and not dir_ok[j]:
+                            dir_remaining -= 1
+                            if dir_remaining <= 0:
+                                fire = True
+                        else:
+                            mis_remaining -= 1
+                            if mis_remaining <= 0:
+                                fire = True
+                    if fire:
+                        fired_count += 1
+                        mis_remaining = mis_threshold
+                        ev_remaining = ev_threshold
+                        dir_remaining = dir_threshold
+                        stopped_at = j
+                        break
 
         btb._access_clock = clock
         btb.eviction_count = evictions
         self.rsb.overflow_count = overflows
         self.rsb.underflow_count = underflows
-        counters.mispredictions_remaining = mis_remaining
-        counters.evictions_remaining = ev_remaining
-        counters.direction_remaining = dir_remaining
-        monitor.observed_mispredictions = observed_mis
-        monitor.observed_evictions = observed_ev
-        monitor.fired_count = fired_count
+        if watching:
+            counters.mispredictions_remaining = mis_remaining
+            counters.evictions_remaining = ev_remaining
+            counters.direction_remaining = dir_remaining
+            monitor.observed_mispredictions = observed_mis
+            monitor.observed_evictions = observed_ev
+            monitor.fired_count = fired_count
         return target_ok, hits, evicts, unders, stopped_at
 
 
@@ -2129,8 +2149,9 @@ class _FlushingKernel(_KernelBase):
     ``_current_context``.  An SKL composite then replays the whole trace in
     one span whose flushes are in-span epochs
     (:meth:`_CompositeEngine.run_span`); a guarded stepper cannot see a reset
-    inside a span, so its spans end at each flush, and the composite is
-    flushed in between, as the reference hooks flush it.
+    inside a span, nor can the per-branch loop of a short replay, so their
+    spans end at each flush, and the composite is flushed in between, as
+    the reference hooks flush it.
     """
 
     __slots__ = ()
@@ -2158,7 +2179,7 @@ class _FlushingKernel(_KernelBase):
         # Back-to-back flushes leave the same state as one.
         points = sorted(set(flushes))
         n = engine.n
-        if n and not engine.stepper.guarded:
+        if n and not engine.stepper.guarded and not engine.per_branch:
             engine.run_span(0, n, flushes=points)
             return
         position = 0

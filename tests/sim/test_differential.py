@@ -9,15 +9,17 @@ conservative SKL composites, TAGE and Perceptron composites bare and under
 flushing protection, a TAGE with 16- and 32-entry tables whose allocations
 collide, and the three STBPU factories — under random warm-ups
 (negative ones included), monitor thresholds, token-sharing groups,
-guarded-stepper span caps and floors of the adaptive cap that monitored
-spans take after a fire, on a small BTB of drawn geometry (2, 4 or 16
+guarded-stepper span caps, floors of the adaptive cap that monitored
+spans take after a fire and replay lengths below which the per-branch loop
+replays the BTB and RSB (so both that loop and the array kernel run), on a
+small BTB of drawn geometry (2, 4 or 16
 sets of 1–3 ways) so evictions feed the monitors, then replays a second
 trace through the same models, so each kernel also adopts a populated BTB,
 BTB index and PHTs.
 Another co-runs trace pairs through the STBPU factories under random
 scheduling quanta, warm-ups, monitor thresholds (with and without the
-direction register), token-sharing groups and cap floors, on structure
-sizes drawn the same way (and an RSB of 1–4 entries, a PHT of 1000 or 1024).  Both backends must agree on
+direction register), token-sharing groups, cap floors and loop
+crossovers, on structure sizes drawn the same way (and an RSB of 1–4 entries, a PHT of 1000 or 1024).  Both backends must agree on
 the stats and protection stats and on the complete post-replay state:
 predictor tables, BTB, RSB and its overflow and underflow counts, histories
 and the token machinery.  A third property pins the columnar SMT merge to
@@ -120,6 +122,12 @@ _GROUPS = st.one_of(
                                              for context in members}))
 
 
+#: ``_KERNEL_MIN_BRANCHES`` values: the random traces are far shorter than
+#: the shipped one, so 0 sends them through the array kernel and the
+#: largest through the per-branch loop.
+_KERNEL_MINIMA = st.sampled_from([0, 120, 1 << 30])
+
+
 def _direction_state(direction):
     if isinstance(direction, TAGEPredictor):
         return _tage_state(direction)
@@ -210,11 +218,12 @@ def _diverged(replay):
        monitors=st.fixed_dictionaries({name: _monitors() for name in FACTORIES}),
        groups=st.fixed_dictionaries({name: _GROUPS for name in FACTORIES}),
        seed=st.integers(0, 7), span_limit=st.integers(1, 64),
-       cap_floor=st.integers(1, 64),
+       cap_floor=st.integers(1, 64), kernel_min=_KERNEL_MINIMA,
        btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3))
 def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
                                               groups, seed, span_limit,
-                                              cap_floor, btb_sets, btb_ways):
+                                              cap_floor, kernel_min, btb_sets,
+                                              btb_ways):
     # A BTB small enough for the random traces to evict, and small PHTs.  A
     # 1-set BTB is not drawn: its mapping would fold to 0 index bits, which
     # ``fold_bits`` refuses.
@@ -233,7 +242,8 @@ def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
         return parts
 
     with mock.patch.object(vector, "_STEPPER_SPAN_LIMIT", span_limit), \
-            mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor):
+            mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor), \
+            mock.patch.object(vector, "_KERNEL_MIN_BRANCHES", kernel_min):
         assert _diverged(replay) == []
 
 
@@ -253,14 +263,14 @@ def _shifted(trace, offset):
        quantum=st.integers(1, 40), warmup=st.integers(-3, 30),
        monitor=_monitors(), groups=_GROUPS,
        model_name=st.sampled_from(sorted(FACTORIES)), seed=st.integers(0, 7),
-       cap_floor=st.integers(1, 64),
+       cap_floor=st.integers(1, 64), kernel_min=_KERNEL_MINIMA,
        btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3),
        rsb_entries=st.integers(1, 4),
        pht_entries=st.sampled_from([1000, 1024]))
 def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
                                            monitor, groups, model_name, seed,
-                                           cap_floor, btb_sets, btb_ways,
-                                           rsb_entries, pht_entries):
+                                           cap_floor, kernel_min, btb_sets,
+                                           btb_ways, rsb_entries, pht_entries):
     # Sizes drawn as in the single-trace property, so co-runs evict,
     # overflow and underflow too.
     sizes = StructureSizes(btb_sets=btb_sets, btb_ways=btb_ways,
@@ -275,7 +285,8 @@ def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
                                thread_offset=THREAD_OFFSET)
         return _snapshot(model, result.thread_stats)
 
-    with mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor):
+    with mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor), \
+            mock.patch.object(vector, "_KERNEL_MIN_BRANCHES", kernel_min):
         assert _diverged(replay) == []
 
 

@@ -629,6 +629,30 @@ class TestReplayWork:
         assert deltas == {"spans": 36, "branches": 4_006,
                           "prepared_branches": 11_591, "loop_branches": 0}
 
+    @pytest.mark.parametrize("short", [True, False])
+    def test_replays_below_the_kernel_minimum_use_the_loop(self, short):
+        # Both sides of the crossover: one branch short of
+        # _KERNEL_MIN_BRANCHES every span replays in the per-branch loop, at
+        # it in the array kernel, with the reference loop's stats either way.
+        from repro.engine import trace_for
+
+        branches = [item for item in trace_for("apache2_prefork_c128", 4_000, 7)
+                    if isinstance(item, BranchRecord)]
+        length = vector._KERNEL_MIN_BRANCHES - (1 if short else 0)
+        trace = Trace(items=branches[:length], name="crossover")
+        stats = {}
+        for backend in BACKENDS:
+            with fastpath.forced_backend(backend):
+                before = _replay_total("loop_branches", "ST_SKLCond", "trace")
+                model = make_stbpu_skl(seed=5)
+                stats[backend] = (
+                    TraceSimulator(warmup_branches=100).run(model, trace).stats,
+                    _composite_state(model.inner))
+                looped = _replay_total("loop_branches", "ST_SKLCond",
+                                       "trace") - before
+        assert looped == (length if short else 0)
+        assert stats["reference"] == stats["vector"]
+
     def test_watched_tage_spans_replay_in_the_loop(self):
         # A guarded stepper under a monitor steps branch by branch, fire or
         # not: every branch goes through the loop.
