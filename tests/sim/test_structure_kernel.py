@@ -14,8 +14,6 @@ entries), flush epochs, monitor stops at any position, untaken lookups,
 indirect fallbacks and untaken unconditional records.
 """
 
-import dataclasses
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,7 +231,7 @@ def test_kernel_matches_structures_called_in_order(case):
 
 
 def test_kernel_replays_an_empty_span_and_a_trailing_flush():
-    sizes = dataclasses.replace(StructureSizes(), btb_sets=2, btb_ways=2)
+    sizes = StructureSizes(btb_sets=2, btb_ways=2)
     btb, rsb = _structures(sizes, [
         (vector._OP_LOOKUP1, BranchType.DIRECT_CALL, 1, 0, True, 0x100, True),
     ], -1)
