@@ -5,7 +5,7 @@ dispatch.  This backend replays whole event-free branch runs ("epochs") with
 array kernels instead, exploiting one structural property of the composite
 predictor: *training is driven entirely by resolved trace data* (taken bits,
 branch types, addresses), never by the predictions themselves.  That makes
-every piece of predictor state except the BTB/RSB precomputable:
+the predictor's state precomputable a span at a time:
 
 * GHR / BHB histories are shift registers of trace-only data — both are
   computed for every branch at once with sliding-window shift/XOR kernels
@@ -18,12 +18,20 @@ every piece of predictor state except the BTB/RSB precomputable:
   lookup table).  The accesses are ordered by index with 16-bit radix
   passes, the scan runs only the passes its longest same-index run needs,
   and commit scatters into the tables' own byte buffers;
-* the BTB (LRU, set-associative) and RSB (bounded stack) remain genuinely
-  sequential, but replay as a slim Python loop over pre-computed integer
-  keys, touching only the branches that actually access them.  The loop
-  works on the :class:`~repro.bpu.btb.BranchTargetBuffer`'s own slot lists
-  and key → slot dict in place: a probe is one dict ``get``, and an install
-  takes the set's first lowest LRU rank.
+* the BTB (set-associative, LRU) replays from reuse distances
+  (:func:`_replay_structures`).  LRU has the stack property (Mattson et al.,
+  "Evaluation techniques for storage hierarchies", IBM Syst. J. 1970): an
+  access finds its key iff fewer than ``ways`` distinct keys of its set
+  were referenced since the key's own last reference.  So each set's
+  references — its valid entries in LRU order, then every update and every
+  lookup that finds its key — form a sorted stream, and hits, evictions (a
+  set's count of distinct keys) and stored targets (each key's last write)
+  are array kernels over it.  Lookups that touch an entry only when it is
+  present (untaken lookups, an indirect branch's mode-1 fallback) settle by
+  a fixpoint.  The RSB (a bounded stack) replays in one pass over the
+  span's calls and returns.  The kernel then rebuilds the committed state —
+  the BTB's slot lists, key → slot dict, access clock and eviction count,
+  the RSB's stack and counters — for the executed prefix.
 
 OS events do not end spans.  Each kernel walks a trace's events once in
 Python and replays all of its branches, so event semantics become span data:
@@ -32,8 +40,9 @@ Python and replays all of its branches, so event semantics become span data:
   an SKL span starts a new *epoch*: counter-scan keys are offset per epoch
   and later epochs start from the flushed counter value, each history window
   keeps only the bits pushed since its epoch began (for the GF(2)-linear BHB
-  the carried state is XORed back out), the structural loop clears the BTB
-  and RSB where a flush lands, and commit keeps only the last epoch;
+  the carried state is XORed back out), the BTB kernel keys each epoch's
+  references apart and the RSB pass clears the stack where a flush lands,
+  and commit keeps only the last epoch;
 * an STBPU token swap (a context or mode change, an OS event, an SMT co-run's
   every scheduling quantum) is per-branch data: the kernel gathers each
   branch's ψ and ϕ from a per-context token table, and counts the token loads
@@ -45,8 +54,11 @@ from the generator re-randomizations also draw from), at an STBPU
 re-randomization fired by the monitoring counters — the span ends *at the
 firing access*, scans commit only the executed prefix (the scan composition
 is pure until committed) and replay resumes under the fresh token — and, for
-the guarded steppers below, at every flush.  The parity tests pin all of this
-to byte-identical results against the per-item reference loop.
+the guarded steppers below, at every flush.  A fire discards the prepared
+rest of its span, so monitored spans adapt their length: after a fire the
+next span covers ``max(_MONITOR_CAP_FLOOR, 2 × executed)`` branches, and a
+span that runs to its cap doubles it.  The parity tests pin all of this to
+byte-identical results against the per-item reference loop.
 
 Every direction component replays through a *span stepper*
 (``STEPPER_PROTOCOL``), so one span routine serves all three.  The SKL
@@ -65,15 +77,24 @@ from a weight snapshot under a "no row retrained since the snapshot" guard,
 and on a guard failure (aliasing conflict / saturation already applied)
 commits the executed prefix and re-specializes the rest of the block from
 live weights — the same commit/resume shape a span uses for a
-re-randomization fired inside it.
+re-randomization fired inside it.  A step reads no BTB or RSB state, so a
+guarded span steps all its conditionals first and then replays its
+structures in the kernel — except under a monitor: a step cannot be taken
+back past a re-randomization, so those spans replay one branch at a time
+in :meth:`_CompositeEngine._structural_loop`, stepping each conditional
+where it falls.  A replay shorter than ``_KERNEL_MIN_BRANCHES`` branches
+replays every span in that loop too: the kernel's fixed costs per span
+would outweigh it.
 
-Nothing is copied in or out of a replay.  Every stepper replays its
-predictor's own tables in place — the SKL PHTs' ``bytearray`` counters, the
-TAGE columns, the perceptron's int64 weight array, wrapped as zero-copy
-arrays where a kernel reads them whole — and the engine replays the BTB,
-RSB and history registers on the composite's own objects.  So a flush
-between guarded spans is the composite's own ``flush_predictor_state``, the
-call the reference hooks make.
+No replay keeps a copy of predictor state between spans.  Every stepper
+replays its predictor's own tables in place — the SKL PHTs' ``bytearray``
+counters, the TAGE columns, the perceptron's int64 weight array, wrapped as
+zero-copy arrays where a kernel reads them whole — and the engine replays
+the BTB, RSB and history registers on the composite's own objects: the BTB
+kernel reads a span's sets from the BTB's lists and writes the executed
+prefix's state back into the same lists.  So a flush between guarded spans
+is the composite's own ``flush_predictor_state``, the call the reference
+hooks make.
 
 Models opt in via ``vector_kernel()``, and a kernel accepts every trace:
 single traces and SMT co-runs alike.  A model with no kernel replays through
@@ -1563,14 +1584,16 @@ class _PerceptronStepper:
 class _CompositeEngine:
     """Vector replay engine over one :class:`~repro.bpu.composite.CompositeBPU`.
 
-    Every structure is replayed in place on the composite's own objects: the
-    BTB's slot lists and index, the RSB stack and its overflow and underflow
+    Every structure is replayed on the composite's own objects: the BTB's
+    slot lists and index, the RSB stack and its overflow and underflow
     counts, the history registers, and the direction predictor's tables (the
-    stepper wraps its buffers as arrays).  Nothing is copied in or written
-    back; within one :meth:`run_span` call the structural loop works on
-    locals and stores them on exit, and :meth:`flush` is the composite's own
-    flush.  Wrapper kernels (flushing, conservative, STBPU) drive the span
-    schedule and event semantics.
+    stepper wraps its buffers as arrays).  Each :meth:`run_span` call leaves
+    them as the reference loop would after its executed prefix:
+    :func:`_replay_structures` rebuilds the BTB and RSB state from its
+    arrays, and :meth:`_structural_loop` (guarded spans under a monitor)
+    mutates them in place.  :meth:`flush` is the composite's own flush.
+    Wrapper kernels (flushing, conservative, STBPU) drive the span schedule
+    and event semantics.
     """
 
     __slots__ = (
