@@ -1716,7 +1716,8 @@ class _CompositeEngine:
         structures replay (a step reads no BTB or RSB state), except under
         a monitor: a step cannot be taken back past a re-randomization, so
         those spans replay in :meth:`_structural_loop`, one branch at a
-        time, stepping each conditional where it falls.
+        time, stepping each conditional where it falls.  Every span of a
+        short replay (``per_branch``) replays there too.
 
         ``flushes`` (sorted positions in ``[lo, hi]``, each flushing the
         predictor before that branch) split an unguarded stepper's span into
@@ -1728,7 +1729,6 @@ class _CompositeEngine:
         guarded = stepper.guarded
         if guarded:
             hi = min(hi, lo + _STEPPER_SPAN_LIMIT)
-        looped = guarded and monitor is not None
         arrays = self.arrays
         span = slice(lo, hi)
         length = hi - lo
