@@ -337,7 +337,9 @@ def _extend_outcomes(outcomes: list, appended, max_outcomes: int, *,
 
 #: A replay of fewer branches replays every span's BTB and RSB in the
 #: per-branch loop (``_CompositeEngine.per_branch``): below it the kernel's
-#: fixed costs per span exceed what the loop spends per branch.
+#: fixed costs per span exceed what the loop spends per branch.  Measured on
+#: SKL replays and on unmonitored TAGE and Perceptron replays alike (see
+#: EXPERIMENTS.md).
 _KERNEL_MIN_BRANCHES = 3000
 
 #: A monitored span after a fire covers at least this many branches
@@ -656,15 +658,8 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     referenced[cand_sets] = True
     touched = np.flatnonzero(referenced)
     rows = touched.shape[0]
-    set_slots = (touched[:, None] * ways + np.arange(ways)).ravel()
-    # A span touching few sets reads (and writes) only their ways.
-    partial = 2 * set_slots.shape[0] < slot_count and not epochs
-    if partial:
-        slot_ranks = np.array([btb._ranks[slot] for slot in set_slots.tolist()],
-                              dtype=np.int64).reshape(rows, ways)
-    else:
-        all_ranks = np.array(btb._ranks, dtype=np.int64)
-        slot_ranks = all_ranks[set_slots].reshape(rows, ways)
+    all_ranks = np.array(btb._ranks, dtype=np.int64)
+    slot_ranks = all_ranks.reshape(-1, ways)[touched]
     way_order = np.argsort(slot_ranks, axis=1, kind="stable")
     set_ways = touched[:, None] * ways + way_order
     way_ranks = np.take_along_axis(slot_ranks, way_order, axis=1)
@@ -674,17 +669,10 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
     carried_slots = set_ways[way_valid]
     carried_ranks = way_ranks[way_valid]
     ncarried = carried_slots.shape[0]
-    if partial:
-        valid_list = carried_slots.tolist()
-        carried_keys = np.array([btb._keys[slot] for slot in valid_list],
-                                dtype=np.int64)
-        carried_targets = np.array([btb._targets[slot] for slot in valid_list],
-                                   dtype=np.int64)
-    else:
-        all_keys = np.array(btb._keys, dtype=np.int64)
-        all_targets = np.array(btb._targets, dtype=np.int64)
-        carried_keys = all_keys[carried_slots]
-        carried_targets = all_targets[carried_slots]
+    all_keys = np.array(btb._keys, dtype=np.int64)
+    all_targets = np.array(btb._targets, dtype=np.int64)
+    carried_keys = all_keys[carried_slots]
+    carried_targets = all_targets[carried_slots]
     carried_entries = (carried_keys * slot_count
                        + carried_slots - carried_slots % ways)
 
@@ -917,23 +905,14 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
         own[made], clock_after[owner[made]],
         clock_after[owner[made]] - ticks[owner[made]] + 2)
     final_targets = target_of[last_write[id_rank[final_refs]]]
-    if partial:
-        keys, ranks, targets = btb._keys, btb._ranks, btb._targets
-        for slot, key, rank, target in zip(
-                final_slots.tolist(), final_keys.tolist(),
-                final_ranks.tolist(), final_targets.tolist()):
-            keys[slot] = key
-            ranks[slot] = rank
-            targets[slot] = target
-    else:
-        if flushed:
-            all_ranks[all_ranks >= VALID] -= VALID
-        all_keys[final_slots] = final_keys
-        all_ranks[final_slots] = final_ranks
-        all_targets[final_slots] = final_targets
-        btb._keys[:] = all_keys.tolist()
-        btb._ranks[:] = all_ranks.tolist()
-        btb._targets[:] = all_targets.tolist()
+    if flushed:
+        all_ranks[all_ranks >= VALID] -= VALID
+    all_keys[final_slots] = final_keys
+    all_ranks[final_slots] = final_ranks
+    all_targets[final_slots] = final_targets
+    btb._keys[:] = all_keys.tolist()
+    btb._ranks[:] = all_ranks.tolist()
+    btb._targets[:] = all_targets.tolist()
     index = btb._slots
     if flushed:
         index.clear()
@@ -1722,11 +1701,20 @@ class _CompositeEngine:
         ``flushes`` (sorted positions in ``[lo, hi]``, each flushing the
         predictor before that branch) split an unguarded stepper's span into
         epochs, applied in closed form; a span never carries both flushes
-        and a monitor.
+        and a monitor, and a span bound for the loop with flushes raises
+        ``ValueError``.
         """
-        self.spans += 1
         stepper = self.stepper
         guarded = stepper.guarded
+        # A guarded stepper under a monitor steps in the loop (a step cannot
+        # be taken back past a fire), and so does every span of a short
+        # replay.  The loop replays no flush: callers split those spans at
+        # their flushes.
+        looped = self.per_branch or (guarded and monitor is not None)
+        if looped and flushes:
+            raise ValueError("the per-branch loop cannot replay a span "
+                             "with flushes")
+        self.spans += 1
         if guarded:
             hi = min(hi, lo + _STEPPER_SPAN_LIMIT)
         arrays = self.arrays
@@ -1781,10 +1769,6 @@ class _CompositeEngine:
                 ips[ind_ret_rel], bhb_at, contexts[ind_ret_rel]))
 
         # ------------------------------------------------------- participants
-        # A guarded stepper under a monitor steps in the loop (a step cannot
-        # be taken back past a fire), and so does every span of a short
-        # replay.
-        looped = self.per_branch or (guarded and monitor is not None)
         if looped and guarded:
             # Every branch enters the loop; conditionals resolve there
             # through the step closure, which fills ``dir_ok``.
