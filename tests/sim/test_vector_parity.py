@@ -71,16 +71,37 @@ def _family_jobs():
     return jobs
 
 
+#: The vector backend's two BTB/RSB paths: at the shipped crossover a
+#: replay shorter than ``_KERNEL_MIN_BRANCHES`` replays every span in the
+#: per-branch loop, and at 0 every span replays in the array kernel.
+KERNEL_MINIMA = (vector._KERNEL_MIN_BRANCHES, 0)
+
+
+def _across_backends(run):
+    """``run()`` under the reference backend, then under the vector backend
+    once per ``KERNEL_MINIMA`` entry: ``(reference, [vector, ...])``."""
+    with fastpath.forced_backend("reference"):
+        reference = run()
+    replays = []
+    for minimum in KERNEL_MINIMA:
+        with fastpath.forced_backend("vector"), mock.patch.object(
+                vector, "_KERNEL_MIN_BRANCHES", minimum):
+            replays.append(run())
+    return reference, replays
+
+
 class TestThreeWayParity:
     """Reference-vs-vector frame and state parity.  The class name predates
-    the removal of a third backend and is kept so test ids stay stable."""
+    the removal of a third backend and is kept so test ids stay stable.
+
+    Replays shorter than ``_KERNEL_MIN_BRANCHES`` (the grid's 2,000-branch
+    trace and cpu cells among them) run on the vector backend at both
+    ``KERNEL_MINIMA``, so the same traces pin the loop and the kernel."""
 
     def test_family_grid_json_identical_across_backends(self):
-        frames = {}
-        for backend in BACKENDS:
-            with fastpath.forced_backend(backend):
-                frames[backend] = EngineRunner().run_jobs(_family_jobs())
-        assert frames["vector"].to_json() == frames["reference"].to_json()
+        reference, replays = _across_backends(
+            lambda: EngineRunner().run_jobs(_family_jobs()).to_json())
+        assert replays == [reference] * len(KERNEL_MINIMA)
 
     def test_rerandomization_heavy_replay_matches_scalar_state(self):
         """Mid-chunk monitor firings must leave *identical model state*, not
@@ -123,13 +144,10 @@ class TestThreeWayParity:
 
         trace = trace_for("505.mcf", 2_000, 7)
         sizes = StructureSizes(pht_entries=12_000)
-        stats = {}
-        for backend in BACKENDS:
-            with fastpath.forced_backend(backend):
-                model = make_unprotected_baseline(sizes)
-                stats[backend] = TraceSimulator(warmup_branches=100).run(
-                    model, trace).stats
-        assert stats["reference"] == stats["vector"]
+        reference, replays = _across_backends(
+            lambda: TraceSimulator(warmup_branches=100).run(
+                make_unprotected_baseline(sizes), trace).stats)
+        assert replays == [reference] * len(KERNEL_MINIMA)
 
     @pytest.mark.parametrize("warmup", [0, 3, 7, 50])
     def test_warmup_boundaries(self, warmup):
@@ -138,13 +156,10 @@ class TestThreeWayParity:
             trace.append(BranchRecord(
                 ip=0x4000 + index * 64, target=0x9000 + (index % 5) * 256,
                 taken=index % 3 != 0, branch_type=BranchType.CONDITIONAL))
-        stats = {}
-        for backend in BACKENDS:
-            with fastpath.forced_backend(backend):
-                model = make_unprotected_baseline()
-                stats[backend] = TraceSimulator(warmup_branches=warmup).run(
-                    model, trace).stats
-        assert stats["reference"] == stats["vector"], f"warmup={warmup}"
+        reference, replays = _across_backends(
+            lambda: TraceSimulator(warmup_branches=warmup).run(
+                make_unprotected_baseline(), trace).stats)
+        assert replays == [reference] * len(KERNEL_MINIMA), f"warmup={warmup}"
 
     def test_negative_smt_warmup_records_every_branch(self):
         # The reference co-run loop records a thread's branch once its count
@@ -652,6 +667,18 @@ class TestReplayWork:
                                        "trace") - before
         assert looped == (length if short else 0)
         assert stats["reference"] == stats["vector"]
+
+    def test_the_loop_refuses_a_span_with_flushes(self):
+        # The per-branch loop replays no flush; a short replay's span that
+        # carries one is refused rather than replayed without it.
+        from repro.engine import trace_for
+
+        engine = vector.kernel_for(make_unprotected_baseline()).engine
+        engine.begin(trace_for("505.mcf", 600, 7).columns().arrays())
+        assert engine.per_branch
+        with pytest.raises(ValueError, match="flushes"):
+            engine.run_span(0, engine.n, flushes=[100])
+        engine.finish()
 
     def test_watched_tage_spans_replay_in_the_loop(self):
         # A guarded stepper under a monitor steps branch by branch, fire or
