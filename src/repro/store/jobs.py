@@ -530,7 +530,10 @@ class JobManager:
             handle.fingerprint = None
             handle.abandoned_at = None
             elapsed = time.monotonic() - (job.deadline - job.timeout)
-            if job.state == RUNNING:
+            # A job the watchdog already timed out keeps its verdict, and
+            # its transition was counted and remembered then.
+            moved = job.state == RUNNING
+            if moved:
                 if status == DONE:
                     job.state = DONE
                     job.error = None
@@ -551,10 +554,11 @@ class JobManager:
                 # Late completion after a watchdog timeout: the verdict
                 # stands, but the envelope is real — keep it reachable.
                 job.envelope, job.trace = value
-            if job.state in TERMINAL_STATES:
-                self._remember_terminal(job)
+            if moved:
+                if job.state in TERMINAL_STATES:
+                    self._remember_terminal(job)
+                _count_transition(job)
             job.version += 1
-            _count_transition(job)
             self._lock.notify_all()
             obs_metrics.observe("repro_jobs_seconds", elapsed,
                                 state=job.state)

@@ -365,6 +365,38 @@ class TestWatchdog:
         finally:
             manager.close()
 
+    def test_timeout_is_counted_once_when_the_worker_returns(self):
+        # The watchdog counts and remembers the timeout; the abandoned
+        # worker's late return must not count or remember it again.
+        before = _counter("repro_jobs_transitions_total", state=TIMEOUT)
+        manager = _manager(workers=1, injector=_wedge_injector(),
+                           job_timeout=0.3)
+        real = manager._run_job
+
+        def after_the_watchdog(job):
+            # The wedge also polls the deadline itself; hold the attempt
+            # until the watchdog has timed it out, so the watchdog always
+            # moves the job first.
+            job.abort.wait(timeout=10)
+            return real(job)
+
+        manager._run_job = after_the_watchdog
+        try:
+            payload, _ = manager.submit(_scenario("wedge-count"))
+            fingerprint = payload["fingerprint"]
+            assert manager.wait(fingerprint, timeout=30)["state"] == TIMEOUT
+            deadline = time.monotonic() + 10
+            while any(handle.fingerprint == fingerprint
+                      for handle in manager._handles):
+                assert time.monotonic() < deadline, "worker never returned"
+                time.sleep(0.01)
+            assert _counter("repro_jobs_transitions_total",
+                            state=TIMEOUT) == before + 1
+            assert list(manager._terminal).count(fingerprint) == 1
+            assert manager.get(fingerprint)["state"] == TIMEOUT
+        finally:
+            manager.close()
+
     def test_wait_timeout_returns_live_payload(self):
         manager = _manager(workers=1, injector=_wedge_injector(),
                            job_timeout=60)
