@@ -1446,27 +1446,140 @@ class _TAGEStepper:
         return step
 
 
-class _PerceptronStepper:
-    """Span-stepping replay of a :class:`~repro.bpu.perceptron.PerceptronPredictor`.
+#: A perceptron span replays in row rounds while at least this many rows
+#: are active (:func:`_perceptron_replay`); below it each remaining row
+#: walks its accesses in order.  Measured on figure5-smt's co-runs (see
+#: EXPERIMENTS.md).
+_ROUND_MIN_ROWS = 8
 
-    The weights are replayed in place through a zero-copy 2-D view of the
-    predictor's int64 array.  Dot products are batched per block from a
-    weight-table gather over the sliding ±1 history window; the
-    per-conditional step runs under the guard "no weight row in this block
-    was retrained since the gather".
-    Training a row (which also applies saturation or an aliasing write)
-    fails the guard for that row's later accesses — those abort to a live
-    dot product while the rest of the block's speculative totals, whose
-    rows are untouched, stay committed and resume exactly.
+#: Accesses a row walk predicts ahead from its current weights; the window
+#: doubles while none of them trains.
+_WALK_AHEAD = 16
+
+
+def _perceptron_layout(keys: np.ndarray):
+    """Round order of a perceptron span's accesses.
+
+    Round ``k`` holds every key's ``k``-th access, so its keys are
+    distinct.  Keys take slots in order of their access count, most first,
+    so round ``k``'s keys are slots ``0 .. m_k - 1`` and its accesses sit at
+    positions ``bounds[k] + slot``.  Returns ``(ordinals, bounds,
+    slot_keys)``: the access ordinal at each position, the rounds' start
+    positions (and the end) and each slot's key.
+    """
+    count = keys.shape[0]
+    order = _stable_order(keys)
+    sorted_keys = keys[order]
+    first = np.empty(count, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    rank = np.arange(count) - starts[group]
+    by_count = np.argsort(-np.diff(np.append(starts, count)), kind="stable")
+    slots = np.empty(by_count.shape[0], dtype=np.int64)
+    slots[by_count] = np.arange(by_count.shape[0])
+    bounds = np.zeros(int(rank.max()) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(rank), out=bounds[1:])
+    ordinals = np.empty(count, dtype=np.int64)
+    ordinals[bounds[rank] + slots[group]] = order
+    return ordinals, bounds, sorted_keys[starts][by_count]
+
+
+def _walk_row(weights: np.ndarray, inputs: np.ndarray, threshold: int,
+              limit: int) -> np.ndarray:
+    """Margins of one row's accesses in order, training ``weights`` in place.
+
+    The margins of the next accesses come from the current weights in one
+    product; the first access that trains updates the row, and the walk
+    resumes after it from the new weights.
+    """
+    count = inputs.shape[0]
+    margins = np.empty(count, dtype=np.int64)
+    position = 0
+    ahead = _WALK_AHEAD
+    while position < count:
+        stop = min(count, position + ahead)
+        margin = inputs[position:stop] @ weights
+        trains = np.flatnonzero(margin <= threshold)
+        if not trains.shape[0]:
+            margins[position:stop] = margin
+            position = stop
+            ahead *= 2
+            continue
+        done = position + int(trains[0]) + 1
+        margins[position:done] = margin[:done - position]
+        weights += inputs[done - 1]
+        np.minimum(weights, limit, out=weights)
+        np.maximum(weights, -limit - 1, out=weights)
+        position = done
+        ahead = _WALK_AHEAD
+    return margins
+
+
+def _perceptron_replay(work: np.ndarray, inputs: np.ndarray,
+                       bounds: np.ndarray, threshold: int, limit: int,
+                       ) -> np.ndarray:
+    """Replay a span's perceptron accesses on the working rows ``work``.
+
+    ``inputs`` holds each access's ±1 inputs (the bias input first) times
+    its ±1 outcome, in the round order of :func:`_perceptron_layout`, so an
+    access's margin — its dot product times its outcome — is one product,
+    it trains exactly when the margin is at most ``threshold`` (a
+    misprediction or a dot product within ±``threshold``), and training adds
+    its inputs to its row, clamped to ``[-limit - 1, limit]``.  Round ``k``
+    replays every active row's ``k``-th access at once; once fewer than
+    ``_ROUND_MIN_ROWS`` rows are active, each remaining row walks its
+    accesses in order (:func:`_walk_row`).  Returns the margins.
+    """
+    margins = np.empty(inputs.shape[0], dtype=np.int64)
+    floor = -limit - 1
+    few = _ROUND_MIN_ROWS
+    edges = bounds.tolist()
+    rounds = len(edges) - 1
+    k = 0
+    while k < rounds:
+        lo, hi = edges[k], edges[k + 1]
+        if hi - lo < few:
+            break
+        rows = work[:hi - lo]
+        block = inputs[lo:hi]
+        margin = np.einsum("ij,ij->i", rows, block, out=margins[lo:hi])
+        np.add(rows, block, out=rows, where=(margin <= threshold)[:, None])
+        np.minimum(rows, limit, out=rows)
+        np.maximum(rows, floor, out=rows)
+        k += 1
+    if k < rounds:
+        starts = bounds[k:-1]
+        sizes = np.diff(bounds[k:])
+        for slot in range(int(sizes[0])):
+            positions = starts[:int(np.count_nonzero(sizes > slot))] + slot
+            margins[positions] = _walk_row(work[slot], inputs[positions],
+                                           threshold, limit)
+    return margins
+
+
+class _PerceptronStepper:
+    """Closed-form replay of a :class:`~repro.bpu.perceptron.PerceptronPredictor`.
+
+    A perceptron's rows never interact: an access reads and trains only its
+    own row, and its inputs are history bits the span already holds.  So
+    ``prepare_span`` replays the span in row rounds
+    (:func:`_perceptron_replay`) on a working copy of the rows it touches,
+    with no per-conditional step, and returns its predictions.  The
+    predictor's own weights (a zero-copy 2-D view of its int64 array) stay
+    untouched until ``commit_span`` writes the rows back; when a monitor
+    fired mid-span it re-runs the rounds over the executed prefix and writes
+    those.  A span with flushes keys each flush epoch's rows apart (offset
+    by epoch × table size), later epochs start from zero weights and read
+    history older than their flush as not taken, and commit keeps the last
+    epoch only.
     """
 
     __slots__ = ("direction", "maps", "table_size", "history_length",
-                 "weights")
+                 "weights", "keys", "windows", "signs", "epochs", "replayed")
 
-    guarded = True
-
-    #: Block size for the speculative dot-product batches.
-    _BLOCK = 128
+    guarded = False
 
     def __init__(self, direction, maps):
         self.direction = direction
@@ -1480,84 +1593,82 @@ class _PerceptronStepper:
                                      ).reshape(self.table_size, -1)
 
     def finish(self) -> None:
-        self.weights = None
-
-    def commit_span(self, cond_takens, executed_cond: int) -> None:
-        pass  # the perceptron keeps no history of its own
+        self.weights = self.keys = self.windows = self.signs = None
+        self.replayed = None
 
     def prepare_span(self, cond_ips, cond_ctx, cond_takens, engine):
         depth = self.history_length
-        ncond = cond_ips.shape[0]
-        rows = np.asarray(self.maps.perceptron_rows(
+        count = cond_ips.shape[0]
+        keys = np.asarray(self.maps.perceptron_rows(
             cond_ips, self.table_size, cond_ctx)).astype(np.int64)
+        epochs = engine.cond_epochs
+        self.epochs = engine.epochs
         tail = engine.history.outcomes[-depth:]
         carried = len(tail)
         # ±1 stream: "not taken" pads for missing pre-trace history, then the
         # carried outcomes, then this span's outcomes.
-        ext = np.full(depth + carried + ncond, -1, dtype=np.int64)
+        stream = np.full(depth + carried + count, -1, dtype=np.int8)
         if carried:
-            ext[depth:depth + carried][np.array(tail, dtype=bool)] = 1
-        ext[depth + carried:] = np.where(cond_takens, 1, -1)
-        windows = np.lib.stride_tricks.sliding_window_view(ext, depth)
+            stream[depth:depth + carried][np.array(tail, dtype=bool)] = 1
+        signs = stream[depth + carried:]
+        signs[cond_takens] = 1
+        windows = np.lib.stride_tricks.sliding_window_view(
+            stream, depth)[carried:carried + count]
+        if epochs is not None:
+            keys += epochs * self.table_size
+            # A flush clears the history: a later epoch's windows keep only
+            # the outcomes pushed since the epoch began.
+            since = np.arange(count) - np.searchsorted(epochs, epochs)
+            masked = np.flatnonzero((epochs > 0) & (since < depth))
+            windows = windows.copy()
+            windows[masked] = np.where(
+                np.arange(depth) < (depth - since[masked])[:, None],
+                np.int8(-1), windows[masked])
+        self.keys = keys
+        self.windows = windows
+        self.signs = signs
+        self.replayed = self._replay(count)
+        if not count:
+            return np.zeros(0, dtype=bool)
+        ordinals, margins = self.replayed[0], self.replayed[3]
+        # The dot product is the margin times the outcome's sign.
+        predictions = np.empty(count, dtype=bool)
+        predictions[ordinals] = np.where(cond_takens[ordinals], margins,
+                                         -margins) >= 0
+        return predictions
 
-        weights = self.weights
-        rows_list = rows.tolist()
-        takens_list = cond_takens.tolist()
-        threshold = self.direction._threshold
-        limit = self.direction._weight_limit
-        floor = -limit - 1
-        block = self._BLOCK
+    def _replay(self, count: int):
+        """Replay the span's first ``count`` accesses from the committed
+        weights: ``(ordinals, work, slot_keys, margins)``."""
+        if not count:
+            return None
+        ordinals, bounds, slot_keys = _perceptron_layout(self.keys[:count])
+        work = np.zeros((slot_keys.shape[0], self.history_length + 1),
+                        dtype=np.int64)
+        unflushed = slot_keys < self.table_size
+        work[unflushed] = self.weights[slot_keys[unflushed]]
+        signs = self.signs[ordinals]
+        inputs = np.empty((count, self.history_length + 1), dtype=np.int8)
+        inputs[:, 0] = signs
+        np.multiply(self.windows[ordinals], signs[:, None], out=inputs[:, 1:])
+        direction = self.direction
+        margins = _perceptron_replay(work, inputs, bounds,
+                                     direction._threshold,
+                                     direction._weight_limit)
+        return ordinals, work, slot_keys, margins
 
-        state = {"lo": 0, "hi": 0, "totals": None}
-        trained: set[int] = set()
-
-        def specialize(start: int) -> None:
-            stop = min(ncond, start + block)
-            selected = rows[start:stop]
-            gathered = weights[selected]
-            window_block = windows[carried + start:carried + stop]
-            state["totals"] = (gathered[:, 0]
-                               + (gathered[:, 1:] * window_block).sum(axis=1)
-                               ).tolist()
-            state["lo"] = start
-            state["hi"] = stop
-            trained.clear()
-
-        def step(ordinal: int) -> bool:
-            row = rows_list[ordinal]
-            if ordinal >= state["hi"]:
-                specialize(ordinal)
-            if row in trained:
-                # Guard failure: this row was retrained after the block
-                # snapshot, so its batched total is stale.  Other rows'
-                # weights are untouched — abort only this access to a live
-                # dot product and keep the rest of the block's prefix.
-                weight_row = weights[row]
-                total = int(weight_row[0]) + int(
-                    weight_row[1:] @ windows[carried + ordinal])
-            else:
-                total = state["totals"][ordinal - state["lo"]]
-            taken = takens_list[ordinal]
-            predicted = total >= 0
-            if predicted != taken or -threshold <= total <= threshold:
-                weight_row = weights[row]
-                delta = 1 if taken else -1
-                bias = weight_row[0] + delta
-                weight_row[0] = (limit if bias > limit
-                                 else (floor if bias < floor else bias))
-                # In-place ±1 then clamp equals the scalar clamp(w ± bit):
-                # one step overshoots the band by at most one on either side.
-                history_row = weight_row[1:]
-                if taken:
-                    history_row += windows[carried + ordinal]
-                else:
-                    history_row -= windows[carried + ordinal]
-                np.maximum(history_row, floor, out=history_row)
-                np.minimum(history_row, limit, out=history_row)
-                trained.add(row)
-            return predicted
-
-        return step
+    def commit_span(self, cond_takens, executed_cond: int) -> None:
+        replayed = self.replayed
+        if executed_cond < cond_takens.shape[0]:
+            replayed = self._replay(executed_cond)
+        if self.epochs:
+            self.weights.fill(0)
+        if replayed is None:
+            return
+        _, work, slot_keys, _ = replayed
+        base = self.epochs * self.table_size
+        last = slot_keys >= base
+        self.weights[slot_keys[last] - base] = work[last]
 
 
 class _CompositeEngine:

@@ -77,7 +77,7 @@ class TestRunExperiment:
         assert "ST_SKLCond" in models
         assert models["ST_SKLCond"] == "kernel"
         assert models["TAGE_SC_L_64KB"] == "guarded"
-        assert models["PerceptronBP"] == "guarded"
+        assert models["PerceptronBP"] == "kernel"
         table = run_experiment("list-experiments")
         assert set(LEGACY_COMMANDS) <= set(table)
 

@@ -11,15 +11,20 @@ collide, and the three STBPU factories — under random warm-ups
 (negative ones included), monitor thresholds, token-sharing groups,
 guarded-stepper span caps, floors of the adaptive cap that monitored
 spans take after a fire and replay lengths below which the per-branch loop
-replays the BTB and RSB (so both that loop and the array kernel run), on a
-small BTB of drawn geometry (2, 4 or 16
-sets of 1–3 ways) so evictions feed the monitors, then replays a second
-trace through the same models, so each kernel also adopts a populated BTB,
-BTB index and PHTs.
+replays the BTB and RSB (so both that loop and the array kernel run) and
+active-row counts below which perceptron rows walk instead of replaying in
+rounds (so rounds only, walks only and both run), on a small BTB of drawn
+geometry (2, 4 or 16 sets of 1–3 ways) so evictions feed the monitors, a
+PHT of 16, 100, 1000 or 1024 entries and a perceptron of 1–16 rows,
+histories of 1–8 outcomes and 2–4 weight bits, so rows repeat dozens of
+times per trace and weights saturate, then replays a second trace through
+the same models, so each kernel also adopts a populated BTB, BTB index and
+predictor tables.
 Another co-runs trace pairs through the STBPU factories under random
 scheduling quanta, warm-ups, monitor thresholds (with and without the
-direction register), token-sharing groups, cap floors and loop
-crossovers, on structure sizes drawn the same way (and an RSB of 1–4 entries, a PHT of 1000 or 1024).  Both backends must agree on
+direction register), token-sharing groups, cap floors, loop crossovers and
+active-row counts, on structure sizes drawn the same way (and an RSB of 1–4
+entries).  Both backends must agree on
 the stats and protection stats and on the complete post-replay state:
 predictor tables, BTB, RSB and its overflow and underflow counts, histories
 and the token machinery.  A third property pins the columnar SMT merge to
@@ -40,7 +45,7 @@ from repro.bpu.protections import (
     make_ucode_protection_2,
     make_unprotected_baseline,
 )
-from repro.bpu.perceptron import PerceptronPredictor
+from repro.bpu.perceptron import PerceptronConfig, PerceptronPredictor
 from repro.bpu.tage import TAGE_SC_L_8KB, TAGEConfig, TAGEPredictor
 from repro.core.monitoring import MonitorConfig
 from repro.core.stbpu import (
@@ -76,10 +81,14 @@ THREAD_OFFSET = 1000
 _IPS = [0x40_0000 + 0x40 * slot for slot in range(12)]
 _TARGETS = [0x7F_0000 + 0x100 * slot for slot in range(6)] + [ip + 4 for ip in _IPS[:6]]
 
+#: The STBPU factories; each takes the drawn perceptron configuration,
+#: which only ``ST_PerceptronBP`` uses.
 FACTORIES = {
-    "ST_SKLCond": make_stbpu_skl,
-    "ST_TAGE_SC_L_8KB": lambda **kwargs: make_stbpu_tage(TAGE_SC_L_8KB, **kwargs),
-    "ST_PerceptronBP": make_stbpu_perceptron,
+    "ST_SKLCond": lambda perceptron, **kwargs: make_stbpu_skl(**kwargs),
+    "ST_TAGE_SC_L_8KB": lambda perceptron, **kwargs: make_stbpu_tage(
+        TAGE_SC_L_8KB, **kwargs),
+    "ST_PerceptronBP": lambda perceptron, **kwargs: make_stbpu_perceptron(
+        perceptron, **kwargs),
 }
 
 
@@ -127,6 +136,28 @@ _GROUPS = st.one_of(
 #: largest through the per-branch loop.
 _KERNEL_MINIMA = st.sampled_from([0, 120, 1 << 30])
 
+#: A perceptron small enough that rows repeat dozens of times per trace:
+#: rounds run deep, weights of 2–4 bits saturate at both limits and flush
+#: epochs reuse rows.
+_PERCEPTRONS = st.builds(PerceptronConfig, table_size=st.integers(1, 16),
+                         history_length=st.integers(1, 8),
+                         weight_bits=st.integers(2, 4))
+
+#: ``_ROUND_MIN_ROWS`` values: 0 replays every perceptron span in rounds
+#: only, the largest walks every row, and the rest switch between them.
+_ROUND_MINIMA = st.sampled_from([0, 1, 2, 8, 1 << 30])
+
+#: PHT sizes the mappings accept, small and not powers of two among them,
+#: so same-index counter runs grow long.
+_PHT_ENTRIES = st.sampled_from([16, 100, 1000, 1024])
+
+
+def _unprotected(perceptron):
+    """``perceptron`` for the baseline mapping, which folds a row index to
+    ``(rows - 1).bit_length()`` bits and so needs two rows or more."""
+    return dataclasses.replace(perceptron,
+                               table_size=max(2, perceptron.table_size))
+
 
 def _direction_state(direction):
     if isinstance(direction, TAGEPredictor):
@@ -148,30 +179,29 @@ SMALL_TAGE = TAGEConfig(
     history_lengths=(1, 3, 6, 12), loop_entries=8, sc_table_entries=32,
     useful_reset_period=16)
 
-#: Factories over the drawn small sizes; the plain SKL composite's PHT is
-#: not a power of two, which the kernels wrap.
+#: Factories over the drawn small sizes and perceptron, called with the
+#: keywords ``sizes``, ``perceptron``, ``monitor``, ``seed`` and ``groups``;
+#: the plain SKL composite's PHT is not a power of two, which the kernels
+#: wrap.
 SINGLE_MODELS = {
-    "baseline": lambda sizes, monitor, seed, groups: make_unprotected_baseline(
+    "baseline": lambda sizes, **_: make_unprotected_baseline(
         dataclasses.replace(sizes, pht_entries=1000)),
-    "ucode_protection_1": lambda sizes, monitor, seed, groups:
-        make_ucode_protection_1(sizes),
-    "ucode_protection_2": lambda sizes, monitor, seed, groups:
-        make_ucode_protection_2(sizes),
-    "conservative": lambda sizes, monitor, seed, groups: make_conservative(sizes),
-    "TAGE_SC_L_8KB": lambda sizes, monitor, seed, groups: make_unprotected_tage(
+    "ucode_protection_1": lambda sizes, **_: make_ucode_protection_1(sizes),
+    "ucode_protection_2": lambda sizes, **_: make_ucode_protection_2(sizes),
+    "conservative": lambda sizes, **_: make_conservative(sizes),
+    "TAGE_SC_L_8KB": lambda sizes, **_: make_unprotected_tage(
         TAGE_SC_L_8KB, sizes),
-    "TAGE_small": lambda sizes, monitor, seed, groups: make_unprotected_tage(
-        SMALL_TAGE, sizes),
-    "PerceptronBP": lambda sizes, monitor, seed, groups:
-        make_unprotected_perceptron(sizes=sizes),
-    "flushing_TAGE_SC_L_8KB": lambda sizes, monitor, seed, groups:
-        FlushingProtectedBPU(make_unprotected_tage(TAGE_SC_L_8KB, sizes),
-                             "flushing_TAGE_SC_L_8KB"),
-    "flushing_PerceptronBP": lambda sizes, monitor, seed, groups:
-        FlushingProtectedBPU(make_unprotected_perceptron(sizes=sizes),
-                             "flushing_PerceptronBP"),
-    **{name: (lambda sizes, monitor, seed, groups, factory=factory: factory(
-        sizes=sizes, monitor_config=monitor, seed=seed,
+    "TAGE_small": lambda sizes, **_: make_unprotected_tage(SMALL_TAGE, sizes),
+    "PerceptronBP": lambda sizes, perceptron, **_: make_unprotected_perceptron(
+        _unprotected(perceptron), sizes),
+    "flushing_TAGE_SC_L_8KB": lambda sizes, **_: FlushingProtectedBPU(
+        make_unprotected_tage(TAGE_SC_L_8KB, sizes), "flushing_TAGE_SC_L_8KB"),
+    "flushing_PerceptronBP": lambda sizes, perceptron, **_: FlushingProtectedBPU(
+        make_unprotected_perceptron(_unprotected(perceptron), sizes),
+        "flushing_PerceptronBP"),
+    **{name: (lambda sizes, perceptron, monitor, seed, groups,
+               factory=factory: factory(
+        perceptron, sizes=sizes, monitor_config=monitor, seed=seed,
         shared_token_groups=groups))
        for name, factory in FACTORIES.items()},
 }
@@ -219,21 +249,26 @@ def _diverged(replay):
        groups=st.fixed_dictionaries({name: _GROUPS for name in FACTORIES}),
        seed=st.integers(0, 7), span_limit=st.integers(1, 64),
        cap_floor=st.integers(1, 64), kernel_min=_KERNEL_MINIMA,
-       btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3))
+       btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3),
+       pht_entries=_PHT_ENTRIES, perceptron=_PERCEPTRONS,
+       round_min=_ROUND_MINIMA)
 def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
                                               groups, seed, span_limit,
                                               cap_floor, kernel_min, btb_sets,
-                                              btb_ways):
+                                              btb_ways, pht_entries,
+                                              perceptron, round_min):
     # A BTB small enough for the random traces to evict, and small PHTs.  A
     # 1-set BTB is not drawn: its mapping would fold to 0 index bits, which
     # ``fold_bits`` refuses.
     sizes = StructureSizes(btb_sets=btb_sets, btb_ways=btb_ways,
-                           pht_entries=1024, rsb_entries=4)
+                           pht_entries=pht_entries, rsb_entries=4)
 
     def replay():
         parts = {}
         for name, factory in SINGLE_MODELS.items():
-            model = factory(sizes, monitors.get(name), seed, groups.get(name))
+            model = factory(sizes=sizes, perceptron=perceptron,
+                            monitor=monitors.get(name), seed=seed,
+                            groups=groups.get(name))
             simulator = TraceSimulator(warmup_branches=warmup)
             stats = [simulator.run(model, replayed).stats
                      for replayed in (trace, second)]
@@ -243,7 +278,8 @@ def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
 
     with mock.patch.object(vector, "_STEPPER_SPAN_LIMIT", span_limit), \
             mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor), \
-            mock.patch.object(vector, "_KERNEL_MIN_BRANCHES", kernel_min):
+            mock.patch.object(vector, "_KERNEL_MIN_BRANCHES", kernel_min), \
+            mock.patch.object(vector, "_ROUND_MIN_ROWS", round_min):
         assert _diverged(replay) == []
 
 
@@ -265,20 +301,22 @@ def _shifted(trace, offset):
        model_name=st.sampled_from(sorted(FACTORIES)), seed=st.integers(0, 7),
        cap_floor=st.integers(1, 64), kernel_min=_KERNEL_MINIMA,
        btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3),
-       rsb_entries=st.integers(1, 4),
-       pht_entries=st.sampled_from([1000, 1024]))
+       rsb_entries=st.integers(1, 4), pht_entries=_PHT_ENTRIES,
+       perceptron=_PERCEPTRONS, round_min=_ROUND_MINIMA)
 def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
                                            monitor, groups, model_name, seed,
                                            cap_floor, kernel_min, btb_sets,
-                                           btb_ways, rsb_entries, pht_entries):
+                                           btb_ways, rsb_entries, pht_entries,
+                                           perceptron, round_min):
     # Sizes drawn as in the single-trace property, so co-runs evict,
     # overflow and underflow too.
     sizes = StructureSizes(btb_sets=btb_sets, btb_ways=btb_ways,
                            pht_entries=pht_entries, rsb_entries=rsb_entries)
 
     def replay():
-        model = FACTORIES[model_name](sizes=sizes, monitor_config=monitor,
-                                      seed=seed, shared_token_groups=groups)
+        model = FACTORIES[model_name](perceptron, sizes=sizes,
+                                      monitor_config=monitor, seed=seed,
+                                      shared_token_groups=groups)
         simulator = SMTSimulator(
             lengths=SimulationLengths(warmup_branches=warmup), quantum=quantum)
         result = simulator.run(model, trace_a, trace_b,
@@ -286,7 +324,8 @@ def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
         return _snapshot(model, result.thread_stats)
 
     with mock.patch.object(vector, "_MONITOR_CAP_FLOOR", cap_floor), \
-            mock.patch.object(vector, "_KERNEL_MIN_BRANCHES", kernel_min):
+            mock.patch.object(vector, "_KERNEL_MIN_BRANCHES", kernel_min), \
+            mock.patch.object(vector, "_ROUND_MIN_ROWS", round_min):
         assert _diverged(replay) == []
 
 

@@ -558,10 +558,11 @@ class TestBackendSwitch:
         # sim.guarded_s, so the whole table is pinned.
         statuses = {name: vector.kernel_status(build_model(name, seed=0))
                     for name in list_models()}
-        guarded = {"PerceptronBP", "ST_PerceptronBP", "TAGE_SC_L_8KB",
-                   "TAGE_SC_L_64KB", "ST_TAGE_SC_L_8KB", "ST_TAGE_SC_L_64KB"}
+        guarded = {"TAGE_SC_L_8KB", "TAGE_SC_L_64KB", "ST_TAGE_SC_L_8KB",
+                   "ST_TAGE_SC_L_64KB"}
         kernel = {"baseline", "SKLCond", "ST_SKLCond", "conservative",
-                  "stbpu_variant", "ucode_protection_1", "ucode_protection_2"}
+                  "stbpu_variant", "ucode_protection_1", "ucode_protection_2",
+                  "PerceptronBP", "ST_PerceptronBP"}
         assert statuses == {**{name: "guarded" for name in guarded},
                             **{name: "kernel" for name in kernel}}
 
