@@ -681,6 +681,15 @@ class TestReplayWork:
             engine.run_span(0, engine.n, flushes=[100])
         engine.finish()
 
+    def test_watched_perceptron_spans_replay_in_the_kernel(self):
+        # The perceptron's row rounds commit any executed prefix, so its
+        # monitored spans replay their BTB and RSB in the array kernel:
+        # 23 fires, each span cut at its fire, and no branch in the loop.
+        deltas, fires = self._deltas(ModelSpec.of("ST_PerceptronBP", r=5e-05))
+        assert fires == 23
+        assert deltas == {"spans": 28, "branches": 4_006,
+                          "prepared_branches": 11_103, "loop_branches": 0}
+
     def test_watched_tage_spans_replay_in_the_loop(self):
         # A guarded stepper under a monitor steps branch by branch, fire or
         # not: every branch goes through the loop.
