@@ -13,7 +13,8 @@ executed prefix.  It draws tables of 1–16 rows, histories of 1–8 outcomes,
 2–4 weight bits, initial weights anywhere in their range (saturated ones
 included), carried history, flush epochs, a commit at any executed prefix
 and the active-row count below which rows walk, from 0 (rounds only) to
-above any row count (walks only).
+above any row count (walks only), and always runs a 600-access row on
+rounds alone and on the walk.
 """
 
 from array import array
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bpu.history import HistoryState
@@ -114,24 +115,18 @@ def _stepper(config, weights, rows, takens, carried, flushes, executed):
     return predictions.tolist(), list(predictor._weights)
 
 
+#: Every access in one row: rounds alone replay it one access per round, the
+#: walk replays the row in order.
+_ONE_ROW = (PerceptronConfig(table_size=4, history_length=8, weight_bits=4),
+            [0] * (4 * 9), [2] * 600,
+            [(index * 7) % 11 < 6 for index in range(600)], [], [], 600)
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=_spans())
+@example(case=(*_ONE_ROW, 0))
+@example(case=(*_ONE_ROW, 8))
 def test_rounds_match_the_predictor_called_in_order(case):
     *span, few_rows = case
     with mock.patch.object(vector, "_ROUND_MIN_ROWS", few_rows):
         assert _stepper(*span) == _reference(*span)
-
-
-def test_one_row_walks_and_rounds_agree():
-    # Every access in one row: rounds alone replay one access per round,
-    # the walk replays the row in order; both match the predictor.
-    config = PerceptronConfig(table_size=4, history_length=8, weight_bits=4)
-    count = 600
-    rows = [2] * count
-    takens = [(index * 7) % 11 < 6 for index in range(count)]
-    weights = [0] * (4 * 9)
-    expected = _reference(config, weights, rows, takens, [], [], count)
-    for few_rows in (0, 8):
-        with mock.patch.object(vector, "_ROUND_MIN_ROWS", few_rows):
-            assert _stepper(config, weights, rows, takens, [], [],
-                            count) == expected
