@@ -40,7 +40,7 @@ model replays the same trace under the forced ``vector`` backend, and the
 artifact records each model's branches/s, its kernel class
 (:func:`repro.sim.vector.kernel_status`), and ``gap_vs_vector`` — the
 composite reference kernel's throughput divided by the model's.  That ratio
-is the number the TAGE/Perceptron guarded kernels are closing; ``--check``
+is the number the guarded TAGE kernels are closing; ``--check``
 gates on the per-model branches/s exactly like it gates on the grids.
 
 Since format 7 the report also measures the async serving tier
@@ -326,8 +326,8 @@ def measure_predictors(quick: bool = False) -> dict:
     class (``kernel`` / ``guarded`` / ``fallback``, see
     :func:`repro.sim.vector.kernel_status`), and ``gap_vs_vector``: the
     reference composite kernel's throughput divided by the model's.  The
-    composite reads 1.0 by construction; the guarded TAGE/Perceptron
-    steppers are chasing it from above.
+    composite reads 1.0 by construction; the guarded TAGE steppers and the
+    Perceptron's row rounds are chasing it from above.
     """
     from repro.engine.registry import build_model, list_models
     from repro.sim import vector

@@ -225,9 +225,9 @@ class CompositeBPU(BranchPredictorModel):
     def vector_kernel(self):
         """Array-kernel replay engine for this composite, or ``None``.
 
-        Every shipped direction component has a span stepper: SKL
-        composites replay fully in array kernels, TAGE and Perceptron
-        composites through guarded per-span specialization.  ``None`` only
+        Every shipped direction component has a span stepper: SKL and
+        Perceptron composites replay fully in array kernels, TAGE composites
+        through guarded per-span specialization.  ``None`` only
         remains for unrecognized structure variants; their replays run the
         reference loop and count in ``repro_replay_declines_total`` — see
         :func:`repro.sim.vector.kernel_status`.

@@ -10,15 +10,16 @@ length-dependent threshold.
 
 The weights are one row-major int64 ``array`` of ``table_size`` rows of
 ``history_length + 1`` weights, the bias first in each row.  The vector
-backend replays this predictor in place through a guarded span stepper
+backend replays this predictor in closed form
 (:class:`repro.sim.vector._PerceptronStepper`): it wraps the array as a
-zero-copy 2-D view, batches the dot products from it and aborts an access to
-a live computation when its row was retrained inside the block.  int64 leaves
-room for the stepper's add-then-clamp, and :meth:`PerceptronPredictor.flush`
-zeroes the array in place.  The stepper mirrors the prediction and training
-rules below exactly — any semantic change here must be made there too, and
-is pinned by the reference/vector state-parity suite
-(``tests/sim/test_vector_parity.py``).
+zero-copy 2-D view, replays a span's accesses in row rounds on a copy of the
+rows they touch and writes those rows back at commit.  int64 leaves room for
+the stepper's add-then-clamp and its dot products, and
+:meth:`PerceptronPredictor.flush` zeroes the array in place.  The stepper
+mirrors the prediction and training rules below exactly — any semantic
+change here must be made there too, and is pinned by
+``tests/sim/test_perceptron_kernel.py`` and the reference/vector
+state-parity suite (``tests/sim/test_vector_parity.py``).
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ OS events do not end spans.  Each kernel walks a trace's events once in
 Python and replays all of its branches, so event semantics become span data:
 
 * a µcode flush (:class:`~repro.bpu.protections.FlushingProtectedBPU`) inside
-  an SKL span starts a new *epoch*: counter-scan keys are offset per epoch
-  and later epochs start from the flushed counter value, each history window
+  an SKL or Perceptron span starts a new *epoch*: counter-scan keys and
+  perceptron rows are offset per epoch and later epochs start from the
+  flushed counter value or zero weights, each history window
   keeps only the bits pushed since its epoch began (for the GF(2)-linear BHB
   the carried state is XORed back out), the BTB kernel keys each epoch's
   references apart and the RSB pass clears the stack where a flush lands,
@@ -54,47 +55,46 @@ from the generator re-randomizations also draw from), at an STBPU
 re-randomization fired by the monitoring counters — the span ends *at the
 firing access*, scans commit only the executed prefix (the scan composition
 is pure until committed) and replay resumes under the fresh token — and, for
-the guarded steppers below, at every flush.  A fire discards the prepared
-rest of its span, so monitored spans adapt their length: after a fire the
-next span covers ``max(_MONITOR_CAP_FLOOR, 2 × executed)`` branches, and a
-span that runs to its cap doubles it.  The parity tests pin all of this to
-byte-identical results against the per-item reference loop.
+the guarded TAGE stepper below, at every flush.  A fire discards the
+prepared rest of its span, so monitored spans adapt their length: after a
+fire the next span covers ``max(_MONITOR_CAP_FLOOR, 2 × executed)``
+branches, and a span that runs to its cap doubles it.  The parity tests pin
+all of this to byte-identical results against the per-item reference loop.
 
 Every direction component replays through a *span stepper*
-(``STEPPER_PROTOCOL``), so one span routine serves all three.  The SKL
-stepper is the closed-form counter scan above: it returns a span's
-predictions outright.  TAGE and Perceptron have no closed form — TAGE
-allocation rewrites tags mid-span and perceptron training feeds its own
-weights back — so their steppers are *guarded*: every prediction input
-(folded histories, table indices and tags, hit bits, dot-product totals) is
-precomputed for a whole span with array kernels, and a slim per-conditional
-step applies the sequential updates.  Where the sequential dependence bites,
-they speculate in the trace-specialization style: the TAGE stepper
-precomputes tagged-table hit bits against span-start tags and repairs
-exactly the later same-index accesses when an allocation rewrites an entry;
-the perceptron stepper batches dot-products for a block of accesses
-from a weight snapshot under a "no row retrained since the snapshot" guard,
-and on a guard failure (aliasing conflict / saturation already applied)
-commits the executed prefix and re-specializes the rest of the block from
-live weights — the same commit/resume shape a span uses for a
-re-randomization fired inside it.  A step reads no BTB or RSB state, so a
+(``STEPPER_PROTOCOL``), so one span routine serves all three.  Two steppers
+are closed-form: they return a span's predictions outright and commit any
+executed prefix.  The SKL stepper is the counter scan above.  The
+perceptron stepper replays in *row rounds*: a perceptron's rows never
+interact — an access reads and trains only its own row, from history bits
+the span already holds — so round ``k`` replays every row's ``k``-th access
+of the span at once on a working copy of the touched rows, and once only a
+few rows remain active each of them walks its accesses in order
+(:func:`_perceptron_replay`); a prefix commit re-runs the rounds over the
+executed prefix.  TAGE has no closed form — an allocation rewrites tags
+mid-span — so its stepper is *guarded*: every prediction input (folded
+histories, table indices and tags, hit bits) is precomputed for a whole
+span with array kernels, and a slim per-conditional step applies the
+sequential updates, precomputing tagged-table hit bits against span-start
+tags and repairing exactly the later same-index accesses when an
+allocation rewrites an entry.  A step reads no BTB or RSB state, so a
 guarded span steps all its conditionals first and then replays its
 structures in the kernel — except under a monitor: a step cannot be taken
-back past a re-randomization, so those spans replay one branch at a time
-in :meth:`_CompositeEngine._structural_loop`, stepping each conditional
-where it falls.  A replay shorter than ``_KERNEL_MIN_BRANCHES`` branches
-replays every span in that loop too: the kernel's fixed costs per span
-would outweigh it.
+back past a re-randomization, so ``ST_TAGE_*`` spans replay one branch at a
+time in :meth:`_CompositeEngine._structural_loop`, stepping each
+conditional where it falls.  A replay shorter than ``_KERNEL_MIN_BRANCHES``
+branches replays every span in that loop too: the kernel's fixed costs per
+span would outweigh it.
 
 No replay keeps a copy of predictor state between spans.  Every stepper
-replays its predictor's own tables in place — the SKL PHTs' ``bytearray``
-counters, the TAGE columns, the perceptron's int64 weight array, wrapped as
-zero-copy arrays where a kernel reads them whole — and the engine replays
-the BTB, RSB and history registers on the composite's own objects: the BTB
-kernel reads a span's sets from the BTB's lists and writes the executed
-prefix's state back into the same lists.  So a flush between guarded spans
-is the composite's own ``flush_predictor_state``, the call the reference
-hooks make.
+replays its predictor's own tables — the SKL PHTs' ``bytearray`` counters,
+the TAGE columns, the perceptron's int64 weight array, wrapped as zero-copy
+arrays where a kernel reads them whole — and the engine replays the BTB,
+RSB and history registers on the composite's own objects: the BTB kernel
+reads a span's sets from the BTB's lists and writes the executed prefix's
+state back into the same lists, as the perceptron stepper does with the
+rows it touched.  So a flush between guarded spans is the composite's own
+``flush_predictor_state``, the call the reference hooks make.
 
 Models opt in via ``vector_kernel()``, and a kernel accepts every trace:
 single traces and SMT co-runs alike.  A model with no kernel replays through
@@ -338,18 +338,18 @@ def _extend_outcomes(outcomes: list, appended, max_outcomes: int, *,
 #: A replay of fewer branches replays every span's BTB and RSB in the
 #: per-branch loop (``_CompositeEngine.per_branch``): below it the kernel's
 #: fixed costs per span exceed what the loop spends per branch.  Measured on
-#: SKL replays and on unmonitored TAGE and Perceptron replays alike (see
-#: EXPERIMENTS.md).
+#: SKL replays and on unmonitored TAGE and (still stepped) Perceptron
+#: replays alike (see EXPERIMENTS.md).
 _KERNEL_MIN_BRANCHES = 3000
 
 #: A monitored span after a fire covers at least this many branches
 #: (``_STBPUKernel._run_monitored``).
 _MONITOR_CAP_FLOOR = 128
 
-#: Upper bound on one guarded stepper's span (``_CompositeEngine.run_span``):
-#: the TAGE allocation guard repairs same-index accesses of the current span,
-#: so bounded spans bound the repair walks and the speculative fold / window
-#: arrays.  Callers already resume from the span's stop.
+#: Upper bound on one guarded stepper's span (``_CompositeEngine.run_span``),
+#: so on TAGE's only: its allocation guard repairs same-index accesses of the
+#: current span, so bounded spans bound the repair walks and the speculative
+#: fold arrays.  Callers already resume from the span's stop.
 _STEPPER_SPAN_LIMIT = 4096
 
 
@@ -940,12 +940,12 @@ def _replay_structures(btb, rsb, ops, takens, entry1, entry2, encoded,
 #: zero-copy array views of them around a replay, ``prepare_span(cond_ips,
 #: cond_ctx, cond_takens, engine)`` batches one span's prediction inputs,
 #: and ``commit_span(cond_takens, executed_cond)`` commits the executed
-#: prefix.  A stepper with ``guarded = False`` returns the span's
-#: conditional predictions from ``prepare_span`` and also applies the
-#: flushes inside a span (``engine.cond_epochs``); a guarded one returns a
-#: per-conditional ``step(ordinal) -> predicted`` closure whose speculation
-#: repairs or re-batches itself when a guard fails mid-span, and its spans
-#: end at every flush.
+#: prefix.  A stepper with ``guarded = False`` (SKL, Perceptron) returns the
+#: span's conditional predictions from ``prepare_span`` and also applies the
+#: flushes inside a span (``engine.cond_epochs``); the guarded one (TAGE)
+#: returns a per-conditional ``step(ordinal) -> predicted`` closure whose
+#: speculation repairs itself when a guard fails mid-span, and its spans end
+#: at every flush.
 STEPPER_PROTOCOL = ("begin", "prepare_span", "commit_span", "finish")
 
 
@@ -1798,16 +1798,18 @@ class _CompositeEngine:
         ``monitor`` set (STBPU), the replay also feeds the re-randomization
         counters and stops right after the access that exhausts one; only
         the executed prefix is committed, so the caller re-keys and resumes
-        from ``executed_to``.  A guarded stepper's span is capped at
+        from ``executed_to``.  The guarded (TAGE) stepper's span is capped at
         ``_STEPPER_SPAN_LIMIT`` branches, so ``executed_to`` may fall short
         of ``hi`` without a fire as well.
 
-        A guarded stepper steps all of a span's conditionals before the
-        structures replay (a step reads no BTB or RSB state), except under
-        a monitor: a step cannot be taken back past a re-randomization, so
-        those spans replay in :meth:`_structural_loop`, one branch at a
-        time, stepping each conditional where it falls.  Every span of a
-        short replay (``per_branch``) replays there too.
+        A closed-form stepper (SKL, Perceptron) predicts the whole span
+        before the structures replay and commits any executed prefix, so its
+        monitored spans replay in the array kernel too.  The guarded stepper
+        steps all of a span's conditionals first (a step reads no BTB or RSB
+        state), except under a monitor: a step cannot be taken back past a
+        re-randomization, so those spans replay in :meth:`_structural_loop`,
+        one branch at a time, stepping each conditional where it falls.
+        Every span of a short replay (``per_branch``) replays there too.
 
         ``flushes`` (sorted positions in ``[lo, hi]``, each flushing the
         predictor before that branch) split an unguarded stepper's span into
@@ -2264,12 +2266,12 @@ class _FlushingKernel(_KernelBase):
     One walk over the events applies the hooks' rules — a context switch
     flushes when it leaves a known context, a kernel entry or interrupt
     flushes always, each when its policy is on — to ``flush_count`` and
-    ``_current_context``.  An SKL composite then replays the whole trace in
-    one span whose flushes are in-span epochs
-    (:meth:`_CompositeEngine.run_span`); a guarded stepper cannot see a reset
-    inside a span, nor can the per-branch loop of a short replay, so their
-    spans end at each flush, and the composite is flushed in between, as
-    the reference hooks flush it.
+    ``_current_context``.  An SKL or Perceptron composite then replays the
+    whole trace in one span whose flushes are in-span epochs
+    (:meth:`_CompositeEngine.run_span`); the guarded TAGE stepper cannot see
+    a reset inside a span, nor can the per-branch loop of a short replay, so
+    their spans end at each flush, and the composite is flushed in between,
+    as the reference hooks flush it.
     """
 
     __slots__ = ()
@@ -2534,11 +2536,11 @@ def kernel_status(model) -> str:
 
     ``"kernel"``
         Closed-form array kernels end to end: the direction stepper is not
-        guarded (SKL composites).
+        guarded (SKL and Perceptron composites).
     ``"guarded"``
         Array kernels plus a guarded-specialization direction stepper
-        (TAGE, Perceptron): span inputs are speculative and repaired or
-        re-batched when a guard fails.
+        (TAGE): span inputs are speculative and repaired when a guard
+        fails.
     ``"fallback"``
         No vector kernel; replay runs the reference loop.
 

@@ -38,10 +38,11 @@ def _family_jobs():
     ``ST_SKLCond[r=0.0005]`` has aggressively low monitor thresholds, so its
     cells re-randomize many times mid-trace — exercising the vector backend's
     fired-chunk prefix commit, in single traces and in SMT co-runs where one
-    span crosses the two threads' tokens.  The TAGE and Perceptron cells
-    (both sizes, protected and unprotected) replay through the guarded span
-    steppers, and every ablation facade rides along, so each registry
-    family's kernel is pinned against the reference loop.
+    span crosses the two threads' tokens.  The TAGE cells (both sizes,
+    protected and unprotected) replay through the guarded span stepper and
+    the Perceptron cells through row rounds, and every ablation facade rides
+    along, so each registry family's kernel is pinned against the reference
+    loop.
     """
     scale = ExperimentScale(branch_count=2_000, warmup_branches=200, seed=13)
     rerand_heavy = ModelSpec.of("ST_SKLCond", r=0.0005)
@@ -305,14 +306,15 @@ def _state_objects(model):
 
 
 class TestPredictorStateParity:
-    """Reference-vs-vector *state* parity for the guarded TAGE/Perceptron
+    """Reference-vs-vector *state* parity for the TAGE and Perceptron
     kernels.
 
     The frame-level grid above already pins the serialized stats; these
     tests additionally require the post-replay predictor state — every
     tagged entry, fold register, weight row, BTB entry and history register
-    — to be bit-identical, which is what makes mid-trace guard aborts and
-    resumes observable even when they happen to leave the stats alone.
+    — to be bit-identical, which is what makes mid-trace guard repairs,
+    prefix commits and resumes observable even when they happen to leave
+    the stats alone.
     """
 
     def _replay(self, factory, workload, state_fn, branches=6_000, seed=7):
@@ -387,9 +389,10 @@ class TestPredictorStateParity:
 
     def test_perceptron_guard_abort_resumes_exactly(self):
         """A single hot conditional drives every access into one weight row:
-        the first training in each speculative block stales the whole rest of
-        the block, so nearly every later access takes the guard-abort path
-        (live dot product) and must resume on the committed prefix."""
+        row rounds would replay one access per round, so the row walks its
+        accesses in order instead, predicting ahead from its weights and
+        resuming after each training, and must leave the reference loop's
+        weights."""
         from repro.core.stbpu import make_unprotected_perceptron
 
         trace = Trace(name="hot-row")
@@ -405,10 +408,10 @@ class TestPredictorStateParity:
                 result = TraceSimulator(warmup_branches=100).run(model, trace)
                 snapshots[backend] = (result,
                                       _perceptron_state(model.direction))
-        # The row trained (so block snapshots went stale mid-block) …
+        # The row trained (so the walk resumed after trainings) …
         assert any(any(weight for weight in row)
                    for row in snapshots["vector"][1])
-        # … and the aborted accesses resumed bit-identically.
+        # … and resumed bit-identically.
         assert snapshots["reference"] == snapshots["vector"]
 
     def test_tage_span_boundaries_resume_exactly(self, monkeypatch):
