@@ -55,11 +55,14 @@ from the generator re-randomizations also draw from), at an STBPU
 re-randomization fired by the monitoring counters — the span ends *at the
 firing access*, scans commit only the executed prefix (the scan composition
 is pure until committed) and replay resumes under the fresh token — and, for
-the guarded TAGE stepper below, at every flush.  A fire discards the
-prepared rest of its span, so monitored spans adapt their length: after a
-fire the next span covers ``max(_MONITOR_CAP_FLOOR, 2 × executed)``
-branches, and a span that runs to its cap doubles it.  The parity tests pin
-all of this to byte-identical results against the per-item reference loop.
+the guarded TAGE stepper below, at every flush.  One scheduler,
+:meth:`_CompositeEngine.run_span`, cuts every span.  Besides these ends it
+bounds a TAGE span at ``_STEPPER_SPAN_LIMIT`` branches, and since a fire
+discards the prepared rest of its span, monitored spans adapt their length:
+after a fire the next span covers ``max(_MONITOR_CAP_FLOOR, 2 × executed)``
+branches, and a span that runs to its cap doubles it.  It also picks each
+span's path (below).  The parity tests pin all of this to byte-identical
+results against the per-item reference loop.
 
 Every direction component replays through a *span stepper*
 (``STEPPER_PROTOCOL``), so one span routine serves all three.  Two steppers
@@ -82,9 +85,12 @@ guarded span steps all its conditionals first and then replays its
 structures in the kernel — except under a monitor: a step cannot be taken
 back past a re-randomization, so ``ST_TAGE_*`` spans replay one branch at a
 time in :meth:`_CompositeEngine._structural_loop`, stepping each
-conditional where it falls.  A replay shorter than ``_KERNEL_MIN_BRANCHES``
-branches replays every span in that loop too: the kernel's fixed costs per
-span would outweigh it.
+conditional where it falls.  That loop also replays, whatever the stepper,
+every span without a flush that is shorter than ``_KERNEL_MIN_BRANCHES``
+branches: the kernel's fixed cost per span would outweigh what the loop
+spends per branch.  The choice is per span, so the short spans between
+the fires or token installs of a long replay take the loop, and a short
+flushing replay takes the kernel, in one span of epochs.
 
 No replay keeps a copy of predictor state between spans.  Every stepper
 replays its predictor's own tables — the SKL PHTs' ``bytearray`` counters,
@@ -335,21 +341,21 @@ def _extend_outcomes(outcomes: list, appended, max_outcomes: int, *,
     outcomes[:] = combined[len(combined) - final_length:]
 
 
-#: A replay of fewer branches replays every span's BTB and RSB in the
-#: per-branch loop (``_CompositeEngine.per_branch``): below it the kernel's
-#: fixed costs per span exceed what the loop spends per branch.  Measured on
-#: SKL replays and on unmonitored TAGE and (still stepped) Perceptron
-#: replays alike (see EXPERIMENTS.md).
+#: A span without a flush that is shorter than this replays its BTB and RSB
+#: in the per-branch loop (``_CompositeEngine.run_span`` decides per span):
+#: below it the array kernel's fixed cost per span exceeds what the loop
+#: spends per branch.  Measured on whole replays and on the spans between
+#: monitor fires and token installs (see EXPERIMENTS.md).
 _KERNEL_MIN_BRANCHES = 3000
 
 #: A monitored span after a fire covers at least this many branches
-#: (``_STBPUKernel._run_monitored``).
+#: (``_CompositeEngine.run_span``).
 _MONITOR_CAP_FLOOR = 128
 
-#: Upper bound on one guarded stepper's span (``_CompositeEngine.run_span``),
-#: so on TAGE's only: its allocation guard repairs same-index accesses of the
-#: current span, so bounded spans bound the repair walks and the speculative
-#: fold arrays.  Callers already resume from the span's stop.
+#: Upper bound on one guarded stepper's span, so on TAGE's only
+#: (``_CompositeEngine.run_span`` cuts there): its allocation guard repairs
+#: same-index accesses of the current span, so bounded spans bound the
+#: repair walks and the speculative fold arrays.
 _STEPPER_SPAN_LIMIT = 4096
 
 
@@ -1680,10 +1686,11 @@ class _CompositeEngine:
     stepper wraps its buffers as arrays).  Each :meth:`run_span` call leaves
     them as the reference loop would after its executed prefix:
     :func:`_replay_structures` rebuilds the BTB and RSB state from its
-    arrays, and :meth:`_structural_loop` (guarded spans under a monitor)
-    mutates them in place.  :meth:`flush` is the composite's own flush.
-    Wrapper kernels (flushing, conservative, STBPU) drive the span schedule
-    and event semantics.
+    arrays, and :meth:`_structural_loop` (guarded spans under a monitor,
+    and short spans) mutates them in place.  :meth:`flush` is the
+    composite's own flush.  Wrapper kernels (flushing, conservative, STBPU)
+    apply the event semantics and hand :meth:`run_span` the ranges to
+    replay; it alone cuts them into spans.
     """
 
     __slots__ = (
@@ -1693,7 +1700,7 @@ class _CompositeEngine:
         "is_ind_or_ret", "bhb_updates", "mixed", "fallthrough_ok", "high_ok",
         "base_opcode", "dir_ok", "target_ok", "btb_hit", "btb_evict",
         "rsb_under", "map_contexts", "phi_table", "cond_epochs", "epochs",
-        "spans", "prepared", "loop_branches", "per_branch",
+        "spans", "prepared", "loop_branches", "monitor_cap",
     )
 
     def __init__(self, composite, pht_maps, btb_maps, codec, stepper):
@@ -1737,10 +1744,9 @@ class _CompositeEngine:
         targets = arrays.targets
         types = arrays.types
         self.n = ips.shape[0]
-        #: Whether every span replays its BTB and RSB in the per-branch
-        #: loop (a short replay); otherwise only guarded spans under a
-        #: monitor do.
-        self.per_branch = self.n < _KERNEL_MIN_BRANCHES
+        #: The most branches a monitored span prepares: the whole replay
+        #: until a monitor fires, then as :meth:`run_span` adapts it.
+        self.monitor_cap = self.n
         self.is_cond = types == _COND
         self.is_direct = (types == _DJ) | (types == _DC)
         self.is_indirect = (types == _IJ) | (types == _IC)
@@ -1790,46 +1796,73 @@ class _CompositeEngine:
 
     def run_span(self, lo: int, hi: int, monitor=None,
                  flushes=()) -> tuple[int, bool]:
-        """Replay branches ``[lo, hi)``; return ``(executed_to, fired)``.
+        """Replay branches ``[lo, hi)`` to their end or to the first monitor
+        fire; return ``(executed_to, fired)``.
+
+        The engine's one span scheduler: it cuts the range into spans and
+        picks each span's path.  ``flushes`` (sorted positions in ``[lo,
+        hi]``, each flushing the predictor before that branch) become epochs
+        of one span for a closed-form stepper (SKL, Perceptron).  The guarded
+        (TAGE) stepper cannot see a reset inside a span, so its spans end at
+        each flush, where the composite is flushed as the reference hooks
+        flush it, and after ``_STEPPER_SPAN_LIMIT`` branches.  A range
+        never carries both flushes and a monitor.
+
+        With ``monitor`` set (STBPU), a span also feeds the re-randomization
+        counters and stops right after the access that exhausts one, so the
+        caller re-keys and resumes from ``executed_to``.  A fire discards the
+        prepared rest of its span, so monitored spans adapt their length:
+        after a fire the next one covers ``max(_MONITOR_CAP_FLOOR, 2 ×
+        executed)`` branches, and a span that runs to that cap doubles it.
+
+        A span replays in :meth:`_structural_loop` if and only if its
+        stepper is guarded under a monitor (a step cannot be taken back past
+        a fire) or it has no flush and is shorter than
+        ``_KERNEL_MIN_BRANCHES`` (the array kernel's fixed cost would exceed
+        the loop's); every other span replays in the array kernel.
+        """
+        guarded = self.stepper.guarded
+        # Spans end at the flushes of a guarded stepper, and of an empty
+        # range, which has no span to carry them as epochs.
+        cuts = list(flushes) if guarded or lo == hi else []
+        epochs = () if cuts else flushes
+        position = lo
+        while True:
+            while cuts and cuts[0] == position:
+                del cuts[0]
+                self.flush()
+            if position >= hi:
+                return position, False
+            stop = min(cuts[0] if cuts else hi, position + self.monitor_cap)
+            if guarded:
+                stop = min(stop, position + _STEPPER_SPAN_LIMIT)
+            looped = ((guarded and monitor is not None)
+                      or (not epochs and stop - position < _KERNEL_MIN_BRANCHES))
+            reached, fired = self._replay_span(position, stop, monitor,
+                                               epochs, looped)
+            if fired:
+                self.monitor_cap = max(_MONITOR_CAP_FLOOR, 2 * (reached - position))
+                return reached, True
+            if reached == position + self.monitor_cap:
+                self.monitor_cap *= 2
+            position = reached
+
+    def _replay_span(self, lo: int, hi: int, monitor, flushes,
+                     looped: bool) -> tuple[int, bool]:
+        """Replay one span ``[lo, hi)``; return ``(executed_to, fired)``.
 
         The stepper supplies the span's direction predictions, the prelude
-        computes its histories and BTB keys in array kernels, and
-        :func:`_replay_structures` replays the BTB/RSB accesses.  With
-        ``monitor`` set (STBPU), the replay also feeds the re-randomization
-        counters and stops right after the access that exhausts one; only
-        the executed prefix is committed, so the caller re-keys and resumes
-        from ``executed_to``.  The guarded (TAGE) stepper's span is capped at
-        ``_STEPPER_SPAN_LIMIT`` branches, so ``executed_to`` may fall short
-        of ``hi`` without a fire as well.
-
-        A closed-form stepper (SKL, Perceptron) predicts the whole span
-        before the structures replay and commits any executed prefix, so its
-        monitored spans replay in the array kernel too.  The guarded stepper
-        steps all of a span's conditionals first (a step reads no BTB or RSB
-        state), except under a monitor: a step cannot be taken back past a
-        re-randomization, so those spans replay in :meth:`_structural_loop`,
-        one branch at a time, stepping each conditional where it falls.
-        Every span of a short replay (``per_branch``) replays there too.
-
-        ``flushes`` (sorted positions in ``[lo, hi]``, each flushing the
-        predictor before that branch) split an unguarded stepper's span into
-        epochs, applied in closed form; a span never carries both flushes
-        and a monitor, and a span bound for the loop with flushes raises
-        ``ValueError``.
+        computes its histories and BTB keys in array kernels, and the BTB and
+        RSB accesses replay in :func:`_replay_structures` or, when
+        ``looped``, in :meth:`_structural_loop`.  Only the executed prefix of
+        a fired span is committed.  A closed-form stepper predicts the whole
+        span before the structures replay and applies ``flushes`` as epochs;
+        the guarded stepper steps all of a span's conditionals first (a step
+        reads no BTB or RSB state), or, in the loop, each where it falls.
         """
         stepper = self.stepper
         guarded = stepper.guarded
-        # A guarded stepper under a monitor steps in the loop (a step cannot
-        # be taken back past a fire), and so does every span of a short
-        # replay.  The loop replays no flush: callers split those spans at
-        # their flushes.
-        looped = self.per_branch or (guarded and monitor is not None)
-        if looped and flushes:
-            raise ValueError("the per-branch loop cannot replay a span "
-                             "with flushes")
         self.spans += 1
-        if guarded:
-            hi = min(hi, lo + _STEPPER_SPAN_LIMIT)
         arrays = self.arrays
         span = slice(lo, hi)
         length = hi - lo
@@ -1974,8 +2007,9 @@ class _CompositeEngine:
         With ``conds`` set (a guarded stepper), every branch participates
         and each conditional is stepped where it falls, so a fire stops the
         stepper too; otherwise ``dir_ok`` holds the direction verdicts.
-        The BTB and RSB are replayed on their own lists in place, and the
-        span has no flush.  Returns the flags :func:`_replay_structures`
+        The BTB and RSB are replayed on their own lists in place; the span
+        has no flush (:meth:`run_span` sends every span with one to the
+        array kernel).  Returns the flags :func:`_replay_structures`
         returns.
         """
         btb = self.btb
@@ -2187,8 +2221,8 @@ class _KernelBase:
     """Shared replay scaffolding for the per-model vector kernels.
 
     A kernel adopts the trace, walks its OS events once in Python
-    (:meth:`_run`) and replays every branch in as few spans as the model's
-    event semantics allow.
+    (:meth:`_run`) and hands :meth:`_CompositeEngine.run_span` the fewest
+    ranges the model's event semantics allow.
     """
 
     __slots__ = ("engine", "model")
@@ -2223,14 +2257,7 @@ class _KernelBase:
     def _run(self, segments) -> None:
         """Replay the adopted trace's branches and apply its OS events
         (``segments``, as in :class:`~repro.trace.branch.TraceColumns`)."""
-        self._run_spans(0, self.engine.n)
-
-    def _run_spans(self, lo: int, hi: int) -> None:
-        engine = self.engine
-        position = lo
-        while position < hi:
-            # run_span may stop early (stepper span cap); resume until done.
-            position, _ = engine.run_span(position, hi)
+        self.engine.run_span(0, self.engine.n)
 
 
 class _PlainKernel(_KernelBase):
@@ -2266,19 +2293,15 @@ class _FlushingKernel(_KernelBase):
     One walk over the events applies the hooks' rules — a context switch
     flushes when it leaves a known context, a kernel entry or interrupt
     flushes always, each when its policy is on — to ``flush_count`` and
-    ``_current_context``.  An SKL or Perceptron composite then replays the
-    whole trace in one span whose flushes are in-span epochs
-    (:meth:`_CompositeEngine.run_span`); the guarded TAGE stepper cannot see
-    a reset inside a span, nor can the per-branch loop of a short replay, so
-    their spans end at each flush, and the composite is flushed in between,
-    as the reference hooks flush it.
+    ``_current_context``, and hands the flush points to
+    :meth:`_CompositeEngine.run_span`, which replays them as in-span epochs
+    or ends the guarded stepper's spans there.
     """
 
     __slots__ = ()
 
     def _run(self, segments) -> None:
         model = self.model
-        engine = self.engine
         flushes = []
         current = model._current_context
         for _, stop, event in segments:
@@ -2297,17 +2320,7 @@ class _FlushingKernel(_KernelBase):
         model.flush_count += len(flushes)
         model._current_context = current
         # Back-to-back flushes leave the same state as one.
-        points = sorted(set(flushes))
-        n = engine.n
-        if n and not engine.stepper.guarded and not engine.per_branch:
-            engine.run_span(0, n, flushes=points)
-            return
-        position = 0
-        for point in points:
-            self._run_spans(position, point)
-            engine.flush()
-            position = point
-        self._run_spans(position, n)
+        self.engine.run_span(0, self.engine.n, flushes=sorted(set(flushes)))
 
 
 class _STBPUKernel(_KernelBase):
@@ -2321,10 +2334,11 @@ class _STBPUKernel(_KernelBase):
     the current context (``KERNEL_CONTEXT_ID`` for a kernel entry or an
     interrupt, the event's context otherwise), and a branch loads one when
     its effective context differs from the previous event's or branch's.
-    Spans end only where a context with no token is installed for the first
-    time, by an event or a branch (its token is drawn there: the generator
-    serves first draws and re-randomizations alike, so drawing ahead would
-    reorder them), at monitor-fired re-randomizations and at the stepper cap.
+    The kernel ends a range only where a context with no token is installed
+    for the first time, by an event or a branch (its token is drawn there:
+    the generator serves first draws and re-randomizations alike, so drawing
+    ahead would reorder them), and at monitor-fired re-randomizations;
+    :meth:`_CompositeEngine.run_span` cuts the spans within a range.
     """
 
     __slots__ = ("_slot_contexts", "_loaded", "_psi", "_phi")
@@ -2407,26 +2421,16 @@ class _STBPUKernel(_KernelBase):
         model.codec.set_token(token)
 
     def _run_monitored(self, lo: int, hi: int, effective) -> None:
-        """Replay ``[lo, hi)``, re-randomizing where the monitor fires.
-
-        A fire discards the prepared tail of its span, so spans adapt: after
-        a fire the next span covers ``max(_MONITOR_CAP_FLOOR, 2 ×
-        executed)`` branches, and a span that runs to its cap doubles it.
-        """
+        """Replay ``[lo, hi)`` (up to the next install), re-randomizing the
+        firing branch's context at each monitor fire."""
         model = self.model
         position = lo
-        cap = None
         while position < hi:
-            stop = hi if cap is None else min(hi, position + cap)
-            reached, fired = self.engine.run_span(position, stop, model.monitor)
+            position, fired = self.engine.run_span(position, hi, model.monitor)
             if fired:
-                cap = max(_MONITOR_CAP_FLOOR, 2 * (reached - position))
-                model._current_context = int(effective[reached - 1])
+                model._current_context = int(effective[position - 1])
                 model.rerandomize_current()
                 self._refresh()
-            elif cap is not None and reached == stop:
-                cap *= 2
-            position = reached
 
     def _refresh(self) -> None:
         """Re-read the slot tables from the model's per-context tokens."""

@@ -641,57 +641,99 @@ class TestReplayWork:
 
     def test_fired_skl_spans_prepare_more_than_they_replay(self):
         # 33 fires: after each, the next span covers max(floor, 2 x
-        # executed) branches, so the discarded tails stay bounded; the SKL
-        # kernel replays every span, so the loop replays none.
+        # executed) branches, so the discarded tails stay bounded.  Every
+        # span is shorter than _KERNEL_MIN_BRANCHES, so the per-branch loop
+        # replays them all.
         deltas, fires = self._deltas(ModelSpec.of("ST_SKLCond", r=5e-05))
         assert fires == 33
         assert deltas == {"spans": 36, "branches": 4_006,
-                          "prepared_branches": 11_591, "loop_branches": 0}
+                          "prepared_branches": 9_021, "loop_branches": 4_006}
 
-    @pytest.mark.parametrize("short", [True, False])
-    def test_replays_below_the_kernel_minimum_use_the_loop(self, short):
-        # Both sides of the crossover: one branch short of
-        # _KERNEL_MIN_BRANCHES every span replays in the per-branch loop, at
-        # it in the array kernel, with the reference loop's stats either way.
-        from repro.engine import trace_for
-
-        branches = [item for item in trace_for("apache2_prefork_c128", 4_000, 7)
-                    if isinstance(item, BranchRecord)]
-        length = vector._KERNEL_MIN_BRANCHES - (1 if short else 0)
-        trace = Trace(items=branches[:length], name="crossover")
-        stats = {}
+    @staticmethod
+    def _crossover_replay(records):
+        """Replay ``records`` through ``ST_SKLCond`` on both backends;
+        return the branches the vector backend's loop replayed, once its
+        stats and composite state match the reference's."""
+        trace = Trace(items=records, name="crossover")
+        results = {}
         for backend in BACKENDS:
             with fastpath.forced_backend(backend):
                 before = _replay_total("loop_branches", "ST_SKLCond", "trace")
                 model = make_stbpu_skl(seed=5)
-                stats[backend] = (
+                results[backend] = (
                     TraceSimulator(warmup_branches=100).run(model, trace).stats,
                     _composite_state(model.inner))
                 looped = _replay_total("loop_branches", "ST_SKLCond",
                                        "trace") - before
-        assert looped == (length if short else 0)
-        assert stats["reference"] == stats["vector"]
+        assert results["reference"] == results["vector"]
+        return looped
 
-    def test_the_loop_refuses_a_span_with_flushes(self):
-        # The per-branch loop replays no flush; a short replay's span that
-        # carries one is refused rather than replayed without it.
+    @staticmethod
+    def _apache2_records(count):
         from repro.engine import trace_for
 
-        engine = vector.kernel_for(make_unprotected_baseline()).engine
-        engine.begin(trace_for("505.mcf", 600, 7).columns().arrays())
-        assert engine.per_branch
-        with pytest.raises(ValueError, match="flushes"):
-            engine.run_span(0, engine.n, flushes=[100])
-        engine.finish()
+        return [item for item in trace_for("apache2_prefork_c128", 4_000, 7)
+                if isinstance(item, BranchRecord)][:count]
 
-    def test_watched_perceptron_spans_replay_in_the_kernel(self):
-        # The perceptron's row rounds commit any executed prefix, so its
-        # monitored spans replay their BTB and RSB in the array kernel:
-        # 23 fires, each span cut at its fire, and no branch in the loop.
+    @pytest.mark.parametrize("short", [True, False])
+    def test_replays_below_the_kernel_minimum_use_the_loop(self, short):
+        # Both sides of the crossover, on branches moved into one user
+        # context so that no token install cuts the replay's one span: one
+        # branch short of _KERNEL_MIN_BRANCHES it replays in the per-branch
+        # loop, at it in the array kernel.
+        length = vector._KERNEL_MIN_BRANCHES - (1 if short else 0)
+        records = [BranchRecord(ip=record.ip, target=record.target,
+                                taken=record.taken,
+                                branch_type=record.branch_type)
+                   for record in self._apache2_records(length)]
+        assert self._crossover_replay(records) == (length if short else 0)
+
+    def test_spans_cut_at_token_installs_use_the_loop(self):
+        # The crossover applies per span: in their own contexts the same
+        # branches are cut at token installs into spans each shorter than
+        # _KERNEL_MIN_BRANCHES, so the loop replays every one of them.
+        length = vector._KERNEL_MIN_BRANCHES
+        assert self._crossover_replay(self._apache2_records(length)) == length
+
+    def test_short_flushing_replays_take_the_kernel_in_one_span(self):
+        # A closed-form stepper replays flushes as epochs, so a flushing
+        # replay under _KERNEL_MIN_BRANCHES is one array-kernel span; the
+        # per-branch loop, which replays no flush, never sees it.  These
+        # 2,000 branches flush six times, at context switches and kernel
+        # entries.
+        from repro.bpu.protections import make_ucode_protection_1
+        from repro.engine import trace_for
+
+        trace = trace_for("apache2_prefork_c128", 2_000, 7)
+        assert sum(isinstance(item, BranchRecord) for item in trace) \
+            < vector._KERNEL_MIN_BRANCHES
+        results = {}
+        for backend in BACKENDS:
+            with fastpath.forced_backend(backend):
+                before = {counter: _replay_total(
+                    counter, "ucode_protection_1", "trace")
+                    for counter in ("spans", "loop_branches")}
+                model = make_ucode_protection_1()
+                stats = TraceSimulator(warmup_branches=200).run(
+                    model, trace).stats
+                results[backend] = (stats, model.protection_stats(),
+                                    _composite_state(model.inner))
+                deltas = {counter: _replay_total(
+                    counter, "ucode_protection_1", "trace") - before[counter]
+                    for counter in before}
+        assert results["reference"] == results["vector"]
+        assert results["vector"][1]["flushes"] == 6
+        assert deltas == {"spans": 1, "loop_branches": 0}
+
+    def test_short_watched_perceptron_spans_replay_in_the_loop(self):
+        # The perceptron's row rounds commit any executed prefix, so a
+        # monitored span is cut at its fire like an SKL one: 23 fires, and
+        # every span is shorter than _KERNEL_MIN_BRANCHES, so the per-branch
+        # loop replays them all.
         deltas, fires = self._deltas(ModelSpec.of("ST_PerceptronBP", r=5e-05))
         assert fires == 23
         assert deltas == {"spans": 28, "branches": 4_006,
-                          "prepared_branches": 11_103, "loop_branches": 0}
+                          "prepared_branches": 8_679, "loop_branches": 4_006}
 
     def test_watched_tage_spans_replay_in_the_loop(self):
         # A guarded stepper under a monitor steps branch by branch, fire or
