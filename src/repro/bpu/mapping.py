@@ -198,7 +198,7 @@ class BaselineMappingProvider(MappingProvider):
         sizes = self.sizes
         base = self.btb_mode1(ip)
         history_tag = fold_bits(bhb, sizes.bhb_bits, sizes.btb_tag_bits)
-        history_index = fold_bits(bhb, sizes.bhb_bits, sizes.btb_index_bits)
+        history_index = _fold_index(bhb, sizes.bhb_bits, sizes.btb_index_bits)
         return BTBLookupKey(
             index=(base.index ^ history_index) & self._btb_index_mask,
             tag=(base.tag ^ history_tag) & self._btb_tag_mask,
@@ -209,9 +209,8 @@ class BaselineMappingProvider(MappingProvider):
         cached = self._pht1_cache.get(ip)
         if cached is not None:
             return cached
-        index = fold_bits(
-            self._truncate(ip) >> 1, BASELINE_ADDRESS_BITS, self.sizes.pht_index_bits
-        )
+        index = _fold_index(self._truncate(ip) >> 1, BASELINE_ADDRESS_BITS,
+                            self.sizes.pht_index_bits)
         if len(self._pht1_cache) >= self._CACHE_LIMIT:
             self._pht1_cache.clear()
         self._pht1_cache[ip] = index
@@ -225,7 +224,7 @@ class BaselineMappingProvider(MappingProvider):
             ghr &= (1 << self.sizes.ghr_bits) - 1
             history = (ghr & self._pht_fold_mask) ^ (ghr >> self.sizes.pht_index_bits)
         else:
-            history = fold_bits(ghr, self.sizes.ghr_bits, self.sizes.pht_index_bits)
+            history = _fold_index(ghr, self.sizes.ghr_bits, self.sizes.pht_index_bits)
         return (base ^ history) & self._pht_index_mask
 
     def tage_index(self, ip: int, folded_history: int, table: int, index_bits: int) -> int:
@@ -239,8 +238,8 @@ class BaselineMappingProvider(MappingProvider):
         return fold_bits(mixed, BASELINE_ADDRESS_BITS, tag_bits)
 
     def perceptron_index(self, ip: int, table_size: int) -> int:
-        return fold_bits(self._truncate(ip) >> 2, BASELINE_ADDRESS_BITS,
-                         (table_size - 1).bit_length()) % table_size
+        return _fold_index(self._truncate(ip) >> 2, BASELINE_ADDRESS_BITS,
+                           (table_size - 1).bit_length()) % table_size
 
     def vector_maps(self):
         if type(self) is not BaselineMappingProvider:
@@ -249,18 +248,26 @@ class BaselineMappingProvider(MappingProvider):
 
 
 def fold_bits_array(values: "object", input_bits: int, output_bits: int) -> "object":
-    """Vector form of :func:`~repro.bpu.common.fold_bits` over a uint64 ndarray."""
+    """Vector form of :func:`~repro.bpu.common.fold_bits` over a uint64 ndarray.
+
+    Like it, a fold to 0 bits raises ``ValueError`` (here from ``range``).
+    """
     values = values & np.uint64((1 << input_bits) - 1)
     mask = np.uint64((1 << output_bits) - 1)
     folded = values & mask
-    shifted = values >> np.uint64(output_bits)
-    shift = np.uint64(output_bits)
-    remaining = input_bits - output_bits
-    while remaining > 0:
-        folded = folded ^ (shifted & mask)
-        shifted = shifted >> shift
-        remaining -= output_bits
+    for shift in range(output_bits, input_bits, output_bits):
+        folded ^= (values >> np.uint64(shift)) & mask
     return folded
+
+
+def _fold_index(values, input_bits: int, index_bits: int):
+    """Fold ``values`` (an int, or a uint64 ndarray) down to a table index
+    of ``index_bits`` bits.  A one-entry table's index has no bits, so every
+    value indexes its one row: 0."""
+    if not index_bits:
+        return values & 0
+    fold = fold_bits if isinstance(values, int) else fold_bits_array
+    return fold(values, input_bits, index_bits)
 
 
 class _BaselineVectorMaps:
@@ -280,10 +287,8 @@ class _BaselineVectorMaps:
         return ips & np.uint64(self._truncate_mask)
 
     def pht1(self, ips, contexts=None):
-        return fold_bits_array(
-            self._truncate(ips) >> np.uint64(1),
-            BASELINE_ADDRESS_BITS, self.sizes.pht_index_bits,
-        )
+        return _fold_index(self._truncate(ips) >> np.uint64(1),
+                           BASELINE_ADDRESS_BITS, self.sizes.pht_index_bits)
 
     def pht2(self, ips, ghrs, contexts=None):
         provider = self.provider
@@ -294,7 +299,7 @@ class _BaselineVectorMaps:
             history = (ghrs & np.uint64(provider._pht_fold_mask)) ^ (
                 ghrs >> np.uint64(sizes.pht_index_bits))
         else:
-            history = fold_bits_array(ghrs, sizes.ghr_bits, sizes.pht_index_bits)
+            history = _fold_index(ghrs, sizes.ghr_bits, sizes.pht_index_bits)
         return (base ^ history) & np.uint64(provider._pht_index_mask)
 
     def btb1(self, ips, contexts=None):
@@ -316,7 +321,7 @@ class _BaselineVectorMaps:
         offset = key & np.uint64(self.provider._btb_offset_mask)
         tag = key >> offset_bits
         history_tag = fold_bits_array(bhbs, sizes.bhb_bits, sizes.btb_tag_bits)
-        history_index = fold_bits_array(bhbs, sizes.bhb_bits, sizes.btb_index_bits)
+        history_index = _fold_index(bhbs, sizes.bhb_bits, sizes.btb_index_bits)
         index = (index ^ history_index) & np.uint64(self.provider._btb_index_mask)
         tag = (tag ^ history_tag) & np.uint64(self.provider._btb_tag_mask)
         return index, (tag << offset_bits) | offset
@@ -336,9 +341,8 @@ class _BaselineVectorMaps:
         return fold_bits_array(mixed, BASELINE_ADDRESS_BITS, tag_bits)
 
     def perceptron_rows(self, ips, table_size, contexts=None):
-        folded = fold_bits_array(self._truncate(ips) >> np.uint64(2),
-                                 BASELINE_ADDRESS_BITS,
-                                 (table_size - 1).bit_length())
+        folded = _fold_index(self._truncate(ips) >> np.uint64(2),
+                             BASELINE_ADDRESS_BITS, (table_size - 1).bit_length())
         return folded % np.uint64(table_size)
 
 

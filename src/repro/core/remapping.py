@@ -163,7 +163,10 @@ class STMappingProvider(MappingProvider):
         psi = self._token.psi
         base = self.btb_mode1(ip)
         tag = keyed_remap(psi, ip, bhb, output_bits=sizes.btb_tag_bits, domain=_DOMAIN_R2)
-        index = keyed_remap(psi, ip, bhb, output_bits=sizes.btb_index_bits, domain=_DOMAIN_R2 + 16)
+        # A 1-set BTB (like a 1-entry PHT) has a 0-bit index: remap one bit
+        # and let the mask keep set 0.
+        index = keyed_remap(psi, ip, bhb, output_bits=max(1, sizes.btb_index_bits),
+                            domain=_DOMAIN_R2 + 16)
         return BTBLookupKey(index=index & (sizes.btb_sets - 1), tag=tag, offset=base.offset)
 
     def pht_index_1level(self, ip: int) -> int:
@@ -175,7 +178,7 @@ class STMappingProvider(MappingProvider):
         if cached is not None:
             return cached
         index = keyed_remap(
-            psi, ip, output_bits=self.sizes.pht_index_bits, domain=_DOMAIN_R3,
+            psi, ip, output_bits=max(1, self.sizes.pht_index_bits), domain=_DOMAIN_R3,
         ) & (self.sizes.pht_entries - 1)
         if len(self._pht1_cache) >= self._CACHE_LIMIT:
             self._pht1_cache.clear()
@@ -186,7 +189,7 @@ class STMappingProvider(MappingProvider):
         """R4: ψ + GHR + 48-bit address → 14-bit PHT index."""
         return keyed_remap(
             self._token.psi, ip & VIRTUAL_ADDRESS_MASK, ghr,
-            output_bits=self.sizes.pht_index_bits, domain=_DOMAIN_R4,
+            output_bits=max(1, self.sizes.pht_index_bits), domain=_DOMAIN_R4,
         ) & (self.sizes.pht_entries - 1)
 
     # ------------------------------------------------------------- Rt and Rp
@@ -279,7 +282,7 @@ class _STVectorMaps:
         sizes = self.sizes
         index = keyed_remap_array(
             self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK),
-            output_bits=sizes.pht_index_bits, domain=_DOMAIN_R3,
+            output_bits=max(1, sizes.pht_index_bits), domain=_DOMAIN_R3,
         )
         return index & np.uint64(sizes.pht_entries - 1)
 
@@ -289,7 +292,7 @@ class _STVectorMaps:
         sizes = self.sizes
         index = keyed_remap_array(
             self._psi(contexts), ips & np.uint64(VIRTUAL_ADDRESS_MASK), ghrs,
-            output_bits=sizes.pht_index_bits, domain=_DOMAIN_R4,
+            output_bits=max(1, sizes.pht_index_bits), domain=_DOMAIN_R4,
         )
         return index & np.uint64(sizes.pht_entries - 1)
 
@@ -323,7 +326,7 @@ class _STVectorMaps:
         tag = keyed_remap_array(psi, masked, bhbs,
                                 output_bits=sizes.btb_tag_bits, domain=_DOMAIN_R2)
         index = keyed_remap_array(psi, masked, bhbs,
-                                  output_bits=sizes.btb_index_bits,
+                                  output_bits=max(1, sizes.btb_index_bits),
                                   domain=_DOMAIN_R2 + 16)
         return index & np.uint64(sizes.btb_sets - 1), (tag << offset_bits) | offset
 

@@ -1,5 +1,6 @@
 """Tests for the individual BPU structures: BTB, PHT, RSB, history registers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 from repro.bpu.btb import VALID, BranchTargetBuffer
 from repro.bpu.common import StructureSizes, fold_bits
 from repro.bpu.history import BranchHistoryBuffer, FoldedHistory, GlobalHistoryRegister, HistoryState
-from repro.bpu.mapping import BaselineMappingProvider, FullAddressMappingProvider, IdentityTargetCodec
+from repro.bpu.mapping import (
+    BaselineMappingProvider,
+    FullAddressMappingProvider,
+    IdentityTargetCodec,
+    fold_bits_array,
+)
 from repro.bpu.pht import PatternHistoryTable, SaturatingCounter, SKLConditionalPredictor
 from repro.bpu.rsb import ReturnStackBuffer
 
@@ -320,6 +326,33 @@ class TestMappingProviders:
         for ip in (0x400000, 0x7FFF_FFFF_FFFF, 0x12345678):
             assert 0 <= mapping.pht_index_1level(ip) < sizes.pht_entries
             assert 0 <= mapping.pht_index_2level(ip, 0x3FFFF) < sizes.pht_entries
+
+    def test_one_entry_tables_index_row_zero(self):
+        # A one-entry table's index has no bits, so every branch indexes
+        # row 0.  The scalar maps are checked first: they used to raise,
+        # while the array fold of a 0-bit index never returned.
+        from repro.core.remapping import STMappingProvider
+        from repro.core.secret_token import SecretToken
+
+        sizes = StructureSizes(btb_sets=1, pht_entries=1)
+        ips = [0x40_1234, 0x7FFF_0040_0ABC]
+        for mapping in (BaselineMappingProvider(sizes),
+                        STMappingProvider(SecretToken(0xA5A5_1234_DEAD_BEEF),
+                                          sizes)):
+            for ip in ips:
+                assert mapping.btb_mode2(ip, 0x3FF_FFFF_FFFF).index == 0
+                assert mapping.pht_index_1level(ip) == 0
+                assert mapping.pht_index_2level(ip, 0x3FFFF) == 0
+                assert mapping.perceptron_index(ip, 1) == 0
+            maps = mapping.vector_maps()
+            values = np.array(ips, dtype=np.uint64)
+            assert maps.btb2(values, values)[0].tolist() == [0, 0]
+            assert maps.pht1(values).tolist() == [0, 0]
+            assert maps.pht2(values, values).tolist() == [0, 0]
+            assert maps.perceptron_rows(values, 1).tolist() == [0, 0]
+        # Like the scalar fold, the array fold refuses a 0-bit output.
+        with pytest.raises(ValueError):
+            fold_bits_array(np.array(ips, dtype=np.uint64), 8, 0)
 
     def test_identity_codec_roundtrip_and_extend(self):
         codec = IdentityTargetCodec()

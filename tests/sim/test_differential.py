@@ -14,7 +14,7 @@ spans take after a fire and replay lengths below which the per-branch loop
 replays the BTB and RSB (so both that loop and the array kernel run) and
 active-row counts below which perceptron rows walk instead of replaying in
 rounds (so rounds only, walks only and both run), on a small BTB of drawn
-geometry (2, 4 or 16 sets of 1–3 ways) so evictions feed the monitors, a
+geometry (1, 2, 4 or 16 sets of 1–3 ways) so evictions feed the monitors, a
 PHT of 16, 100, 1000 or 1024 entries and a perceptron of 1–16 rows,
 histories of 1–8 outcomes and 2–4 weight bits, so rows repeat dozens of
 times per trace and weights saturate, then replays a second trace through
@@ -152,13 +152,6 @@ _ROUND_MINIMA = st.sampled_from([0, 1, 2, 8, 1 << 30])
 _PHT_ENTRIES = st.sampled_from([16, 100, 1000, 1024])
 
 
-def _unprotected(perceptron):
-    """``perceptron`` for the baseline mapping, which folds a row index to
-    ``(rows - 1).bit_length()`` bits and so needs two rows or more."""
-    return dataclasses.replace(perceptron,
-                               table_size=max(2, perceptron.table_size))
-
-
 def _direction_state(direction):
     if isinstance(direction, TAGEPredictor):
         return _tage_state(direction)
@@ -193,11 +186,11 @@ SINGLE_MODELS = {
         TAGE_SC_L_8KB, sizes),
     "TAGE_small": lambda sizes, **_: make_unprotected_tage(SMALL_TAGE, sizes),
     "PerceptronBP": lambda sizes, perceptron, **_: make_unprotected_perceptron(
-        _unprotected(perceptron), sizes),
+        perceptron, sizes),
     "flushing_TAGE_SC_L_8KB": lambda sizes, **_: FlushingProtectedBPU(
         make_unprotected_tage(TAGE_SC_L_8KB, sizes), "flushing_TAGE_SC_L_8KB"),
     "flushing_PerceptronBP": lambda sizes, perceptron, **_: FlushingProtectedBPU(
-        make_unprotected_perceptron(_unprotected(perceptron), sizes),
+        make_unprotected_perceptron(perceptron, sizes),
         "flushing_PerceptronBP"),
     **{name: (lambda sizes, perceptron, monitor, seed, groups,
                factory=factory: factory(
@@ -249,7 +242,7 @@ def _diverged(replay):
        groups=st.fixed_dictionaries({name: _GROUPS for name in FACTORIES}),
        seed=st.integers(0, 7), span_limit=st.integers(1, 64),
        cap_floor=st.integers(1, 64), kernel_min=_KERNEL_MINIMA,
-       btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3),
+       btb_sets=st.sampled_from([1, 2, 4, 16]), btb_ways=st.integers(1, 3),
        pht_entries=_PHT_ENTRIES, perceptron=_PERCEPTRONS,
        round_min=_ROUND_MINIMA)
 def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
@@ -257,9 +250,7 @@ def test_single_trace_reference_equals_vector(trace, second, warmup, monitors,
                                               cap_floor, kernel_min, btb_sets,
                                               btb_ways, pht_entries,
                                               perceptron, round_min):
-    # A BTB small enough for the random traces to evict, and small PHTs.  A
-    # 1-set BTB is not drawn: its mapping would fold to 0 index bits, which
-    # ``fold_bits`` refuses.
+    # A BTB small enough for the random traces to evict, and small PHTs.
     sizes = StructureSizes(btb_sets=btb_sets, btb_ways=btb_ways,
                            pht_entries=pht_entries, rsb_entries=4)
 
@@ -300,7 +291,7 @@ def _shifted(trace, offset):
        monitor=_monitors(), groups=_GROUPS,
        model_name=st.sampled_from(sorted(FACTORIES)), seed=st.integers(0, 7),
        cap_floor=st.integers(1, 64), kernel_min=_KERNEL_MINIMA,
-       btb_sets=st.sampled_from([2, 4, 16]), btb_ways=st.integers(1, 3),
+       btb_sets=st.sampled_from([1, 2, 4, 16]), btb_ways=st.integers(1, 3),
        rsb_entries=st.integers(1, 4), pht_entries=_PHT_ENTRIES,
        perceptron=_PERCEPTRONS, round_min=_ROUND_MINIMA)
 def test_smt_corun_reference_equals_vector(trace_a, trace_b, quantum, warmup,
