@@ -329,8 +329,8 @@ class TestMappingProviders:
 
     def test_one_entry_tables_index_row_zero(self):
         # A one-entry table's index has no bits, so every branch indexes
-        # row 0.  The scalar maps are checked first: they used to raise,
-        # while the array fold of a 0-bit index never returned.
+        # row 0.  The scalar maps are checked first, so a regression fails
+        # here instead of hanging in an array fold to 0 bits.
         from repro.core.remapping import STMappingProvider
         from repro.core.secret_token import SecretToken
 

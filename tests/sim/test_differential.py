@@ -10,7 +10,7 @@ flushing protection, a TAGE with 16- and 32-entry tables whose allocations
 collide, and the three STBPU factories — under random warm-ups
 (negative ones included), monitor thresholds, token-sharing groups,
 guarded-stepper span caps, floors of the adaptive cap that monitored
-spans take after a fire and replay lengths below which the per-branch loop
+spans take after a fire and span lengths below which the per-branch loop
 replays the BTB and RSB (so both that loop and the array kernel run) and
 active-row counts below which perceptron rows walk instead of replaying in
 rounds (so rounds only, walks only and both run), on a small BTB of drawn
@@ -132,8 +132,8 @@ _GROUPS = st.one_of(
 
 
 #: ``_KERNEL_MIN_BRANCHES`` values: the random traces are far shorter than
-#: the shipped one, so 0 sends them through the array kernel and the
-#: largest through the per-branch loop.
+#: the shipped one, so 0 sends every span through the array kernel and the
+#: largest every span without a flush through the per-branch loop.
 _KERNEL_MINIMA = st.sampled_from([0, 120, 1 << 30])
 
 #: A perceptron small enough that rows repeat dozens of times per trace:

@@ -72,9 +72,9 @@ def _family_jobs():
     return jobs
 
 
-#: The vector backend's two BTB/RSB paths: at the shipped crossover a
-#: replay shorter than ``_KERNEL_MIN_BRANCHES`` replays every span in the
-#: per-branch loop, and at 0 every span replays in the array kernel.
+#: The vector backend's two BTB/RSB paths: at the shipped crossover a span
+#: without a flush that is shorter than ``_KERNEL_MIN_BRANCHES`` replays in
+#: the per-branch loop, and at 0 every span replays in the array kernel.
 KERNEL_MINIMA = (vector._KERNEL_MIN_BRANCHES, 0)
 
 
